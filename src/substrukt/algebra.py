@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (Bin, Const, Formula, Language, Neg, Var, ONE, ZERO,
@@ -146,13 +146,6 @@ class FiniteAlgebra:
 
     def index_of(self, name) -> int:
         return self.elements.index(name)
-
-    def encode(self):
-        """Label-sensitive structural encoding (names ignored)."""
-        parts = [self.n, self.zero, self.one]
-        for op in sorted(self.ops):
-            parts.append((op, self.ops[op]))
-        return tuple(parts)
 
     def __repr__(self):
         return f"FiniteAlgebra({self.name!r}, n={self.n})"
@@ -661,11 +654,6 @@ def enumerate_algebras(v: VarietyId, size: int):
                     seen.add(key)
                     count += 1
                     yield full
-
-
-def enumerate_algebras_upto(v: VarietyId, max_size: int):
-    for size in range(1, max_size + 1):
-        yield from enumerate_algebras(v, size)
 
 
 def reduct(a: FiniteAlgebra, lang: Language) -> FiniteAlgebra:

@@ -6,8 +6,12 @@ A filter on a finite algebra is represented by its two slices: s1, the
 (1,1)-slice (a binary relation), and s0, the (1,0)-slice (a subset).  A
 tuple (x0..xk, delta) belongs to the represented filter iff the collapsed
 pair (x0*...*xk, delta) is in a slice; closure under the sequent rules then
-reduces to element-quantified conditions, and `filter_closed_expanded`
-re-checks them by honest tuple expansion.
+reduces to element-quantified conditions.  `_filter_rules` compiles them
+once per algebra into Horn clauses with at most two premises over the n*n+n
+slice members, held as int bitmasks, and `_close` closes a set under them
+with a semi-naive worklist.  `is_filter`, `filter_closure` and
+`all_filters` all use these clauses; `filter_closed_expanded` is the
+independent oracle that re-checks closure by honest tuple expansion.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .sequents import Sequent, tau
 from .algebra import (FiniteAlgebra, VarietyId, check_variety, eval_term,
                       enumerate_algebras, holds, language_of_family)
 from .syntax import Language
-from .sequents import equation_variables, sequent_variables
+from .sequents import equation_variables
 
 
 @dataclass(frozen=True)
@@ -49,192 +53,185 @@ def filter_member(a: FiniteAlgebra, slices: FilterSlices, xs, delta) -> bool:
     return p in slices.s0 if delta is None else (p, delta) in slices.s1
 
 
-def _missing(a: FiniteAlgebra, slices: FilterSlices, sigma, lang):
-    """Slice members required by one application of some rule but absent.
+def _filter_rules(a: FiniteAlgebra, sigma, lang):
+    """Compile the rules, collapsed to slices, into Horn clauses.
 
     The conditions quantify sequence metavariables by their products, which
-    range over the whole carrier (plus 1 for the empty sequence), so this is
-    exact for the represented filters.
+    range over the whole carrier (plus 1 for the empty sequence), so the
+    clauses are exact for the represented filters.  Atom p*n+y is the s1
+    pair (p, y) and atom n*n+p the s0 element p.  Returns the int bitmasks
+    (facts, unary, binary): unary[i] holds the conclusions of the clauses
+    with the single premise i, and binary[i] pairs (1 << j, conclusions) for
+    the clauses with premises i and j, stored under both premises.
     """
     n = a.n
-    ft = a.ops["fus"]
-    s1, s0 = slices.s1, slices.s0
-    need1, need0 = set(), set()
+    ft, jt = a.ops["fus"], a.ops["join"]
+    # at[p][d]: the atom of (p, delta), delta = d for d < n, None for d = n
+    at = [[p * n + d for d in range(n)] + [n * n + p] for p in range(n)]
+    ds = range(n + 1)
+    unary = [0] * (n * n + n)
+    pairs = {}  # (i, k) with i < k -> conclusions
 
-    def want1(p, y):
-        if (p, y) not in s1:
-            need1.add((p, y))
+    def one(i, j):
+        unary[i] |= 1 << j
 
-    def want0(p):
-        if p not in s0:
-            need0.add(p)
+    def two(i, k, j):
+        if i == k:
+            unary[i] |= 1 << j
+        else:
+            key = (i, k) if i < k else (k, i)
+            pairs[key] = pairs.get(key, 0) | 1 << j
 
-    def mem(p, delta):
-        return p in s0 if delta is None else (p, delta) in s1
-
-    def want(p, delta):
-        want0(p) if delta is None else want1(p, delta)
-
-    deltas = [None] + list(range(n))
+    # products u*x*v of a formula x in a context u, v
+    ctx = [[[ft[ft[u][x]][v] for v in range(n)] for u in range(n)]
+           for x in range(n)]
+    ctx_pairs = [(u, v) for u in range(n) for v in range(n)]
 
     # axioms
+    facts = 1 << at[a.one][a.one] | 1 << at[a.zero][n]
     for x in range(n):
-        want1(x, x)
-    want1(a.one, a.one)
-    want0(a.zero)
+        facts |= 1 << at[x][x]
 
-    # cut
-    for (g, x) in s1:
-        for u in range(n):
-            for v in range(n):
-                old = ft[ft[u][x]][v]
-                new = ft[ft[u][g]][v]
-                if old in s0:
-                    want0(new)
-                for y in range(n):
-                    if (old, y) in s1:
-                        want1(new, y)
-
-    jt = a.ops["join"]
-    for u in range(n):
-        for v in range(n):
-            for x in range(n):
-                for y in range(n):
-                    for delta in deltas:
-                        if mem(ft[ft[u][x]][v], delta) and \
-                                mem(ft[ft[u][y]][v], delta):
-                            want(ft[ft[u][jt[x][y]]][v], delta)
-    for (g, x) in s1:
+    for x in range(n):
         for y in range(n):
-            want1(g, jt[x][y])
-            want1(g, jt[y][x])
-
-    # fusion: left introduction is a no-op under the collapse
-    for (g, x) in s1:
-        for (h, y) in s1:
-            want1(ft[g][h], ft[x][y])
+            for u, v in ctx_pairs:
+                old, other = ctx[x][u][v], ctx[y][u][v]
+                joined = ctx[jt[x][y]][u][v]
+                for d in ds:
+                    two(at[old][d], at[other][d], at[joined][d])  # or-l
+                    two(at[y][x], at[old][d], at[other][d])  # cut
+            for z in range(n):
+                one(at[x][y], at[x][jt[y][z]])  # or-r
+                one(at[x][y], at[x][jt[z][y]])
+                for w in range(n):  # fus-r
+                    two(at[x][y], at[z][w], at[ft[x][z]][ft[y][w]])
 
     if "meet" in lang:
         mt = a.ops["meet"]
-        for u in range(n):
-            for v in range(n):
-                for x in range(n):
-                    for y in range(n):
-                        for delta in deltas:
-                            if mem(ft[ft[u][x]][v], delta):
-                                want(ft[ft[u][mt[x][y]]][v], delta)
-                                want(ft[ft[u][mt[y][x]]][v], delta)
-        for (g, x) in s1:
+        for x in range(n):
             for y in range(n):
-                if (g, y) in s1:
-                    want1(g, mt[x][y])
+                for u, v in ctx_pairs:
+                    for d in ds:  # and-l
+                        one(at[ctx[x][u][v]][d], at[ctx[mt[x][y]][u][v]][d])
+                        one(at[ctx[x][u][v]][d], at[ctx[mt[y][x]][u][v]][d])
+                for z in range(n):
+                    two(at[x][y], at[x][z], at[x][mt[y][z]])  # and-r
 
     if "rimp" in lang:
         rt, lt = a.ops["rimp"], a.ops["limp"]
-        for (g, x) in s1:
-            for u in range(n):
-                for v in range(n):
-                    for y in range(n):
-                        lhs_r = ft[ft[ft[u][g]][rt[x][y]]][v]
-                        lhs_l = ft[ft[ft[u][lt[x][y]]][g]][v]
-                        for delta in deltas:
-                            if mem(ft[ft[u][y]][v], delta):
-                                want(lhs_r, delta)
-                                want(lhs_l, delta)
         for g in range(n):
             for x in range(n):
                 for y in range(n):
-                    if (ft[x][g], y) in s1:
-                        want1(g, rt[x][y])
-                    if (ft[g][x], y) in s1:
-                        want1(g, lt[x][y])
+                    one(at[ft[x][g]][y], at[g][rt[x][y]])  # rimp-r
+                    one(at[ft[g][x]][y], at[g][lt[x][y]])  # limp-r
+                    for u, v in ctx_pairs:
+                        lhs_r = ft[ft[ft[u][g]][rt[x][y]]][v]
+                        lhs_l = ft[ft[ft[u][lt[x][y]]][g]][v]
+                        for d in ds:
+                            premise = at[ctx[y][u][v]][d]  # rimp-l, limp-l
+                            two(at[g][x], premise, at[lhs_r][d])
+                            two(at[g][x], premise, at[lhs_l][d])
 
     if "rneg" in lang:
         rn, ln = a.ops["rneg"], a.ops["lneg"]
-        for (g, x) in s1:
-            want0(ft[g][rn[x]])
-            want0(ft[ln[x]][g])
         for g in range(n):
-            for x in range(n):
-                if ft[x][g] in s0:
-                    want1(g, rn[x])
-                if ft[g][x] in s0:
-                    want1(g, ln[x])
+            for x in range(n):  # rneg-l, lneg-l, rneg-r, lneg-r
+                one(at[g][x], at[ft[g][rn[x]]][n])
+                one(at[g][x], at[ft[ln[x]][g]][n])
+                one(at[ft[x][g]][n], at[g][rn[x]])
+                one(at[ft[g][x]][n], at[g][ln[x]])
 
     # (=>0) and the structural rules
-    for g in s0:
-        want1(g, a.zero)
-    if "e" in sigma:
-        for u in range(n):
-            for v in range(n):
-                for x in range(n):
-                    for y in range(n):
-                        for delta in deltas:
-                            if mem(ft[ft[ft[u][x]][y]][v], delta):
-                                want(ft[ft[ft[u][y]][x]][v], delta)
-    if "wl" in sigma:
-        for u in range(n):
-            for v in range(n):
-                for x in range(n):
-                    for delta in deltas:
-                        if mem(ft[u][v], delta):
-                            want(ft[ft[u][x]][v], delta)
-    if "wr" in sigma:
-        for g in s0:
+    for g in range(n):
+        one(at[g][n], at[g][a.zero])
+        if "wr" in sigma:
             for x in range(n):
-                want1(g, x)
-    if "c" in sigma:
-        for u in range(n):
-            for v in range(n):
-                for x in range(n):
-                    for delta in deltas:
-                        if mem(ft[ft[ft[u][x]][x]][v], delta):
-                            want(ft[ft[u][x]][v], delta)
-    return need1, need0
+                one(at[g][n], at[g][x])
+    for u, v in ctx_pairs:
+        for x in range(n):
+            ux = ft[u][x]
+            for d in ds:
+                if "wl" in sigma:
+                    one(at[ft[u][v]][d], at[ft[ux][v]][d])
+                if "c" in sigma:
+                    one(at[ft[ft[ux][x]][v]][d], at[ft[ux][v]][d])
+                if "e" in sigma:
+                    for y in range(n):
+                        one(at[ft[ft[ux][y]][v]][d],
+                            at[ft[ft[ft[u][y]][x]][v]][d])
+    binary = [[] for _ in unary]
+    for (i, k), conclusions in pairs.items():
+        binary[i].append((1 << k, conclusions))
+        binary[k].append((1 << i, conclusions))
+    return facts, unary, binary
+
+
+def _close(rules, have, new):
+    """The least closed superset of have | new, given that have is closed:
+    each atom added fires its unary clauses and joins once with the atoms
+    present (semi-naive forward chaining)."""
+    _, unary, binary = rules
+    new &= ~have
+    have |= new
+    while new:
+        low = new & -new
+        new ^= low
+        i = low.bit_length() - 1
+        derived = unary[i]
+        for other, conclusions in binary[i]:
+            if have & other:
+                derived |= conclusions
+        derived &= ~have
+        have |= derived
+        new |= derived
+    return have
+
+
+def _to_mask(n, slices: FilterSlices) -> int:
+    mask = 0
+    for p, y in slices.s1:
+        mask |= 1 << (p * n + y)
+    for p in slices.s0:
+        mask |= 1 << (n * n + p)
+    return mask
+
+
+def _to_slices(n, mask: int) -> FilterSlices:
+    return FilterSlices(
+        frozenset(divmod(i, n) for i in range(n * n) if mask >> i & 1),
+        frozenset(p for p in range(n) if mask >> (n * n + p) & 1))
 
 
 def is_filter(a: FiniteAlgebra, slices: FilterSlices, sigma, lang) -> bool:
-    need1, need0 = _missing(a, slices, sigma, lang)
-    return not need1 and not need0
+    rules = _filter_rules(a, sigma, lang)
+    mask = _to_mask(a.n, slices)
+    return _close(rules, 0, rules[0] | mask) == mask
 
 
 def filter_closure(a: FiniteAlgebra, slices: FilterSlices, sigma, lang) -> FilterSlices:
-    s1, s0 = set(slices.s1), set(slices.s0)
-    while True:
-        need1, need0 = _missing(a, FilterSlices(frozenset(s1), frozenset(s0)),
-                                sigma, lang)
-        if not need1 and not need0:
-            return FilterSlices(frozenset(s1), frozenset(s0))
-        s1 |= need1
-        s0 |= need0
+    rules = _filter_rules(a, sigma, lang)
+    return _to_slices(a.n, _close(rules, 0, rules[0] | _to_mask(a.n, slices)))
 
 
 def all_filters(a: FiniteAlgebra, sigma, lang):
-    """Every filter in slice form, generated bottom-up from the least one."""
-    bottom = filter_closure(a, FilterSlices(frozenset(), frozenset()),
-                            sigma, lang)
-    atoms = [("s1", (x, y)) for x in range(a.n) for y in range(a.n)]
-    atoms += [("s0", x) for x in range(a.n)]
-    found = {(bottom.s1, bottom.s0): bottom}
+    """Every filter in slice form, generated bottom-up from the least one:
+    each filter found is extended by one atom and closed again."""
+    rules = _filter_rules(a, sigma, lang)
+    bottom = _close(rules, 0, rules[0])
+    found = {bottom}
     frontier = [bottom]
+    atoms = [1 << i for i in range(a.n * a.n + a.n)]
     while frontier:
         current = frontier.pop()
-        for kind, atom in atoms:
-            if kind == "s1":
-                if atom in current.s1:
-                    continue
-                seed = FilterSlices(current.s1 | {atom}, current.s0)
-            else:
-                if atom in current.s0:
-                    continue
-                seed = FilterSlices(current.s1, current.s0 | {atom})
-            closed = filter_closure(a, seed, sigma, lang)
-            key = (closed.s1, closed.s0)
-            if key not in found:
-                found[key] = closed
-                frontier.append(closed)
-    return sorted(found.values(), key=lambda f: (len(f.s1), len(f.s0),
-                                                 sorted(f.s1), sorted(f.s0)))
+        for atom in atoms:
+            if not current & atom:
+                closed = _close(rules, current, atom)
+                if closed not in found:
+                    found.add(closed)
+                    frontier.append(closed)
+    filters = [_to_slices(a.n, mask) for mask in found]
+    return sorted(filters, key=lambda f: (len(f.s1), len(f.s0),
+                                          sorted(f.s1), sorted(f.s0)))
 
 
 # -- honest tuple expansion, for the validation suite ------------------------
@@ -642,19 +639,20 @@ def filter_congruence_correspondence(a: FiniteAlgebra, v: VarietyId) -> Correspo
     filters = all_filters(a, v.sigma, lang)
     congs = k_congruences(a, v)
     failures = []
-    images = []
+    pairs = []  # (filter, its Leibniz congruence)
     for f in filters:
         omega = leibniz_congruence(a, f)
         if isinstance(omega, NotACongruence):
             failures.append(f"Leibniz of a filter is not a congruence: {omega}")
-            continue
-        images.append(omega)
-    if len(set(c.blocks for c in images)) != len(filters):
+        else:
+            pairs.append((f, omega))
+    images = set(omega.blocks for _, omega in pairs)
+    if len(images) != len(pairs):
         failures.append("Leibniz operator is not injective on filters")
-    if set(c.blocks for c in images) != set(c.blocks for c in congs):
+    if images != set(c.blocks for c in congs):
         failures.append("Leibniz images differ from the variety congruences")
-    for f1, o1 in zip(filters, images):
-        for f2, o2 in zip(filters, images):
+    for f1, o1 in pairs:
+        for f2, o2 in pairs:
             if (f1 <= f2) != (o1 <= o2):
                 failures.append("Leibniz operator is not an order isomorphism")
                 break

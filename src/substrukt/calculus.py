@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (Bin, Const, Formula, Language, Neg, FULL, ZERO, ONE,
@@ -139,9 +139,6 @@ class ProofTree:
         if not self.premises:
             return 1
         return 1 + max(p.height() for p in self.premises)
-
-    def size(self):
-        return 1 + sum(p.size() for p in self.premises)
 
 
 class InstanceError(ValueError):

@@ -338,6 +338,9 @@ def main(argv=None):
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -32,10 +32,6 @@ def formula_size(f: Formula) -> int:
     return 1 + formula_size(f.left) + formula_size(f.right)
 
 
-_BIN_BUILDERS = {"join": "join", "meet": "meet", "fus": "fus",
-                 "rimp": "rimp", "limp": "limp"}
-
-
 def random_formula(rng: random.Random, depth=3, variables=("p", "q", "r"),
                    lang: Language = FULL) -> Formula:
     if depth <= 0 or rng.random() < 0.3:

@@ -15,7 +15,7 @@ passes check_proof.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import Bin, Neg, ONE, ZERO, formula_key, subformulas

@@ -10,9 +10,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .syntax import (Formula, FormulaSyntaxError, Language, FULL, ZERO, ONE,
-                     fus, join, rimp, check_language, connectives_of,
-                     format_formula, mirror_formula, parse_formula,
-                     variables_of, formula_key)
+                     fus, join, rimp, check_language, format_formula,
+                     mirror_formula, parse_formula, variables_of, formula_key)
 
 
 @dataclass(frozen=True)
@@ -53,15 +52,6 @@ def sequent_variables(s: Sequent) -> frozenset:
         out |= variables_of(f)
     if s.succedent is not None:
         out |= variables_of(s.succedent)
-    return out
-
-
-def sequent_connectives(s: Sequent) -> frozenset:
-    out = frozenset()
-    for f in s.antecedent:
-        out |= connectives_of(f)
-    if s.succedent is not None:
-        out |= connectives_of(s.succedent)
     return out
 
 

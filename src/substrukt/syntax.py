@@ -209,10 +209,6 @@ def subformulas(f) -> frozenset:
     return frozenset(out)
 
 
-def in_language(f, lang: Language) -> bool:
-    return connectives_of(f) <= lang.connectives
-
-
 def check_language(f, lang: Language):
     bad = connectives_of(f) - lang.connectives
     if bad:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -5,8 +6,9 @@ import pytest
 
 from substrukt.syntax import Language
 from substrukt.sequents import parse_sequent
-from substrukt.algebra import (FiniteAlgebra, VarietyId, check_variety,
-                               enumerate_algebras, language_of_family)
+from substrukt.algebra import (FAMILY_OPS, FiniteAlgebra, VarietyId,
+                               check_variety, enumerate_algebras,
+                               language_of_family)
 from substrukt.bridge import (Congruence, CorrespondenceReport, FilterSlices,
                               Found, NoCountermodelUpTo, NotACongruence,
                               NotFound, SemRefuted, all_congruences,
@@ -15,10 +17,29 @@ from substrukt.bridge import (Congruence, CorrespondenceReport, FilterSlices,
                               filter_closure, filter_congruence_correspondence,
                               filter_member, is_filter, k_congruences,
                               leibniz_congruence, quotient_algebra)
-from substrukt import fixtures
+from substrukt import bridge, fixtures
 
 CORE = Language.preset("core")
 NOSIGMA = frozenset()
+ALL_SIGMAS = [frozenset(c) for k in range(5)
+              for c in itertools.combinations(("e", "wl", "wr", "c"), k)]
+
+
+@functools.cache
+def _small_cases():
+    """(algebra, sigma, language) for every family, every sigma and every
+    enumerated member of size <= 2."""
+    return [(a, sigma, language_of_family(family))
+            for family in sorted(FAMILY_OPS) for sigma in ALL_SIGMAS
+            for size in (1, 2)
+            for a in enumerate_algebras(VarietyId(family, sigma), size)]
+
+
+def _random_slices(rng, n, density):
+    return FilterSlices(
+        frozenset(p for p in itertools.product(range(n), repeat=2)
+                  if rng.random() < density),
+        frozenset(x for x in range(n) if rng.random() < density))
 
 
 def test_canonical_filter_examples():
@@ -71,6 +92,43 @@ def test_fast_and_expanded_closure_agree():
     c3 = fixtures.chain3_nilpotent()
     cf = canonical_filter(c3)
     assert filter_closed_expanded(c3, cf, NOSIGMA, c3.language(), max_len=5)
+
+
+def test_all_filters_pass_expanded_oracle():
+    total = 0
+    for a, sigma, lang in _small_cases():
+        for f in all_filters(a, sigma, lang):
+            assert filter_closed_expanded(a, f, sigma, lang, max_len=3), \
+                (a.name, sorted(sigma), f)
+            total += 1
+    # pinned: any change in which filters exist moves this count
+    assert total == 448
+
+
+def test_is_filter_agrees_with_expanded_oracle_on_random_slices():
+    rng = random.Random(11)
+    closed = 0
+    for a, sigma, lang in _small_cases():
+        for density in (0.5, 0.7, 0.9):
+            slices = _random_slices(rng, a.n, density)
+            fast = is_filter(a, slices, sigma, lang)
+            slow = filter_closed_expanded(a, slices, sigma, lang, max_len=3)
+            assert fast == slow, (a.name, sorted(sigma), slices)
+            closed += fast
+    assert closed > 0
+
+
+def test_filter_closure_is_a_closure_operator():
+    rng = random.Random(12)
+    for a, sigma, lang in _small_cases():
+        small = _random_slices(rng, a.n, 0.3)
+        extra = _random_slices(rng, a.n, 0.3)
+        large = FilterSlices(small.s1 | extra.s1, small.s0 | extra.s0)
+        c_small = filter_closure(a, small, sigma, lang)
+        assert small <= c_small  # extensive
+        assert is_filter(a, c_small, sigma, lang)
+        assert filter_closure(a, c_small, sigma, lang) == c_small  # idempotent
+        assert c_small <= filter_closure(a, large, sigma, lang)  # monotone
 
 
 def test_countermodel_spec_examples():
@@ -199,6 +257,31 @@ def test_correspondence_examples():
     rep = filter_congruence_correspondence(c4, VarietyId("Msl"))
     assert rep.ok
     assert rep.n_congruences == len(k_congruences(c4, VarietyId("Msl")))
+
+
+def test_correspondence_names_a_failed_leibniz_image(monkeypatch):
+    # one filter whose Leibniz image is not a congruence must be reported
+    # as such, without shifting the order check onto the wrong images
+    c4 = fixtures.chain4_min()
+    v = VarietyId("Msl")
+    filters = all_filters(c4, v.sigma, language_of_family(v.family))
+    assert len(filters) > 2
+    bad = filters[1]
+    real = bridge.leibniz_congruence
+
+    def fake(a, f):
+        if f == bad:
+            return NotACongruence("fus", (0, 1, 2))
+        return real(a, f)
+
+    monkeypatch.setattr(bridge, "leibniz_congruence", fake)
+    rep = filter_congruence_correspondence(c4, v)
+    assert not rep.ok
+    assert rep.failures[0] == ("Leibniz of a filter is not a congruence: "
+                               "NotACongruence(operation='fus', "
+                               "witness=(0, 1, 2))")
+    assert not any("order isomorphism" in f for f in rep.failures)
+    assert not any("injective" in f for f in rep.failures)
 
 
 def test_quotient_algebra():

@@ -130,3 +130,11 @@ def test_usage_errors(capsys):
     assert run(capsys, "algebra", "/nonexistent.json")[0] == 65
     # malformed sigma
     assert run(capsys, "--sigma", "zz", "prove", "p => p")[0] == 65
+
+
+@pytest.mark.parametrize("command", ["prove", "translate"])
+def test_deep_nesting_is_a_data_error(capsys, command):
+    deep = "(" * 3000 + "p" + ")" * 3000 + " => p"
+    code, out, err = run(capsys, command, deep)
+    assert code == 65
+    assert out == "" and err == "error: input nested too deeply\n"
