@@ -4,6 +4,11 @@ and enumeration up to isomorphism.
 
 Elements are indices 0..n-1 with cosmetic names; the order is always derived
 from the join table (a <= b iff a v b = b), never stored independently.
+
+Equations are checked by compiled programs evaluated column-wise over all
+assignments (`compile_terms`, `run_program`); `eval_term` and `holds` are
+the per-assignment definition that the tests and every returned
+countermodel are checked against.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .syntax import (Bin, Const, Formula, Language, Neg, Var, ONE, ZERO,
-                     fus, join, limp, lneg, meet, rimp, rneg, var)
+from .syntax import (Const, Formula, Language, Neg, Var, ONE, ZERO, fus,
+                     join, limp, lneg, meet, rimp, rneg, var)
 from .sequents import Equation, equation_variables, ineq
 
 BINARY_OPS = ("join", "meet", "fus", "rimp", "limp")
@@ -156,52 +161,194 @@ class FiniteAlgebra:
 # ---------------------------------------------------------------------------
 
 def eval_term(a: FiniteAlgebra, t: Formula, assignment) -> int:
-    if isinstance(t, Var):
-        return assignment[t.name]
-    if isinstance(t, Const):
-        return a.zero if t.which == "zero" else a.one
-    if isinstance(t, Neg):
-        if t.op not in a.ops:
-            raise AlgebraError(f"operation {t.op} not in algebra")
-        return a.ops[t.op][eval_term(a, t.child, assignment)]
-    if t.op not in a.ops:
-        raise AlgebraError(f"operation {t.op} not in algebra")
-    return a.ops[t.op][eval_term(a, t.left, assignment)][eval_term(a, t.right, assignment)]
+    """The value of t under assignment (variable name -> element index).
 
-
-def _assignments(a, names):
-    names = sorted(names)
-    for values in itertools.product(range(a.n), repeat=len(names)):
-        yield dict(zip(names, values))
+    This is the trusted definition of evaluation: every countermodel that
+    the compiled programs below find is re-checked against it by `holds`.
+    The walk keeps an explicit stack, so term depth is not bounded by the
+    interpreter's recursion limit.
+    """
+    values = []
+    stack = [(t, False)]
+    while stack:
+        node, ready = stack.pop()
+        if isinstance(node, Var):
+            values.append(assignment[node.name])
+        elif isinstance(node, Const):
+            values.append(a.zero if node.which == "zero" else a.one)
+        elif node.op not in a.ops:
+            raise AlgebraError(f"operation {node.op} not in algebra")
+        elif not ready:
+            stack.append((node, True))
+            if isinstance(node, Neg):
+                stack.append((node.child, False))
+            else:
+                stack += ((node.right, False), (node.left, False))
+        elif isinstance(node, Neg):
+            values.append(a.ops[node.op][values.pop()])
+        else:
+            right = values.pop()
+            values.append(a.ops[node.op][values.pop()][right])
+    return values[0]
 
 
 def holds(a, e: Equation, assignment) -> bool:
     return eval_term(a, e.lhs, assignment) == eval_term(a, e.rhs, assignment)
 
 
+@dataclass(frozen=True)
+class Program:
+    """A straight-line program over the variables `names`.
+
+    Slot i < len(names) holds the variable names[i]; step k computes slot
+    len(names) + k and is ("zero",), ("one",), (unary op, slot) or
+    (binary op, slot, slot).  `outputs` are the slots of the compiled terms.
+    """
+    names: tuple
+    steps: tuple
+    outputs: tuple
+
+
+def compile_terms(terms, names) -> Program:
+    """Compile the terms into one program over the variables `names` (in
+    that order; it must contain every variable of the terms).
+
+    Each term is walked once with an explicit stack.  Equal subterms share
+    one slot, looked up by their (op, argument slots) tuple, so no Formula
+    is hashed: the dataclass hash recurses through the whole term.
+    """
+    names = tuple(names)
+    slot_of = {("var", name): i for i, name in enumerate(names)}
+    steps = []
+    outputs = []
+    for term in terms:
+        values = []
+        stack = [(term, False)]
+        while stack:
+            node, ready = stack.pop()
+            if isinstance(node, Var):
+                values.append(slot_of["var", node.name])
+                continue
+            if isinstance(node, Const):
+                key = (node.which,)
+            elif not ready:
+                stack.append((node, True))
+                if isinstance(node, Neg):
+                    stack.append((node.child, False))
+                else:
+                    stack += ((node.right, False), (node.left, False))
+                continue
+            elif isinstance(node, Neg):
+                key = (node.op, values.pop())
+            else:
+                right = values.pop()
+                key = (node.op, values.pop(), right)
+            slot = slot_of.get(key)
+            if slot is None:
+                slot = slot_of[key] = len(names) + len(steps)
+                steps.append(key)
+            values.append(slot)
+        outputs.append(values[0])
+    return Program(names, tuple(steps), tuple(outputs))
+
+
+# Assignments per block of columns: bounds the memory of a run at about
+# this many entries per slot, however many variables the program has.
+_BLOCK = 1024
+
+
+def run_program(a: FiniteAlgebra, program: Program):
+    """Evaluate the program under every assignment of elements of a to its
+    variables, in itertools.product order (the first variable varies
+    slowest), column-wise: one list per slot, filled by one comprehension
+    over the operation table per step.
+
+    Yields (start, columns) for each block of consecutive assignments:
+    columns[i] lists the values of the i-th compiled term at assignments
+    start, start + 1, ...  A block fixes the leading variables and runs the
+    trailing ones through all their values, so a caller that stops at the
+    first block it needs evaluates no later one.
+    """
+    n = a.n
+    inner = len(program.names)
+    while inner and n ** inner > _BLOCK:
+        inner -= 1
+    size = n ** inner
+    trailing = [list(column) for column
+                in zip(*itertools.product(range(n), repeat=inner))]
+    code = []
+    for op, *args in program.steps:
+        if op in ("zero", "one"):
+            code.append((0, a.zero if op == "zero" else a.one, 0, 0))
+        elif op not in a.ops:
+            raise AlgebraError(f"operation {op} not in algebra")
+        else:
+            code.append((len(args), a.ops[op], args[0], args[-1]))
+    start = 0
+    for lead in itertools.product(range(n), repeat=len(program.names) - inner):
+        cols = [[v] * size for v in lead] + trailing
+        for arity, table, x, y in code:
+            if arity == 2:
+                cols.append([table[i][j] for i, j in zip(cols[x], cols[y])])
+            elif arity == 1:
+                cols.append([table[i] for i in cols[x]])
+            else:
+                cols.append([table] * size)
+        yield start, [cols[s] for s in program.outputs]
+        start += size
+
+
+def compile_equations(equations) -> Program:
+    """One program for the sides of the equations (lhs, rhs, lhs, ...) over
+    the sorted union of their variables."""
+    names = set()
+    for e in equations:
+        names |= equation_variables(e)
+    return compile_terms([side for e in equations for side in (e.lhs, e.rhs)],
+                         sorted(names))
+
+
+def failing_indices(a: FiniteAlgebra, program: Program):
+    """For a program from compile_equations: the indices, in product order,
+    of the assignments under which every equation but the last holds and
+    the last fails."""
+    for start, cols in run_program(a, program):
+        lhs, rhs = cols[-2], cols[-1]
+        if lhs == rhs:
+            continue
+        premises = range(0, len(cols) - 2, 2)
+        for i, (u, w) in enumerate(zip(lhs, rhs)):
+            if u != w and all(cols[p][i] == cols[p + 1][i] for p in premises):
+                yield start + i
+
+
+def assignment_at(a: FiniteAlgebra, program: Program, index) -> dict:
+    """The assignment (variable name -> element index) at position `index`
+    of the product order of run_program."""
+    values = []
+    for _ in program.names:
+        index, value = divmod(index, a.n)
+        values.append(value)
+    return dict(zip(program.names, reversed(values)))
+
+
 def satisfies_equation(a: FiniteAlgebra, e: Equation) -> bool:
-    return all(holds(a, e, v) for v in _assignments(a, equation_variables(e)))
+    return satisfies_quasi(a, (), e)
 
 
 def equation_witnesses(a, e: Equation, cap=50):
     """All failing assignments (as name dicts), up to cap."""
+    program = compile_equations([e])
     out = []
-    for v in _assignments(a, equation_variables(e)):
-        if not holds(a, e, v):
-            out.append({k: a.elements[i] for k, i in v.items()})
-            if len(out) >= cap:
-                break
+    for index in itertools.islice(failing_indices(a, program), cap):
+        assignment = assignment_at(a, program, index)
+        out.append({k: a.elements[i] for k, i in assignment.items()})
     return out
 
 
 def satisfies_quasi(a: FiniteAlgebra, premises, conclusion: Equation) -> bool:
-    names = set(equation_variables(conclusion))
-    for p in premises:
-        names |= equation_variables(p)
-    for v in _assignments(a, names):
-        if all(holds(a, p, v) for p in premises) and not holds(a, conclusion, v):
-            return False
-    return True
+    program = compile_equations([*premises, conclusion])
+    return next(failing_indices(a, program), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +478,28 @@ class VarietyReport:
 
     def __bool__(self):
         return self.ok
+
+
+def membership_test(v: VarietyId):
+    """The test a -> check_variety(a, v).ok for many algebras.
+
+    All the variety's equations are compiled once into one program over
+    the union of their variables, so shared subterms are evaluated once
+    and an algebra costs one run; the run stops at the first block where
+    an equation fails.
+    """
+    needed = FAMILY_OPS[v.family]
+    program = compile_equations([eq for _, eq in variety_equations(v)])
+    sides = range(0, len(program.outputs), 2)
+
+    def test(a: FiniteAlgebra) -> bool:
+        if not needed.issubset(a.ops):
+            return False
+        for _, cols in run_program(a, program):
+            if any(cols[i] != cols[i + 1] for i in sides):
+                return False
+        return True
+    return test
 
 
 def check_variety(a: FiniteAlgebra, v: VarietyId) -> VarietyReport:
@@ -627,13 +796,18 @@ def _extend_for_family(base: FiniteAlgebra, family):
     return FiniteAlgebra(base.name, base.elements, ops, base.zero, base.one)
 
 
+MAX_ENUMERATION_SIZE = 5
+
+
 def enumerate_algebras(v: VarietyId, size: int):
     """All members of the variety on a carrier of exactly `size` elements,
     up to isomorphism (canonical-form pruning).  size <= 5."""
-    if size > 5:
-        raise SizeTooLarge("enumeration is capped at carrier size 5")
+    if size > MAX_ENUMERATION_SIZE:
+        raise SizeTooLarge("enumeration is capped at carrier size "
+                           f"{MAX_ENUMERATION_SIZE}")
     if size < 1:
         return
+    in_variety = membership_test(v)
     seen = set()
     names = _default_names(size)
     count = 0
@@ -646,7 +820,7 @@ def enumerate_algebras(v: VarietyId, size: int):
                     full = _extend_for_family(base, v.family)
                     if full is None:
                         continue
-                    if not check_variety(full, v).ok:
+                    if not in_variety(full):
                         continue
                     key = canonical_key(full)
                     if key in seen:

@@ -16,15 +16,15 @@ independent oracle that re-checks closure by honest tuple expansion.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .sequents import Sequent, tau
-from .algebra import (FiniteAlgebra, VarietyId, check_variety, eval_term,
-                      enumerate_algebras, holds, language_of_family)
-from .syntax import Language
-from .sequents import equation_variables
+from .sequents import Sequent, tau_equation
+from .algebra import (FiniteAlgebra, VarietyId, assignment_at,
+                      compile_equations, enumerate_algebras, failing_indices,
+                      holds, language_of_family, membership_test)
 
 
 @dataclass(frozen=True)
@@ -430,23 +430,29 @@ class NotFound:
         return False
 
 
-def _tau_equation(s: Sequent):
-    (eq,) = tau(s)
-    return eq
+def _first_countermodel(equations, v: VarietyId, max_size: int):
+    """The first (algebra, assignment), in enumeration and product order,
+    under which every equation but the last holds and the last fails, or
+    None.  The equations are compiled once and run on each enumerated
+    member; the one assignment returned is re-checked with `holds`."""
+    program = compile_equations(equations)
+    *premises, goal = equations
+    for size in range(1, max_size + 1):
+        for a in _enumerated(v, size):
+            for index in failing_indices(a, program):
+                assignment = assignment_at(a, program, index)
+                if holds(a, goal, assignment) or \
+                        not all(holds(a, p, assignment) for p in premises):
+                    raise RuntimeError("compiled evaluation disagrees with "
+                                       "eval_term")
+                return a, {k: a.elements[i] for k, i in assignment.items()}
+    return None
 
 
 def countermodel(s: Sequent, v: VarietyId, max_size: int):
     """Search the enumerated variety members for a failure of tau(s)."""
-    eq = _tau_equation(s)
-    names = sorted(equation_variables(eq))
-    for size in range(1, max_size + 1):
-        for a in _enumerated(v, size):
-            for values in itertools.product(range(a.n), repeat=len(names)):
-                assignment = dict(zip(names, values))
-                if not holds(a, eq, assignment):
-                    named = {k: a.elements[i] for k, i in assignment.items()}
-                    return Found(a, named)
-    return NotFound(max_size)
+    found = _first_countermodel([tau_equation(s)], v, max_size)
+    return NotFound(max_size) if found is None else Found(*found)
 
 
 @dataclass(frozen=True)
@@ -464,32 +470,17 @@ class NoCountermodelUpTo:
 def entails_semantically(hyps, goal: Sequent, v: VarietyId, max_size: int):
     """Quasi-equation check tau[hyps] => tau(goal) over all enumerated
     members up to max_size."""
-    hyp_eqs = [_tau_equation(h) for h in sorted(hyps, key=str)]
-    goal_eq = _tau_equation(goal)
-    names = set(equation_variables(goal_eq))
-    for eq in hyp_eqs:
-        names |= equation_variables(eq)
-    names = sorted(names)
-    for size in range(1, max_size + 1):
-        for a in _enumerated(v, size):
-            for values in itertools.product(range(a.n), repeat=len(names)):
-                assignment = dict(zip(names, values))
-                if all(holds(a, eq, assignment) for eq in hyp_eqs) and \
-                        not holds(a, goal_eq, assignment):
-                    named = {k: a.elements[i] for k, i in assignment.items()}
-                    return SemRefuted(a, named)
+    equations = [tau_equation(h) for h in sorted(hyps, key=str)]
+    found = _first_countermodel(equations + [tau_equation(goal)], v, max_size)
+    if found is not None:
+        return SemRefuted(*found)
     regime = "fep" if "wl" in v.sigma else "bounded"
     return NoCountermodelUpTo(max_size, regime)
 
 
-_ENUM_CACHE = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _enumerated(v: VarietyId, size: int):
-    key = (v, size)
-    if key not in _ENUM_CACHE:
-        _ENUM_CACHE[key] = tuple(enumerate_algebras(v, size))
-    return _ENUM_CACHE[key]
+    return tuple(enumerate_algebras(v, size))
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +606,9 @@ def quotient_algebra(a: FiniteAlgebra, cong: Congruence) -> FiniteAlgebra:
 
 
 def k_congruences(a: FiniteAlgebra, v: VarietyId):
+    in_variety = membership_test(v)
     return [c for c in all_congruences(a)
-            if check_variety(quotient_algebra(a, c), v).ok]
+            if in_variety(quotient_algebra(a, c))]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from .sequents import (format_equation, format_sequent, mirror_sequent,
                        tau_prime)
 from .calculus import calculus, format_proof_sexp, parse_sigma
 from .search import Proved, Refuted, Unknown, prove, prove_with_hyps
-from .algebra import (VarietyId, check_property_equivalences, check_variety,
+from .algebra import (MAX_ENUMERATION_SIZE, VarietyId,
+                      check_property_equivalences, check_variety,
                       derive_pseudocomplements, derive_residuals,
                       enumerate_algebras, family_of_language, load_algebra,
                       opposite, to_json_dict)
@@ -60,6 +61,18 @@ def _emit(args, payload: dict, text: str):
         print(text)
 
 
+def _max_size(text):
+    try:
+        size = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 1 <= size <= MAX_ENUMERATION_SIZE:
+        raise argparse.ArgumentTypeError(
+            f"must be between 1 and {MAX_ENUMERATION_SIZE}, the enumeration "
+            "cap")
+    return size
+
+
 def _build_parser():
     top = _Parser(prog="substrukt",
                   description="substructural sequent calculi and their "
@@ -72,8 +85,9 @@ def _build_parser():
                           "or an explicit connective list")
     top.add_argument("--depth", type=int, default=None,
                      help="depth bound for bounded searches")
-    top.add_argument("--max-size", type=int, default=4,
-                     help="maximum countermodel size")
+    top.add_argument("--max-size", type=_max_size, default=4,
+                     help="maximum countermodel size "
+                          f"(1..{MAX_ENUMERATION_SIZE})")
     top.add_argument("--format", choices=("text", "json", "sexp"),
                      default="text")
     sub = top.add_subparsers(dest="command", required=True)
@@ -168,6 +182,12 @@ def _cmd_decide(args):
         _emit(args, payload,
               "refuted\n" + json.dumps(payload["countermodel"]) +
               f"\nassignment: {witness.assignment}")
+        return EXIT_REFUTED
+    if isinstance(result, Refuted) and not result.caveat:
+        _emit(args, {"verdict": "refuted", "by": "decision procedure",
+                     "model_bound": args.max_size},
+              f"refuted (by the decision procedure; no countermodel up to "
+              f"size {args.max_size})")
         return EXIT_REFUTED
     bound = args.depth if args.depth is not None else "default"
     _emit(args, {"verdict": "unknown", "prover_bound": str(bound),

@@ -79,9 +79,14 @@ def tau(s: Sequent) -> frozenset:
     Gamma => phi becomes (prod Gamma) \\/ phi = phi; an empty succedent plays
     the role of 0.
     """
-    product = fuse(s.antecedent)
+    return frozenset({tau_equation(s)})
+
+
+def tau_equation(s: Sequent) -> Equation:
+    """The one member of tau(s), built without hashing it (the hash of a
+    formula recurses through its whole depth)."""
     target = s.succedent if s.succedent is not None else ZERO
-    return frozenset({Equation(join(product, target), target)})
+    return Equation(join(fuse(s.antecedent), target), target)
 
 
 def rho(e: Equation) -> frozenset:

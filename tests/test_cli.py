@@ -30,6 +30,31 @@ def test_decide_countermodel(capsys):
     assert "assignment" in out
 
 
+def test_decide_reports_a_decided_refutation_without_a_countermodel(capsys):
+    # no countermodel of size 1; the prover decides sigma = {} and refutes
+    code, out, _ = run(capsys, "--lang", "core", "--max-size", "1",
+                       "decide", "p => p * p")
+    assert code == 1
+    assert out.startswith("refuted") and "decision procedure" in out
+    code, out, _ = run(capsys, "--format", "json", "--lang", "core",
+                       "--max-size", "1", "decide", "p => p * p")
+    assert code == 1
+    assert json.loads(out) == {"verdict": "refuted",
+                               "by": "decision procedure", "model_bound": 1}
+    # with c the refutation carries a caveat: still unknown without a model
+    code, out, _ = run(capsys, "--sigma", "wl,c", "--lang", "core",
+                       "--max-size", "1", "decide", "p => q")
+    assert code == 2 and out.startswith("unknown")
+
+
+@pytest.mark.parametrize("size", ["-1", "0", "6", "x"])
+def test_max_size_outside_the_enumeration_cap_is_a_usage_error(capsys, size):
+    code, out, err = run(capsys, "--lang", "core", "--max-size", size,
+                         "decide", "p => p * p")
+    assert code == 64
+    assert out == "" and "--max-size" in err
+
+
 def test_decide_proved(capsys):
     code, out, _ = run(capsys, "--lang", "core", "decide", "p => p \\/ q")
     assert code == 0
