@@ -13,11 +13,11 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .syntax import (Bin, Const, Formula, Language, Neg, FULL, ZERO, ONE,
-                     format_formula, fus, join, limp, lneg, meet,
-                     mirror_formula, rimp, rneg)
-from .sequents import (Sequent, check_sequent_language, format_sequent, fuse,
-                       mirror_sequent, parse_sequent, rho, tau)
+from .syntax import (Bin, Language, FULL, ZERO, ONE, fus, join, limp, lneg,
+                     meet, mirror_formula, rimp, rneg)
+from .sequents import (Sequent, check_sequent_language, decode_sequent,
+                       encode_sequents, format_sequent, fuse, mirror_sequent,
+                       parse_sequent)
 
 SIGMA_LETTERS = ("e", "wl", "wr", "c")
 
@@ -70,6 +70,10 @@ class RuleId(enum.Enum):
     WEAK_R = "weak-r"
     CONTR_L = "contr-l"
     HYPOTHESIS = "hypothesis"
+
+    # Members are singletons compared by identity; Enum's own hash hashes
+    # the member's name at Python level, on every set and dict lookup.
+    __hash__ = object.__hash__
 
     @property
     def label(self):
@@ -354,93 +358,115 @@ def rule_instances_backward(goal: Sequent, cal: CalculusId,
 
     Cut is excluded (cut-free search).  Every antecedent split, deletion,
     duplication and adjacent transposition is enumerated; exchange instances
-    can be suppressed for multiset-normalized search.
+    can be suppressed for multiset-normalized search.  The goal is compiled
+    into a subformula table, enumerated by `table_instances_backward` and
+    decoded.
     """
-    rules = rules_of(cal)
-    a, d = goal.antecedent, goal.succedent
+    table, (encoded,) = encode_sequents((goal,))
+    return [(rule, decode_data(table, rule, data),
+             tuple(decode_sequent(table, p) for p in premises))
+            for rule, data, premises in table_instances_backward(
+                table, encoded, rules_of(cal), include_exchange)]
+
+
+def table_instances_backward(table, goal, rules, include_exchange=True):
+    """`rule_instances_backward` on a table sequent (see
+    `sequents.encode_sequents`): the premises are table sequents, the
+    formulas in the data are table numbers (see `decode_data`), and `rules`
+    is the rule set of the calculus."""
+    op, left, right = table.op, table.left, table.right
+    a, d = goal
     out = []
 
-    def emit(rule, data, premises):
+    def emit(rule, data, *premises):
         if rule in rules:
-            out.append((rule, data, tuple(premises)))
+            out.append((rule, data, premises))
 
     if len(a) == 1 and d == a[0]:
-        emit(RuleId.AXIOM, (), ())
-    if a == () and d == ONE:
-        emit(RuleId.ONE_R, (), ())
-    if a == (ZERO,) and d is None:
-        emit(RuleId.ZERO_L, (), ())
+        emit(RuleId.AXIOM, ())
+    if not a and d >= 0 and op[d] == "one":
+        emit(RuleId.ONE_R, ())
+    if len(a) == 1 and d < 0 and op[a[0]] == "zero":
+        emit(RuleId.ZERO_L, ())
 
     for i, f in enumerate(a):
         rest_l, rest_r = a[:i], a[i + 1:]
-        if isinstance(f, Bin):
-            if f.op == "join":
-                emit(RuleId.OR_L, (i,),
-                     [Sequent(rest_l + (f.left,) + rest_r, d),
-                      Sequent(rest_l + (f.right,) + rest_r, d)])
-            elif f.op == "meet":
-                emit(RuleId.AND_L1, (i, f.right),
-                     [Sequent(rest_l + (f.left,) + rest_r, d)])
-                emit(RuleId.AND_L2, (i, f.left),
-                     [Sequent(rest_l + (f.right,) + rest_r, d)])
-            elif f.op == "fus":
-                emit(RuleId.FUS_L, (i,),
-                     [Sequent(rest_l + (f.left, f.right) + rest_r, d)])
-            elif f.op == "rimp":
-                # conclusion Sigma, Gamma, phi\psi, Pi => Delta
-                for j in range(i + 1):
-                    emit(RuleId.RIMP_L, (j,),
-                         [Sequent(a[j:i], f.left),
-                          Sequent(a[:j] + (f.right,) + rest_r, d)])
-            elif f.op == "limp":
-                # conclusion Sigma, psi/phi, Gamma, Pi => Delta
-                for k in range(i + 1, len(a) + 1):
-                    emit(RuleId.LIMP_L, (i,),
-                         [Sequent(a[i + 1:k], f.left),
-                          Sequent(rest_l + (f.right,) + a[k:], d)])
-        if f == ONE:
-            emit(RuleId.ONE_L, (i,), [Sequent(rest_l + rest_r, d)])
+        o = op[f]
+        if o == "join":
+            emit(RuleId.OR_L, (i,), (rest_l + (left[f],) + rest_r, d),
+                 (rest_l + (right[f],) + rest_r, d))
+        elif o == "meet":
+            emit(RuleId.AND_L1, (i, right[f]),
+                 (rest_l + (left[f],) + rest_r, d))
+            emit(RuleId.AND_L2, (i, left[f]),
+                 (rest_l + (right[f],) + rest_r, d))
+        elif o == "fus":
+            emit(RuleId.FUS_L, (i,),
+                 (rest_l + (left[f], right[f]) + rest_r, d))
+        elif o == "rimp":
+            # conclusion Sigma, Gamma, phi\psi, Pi => Delta
+            for j in range(i + 1):
+                emit(RuleId.RIMP_L, (j,), (a[j:i], left[f]),
+                     (a[:j] + (right[f],) + rest_r, d))
+        elif o == "limp":
+            # conclusion Sigma, psi/phi, Gamma, Pi => Delta
+            for k in range(i + 1, len(a) + 1):
+                emit(RuleId.LIMP_L, (i,), (a[i + 1:k], left[f]),
+                     (rest_l + (right[f],) + a[k:], d))
+        elif o == "one":
+            emit(RuleId.ONE_L, (i,), (rest_l + rest_r, d))
         if RuleId.WEAK_L in rules:
-            emit(RuleId.WEAK_L, (i, f), [Sequent(rest_l + rest_r, d)])
+            emit(RuleId.WEAK_L, (i, f), (rest_l + rest_r, d))
         if RuleId.CONTR_L in rules:
-            emit(RuleId.CONTR_L, (i,),
-                 [Sequent(a[:i + 1] + (f,) + a[i + 1:], d)])
+            emit(RuleId.CONTR_L, (i,), (a[:i + 1] + (f,) + a[i + 1:], d))
 
-    if d is not None:
-        if isinstance(d, Bin):
-            if d.op == "join":
-                emit(RuleId.OR_R1, (d.right,), [Sequent(a, d.left)])
-                emit(RuleId.OR_R2, (d.left,), [Sequent(a, d.right)])
-            elif d.op == "meet":
-                emit(RuleId.AND_R, (), [Sequent(a, d.left), Sequent(a, d.right)])
-            elif d.op == "fus":
-                for k in range(len(a) + 1):
-                    emit(RuleId.FUS_R, (),
-                         [Sequent(a[:k], d.left), Sequent(a[k:], d.right)])
-            elif d.op == "rimp":
-                emit(RuleId.RIMP_R, (), [Sequent((d.left,) + a, d.right)])
-            elif d.op == "limp":
-                emit(RuleId.LIMP_R, (), [Sequent(a + (d.left,), d.right)])
-        elif isinstance(d, Neg):
-            if d.op == "rneg":
-                emit(RuleId.RNEG_R, (), [Sequent((d.child,) + a, None)])
-            else:
-                emit(RuleId.LNEG_R, (), [Sequent(a + (d.child,), None)])
-        if d == ZERO:
-            emit(RuleId.ZERO_R, (), [Sequent(a, None)])
+    if d >= 0:
+        o = op[d]
+        if o == "join":
+            emit(RuleId.OR_R1, (right[d],), (a, left[d]))
+            emit(RuleId.OR_R2, (left[d],), (a, right[d]))
+        elif o == "meet":
+            emit(RuleId.AND_R, (), (a, left[d]), (a, right[d]))
+        elif o == "fus":
+            for k in range(len(a) + 1):
+                emit(RuleId.FUS_R, (), (a[:k], left[d]), (a[k:], right[d]))
+        elif o == "rimp":
+            emit(RuleId.RIMP_R, (), ((left[d],) + a, right[d]))
+        elif o == "limp":
+            emit(RuleId.LIMP_R, (), (a + (left[d],), right[d]))
+        elif o == "rneg":
+            emit(RuleId.RNEG_R, (), ((left[d],) + a, -1))
+        elif o == "lneg":
+            emit(RuleId.LNEG_R, (), (a + (left[d],), -1))
+        elif o == "zero":
+            emit(RuleId.ZERO_R, (), (a, -1))
         if RuleId.WEAK_R in rules:
-            emit(RuleId.WEAK_R, (d,), [Sequent(a, None)])
-    else:
-        if len(a) >= 1 and isinstance(a[-1], Neg) and a[-1].op == "rneg":
-            emit(RuleId.RNEG_L, (), [Sequent(a[:-1], a[-1].child)])
-        if len(a) >= 1 and isinstance(a[0], Neg) and a[0].op == "lneg":
-            emit(RuleId.LNEG_L, (), [Sequent(a[1:], a[0].child)])
+            emit(RuleId.WEAK_R, (d,), (a, -1))
+    elif a:
+        if op[a[-1]] == "rneg":
+            emit(RuleId.RNEG_L, (), (a[:-1], left[a[-1]]))
+        if op[a[0]] == "lneg":
+            emit(RuleId.LNEG_L, (), (a[1:], left[a[0]]))
 
     if include_exchange and RuleId.EXCH_L in rules:
         for i in range(len(a) - 1):
             emit(RuleId.EXCH_L, (i,),
-                 [Sequent(a[:i] + (a[i + 1], a[i]) + a[i + 2:], d)])
+                 (a[:i] + (a[i + 1], a[i]) + a[i + 2:], d))
     return out
+
+
+# The position of the side formula in the data of the rules that have one;
+# in table instances it holds a table number.
+_FORMULA_SLOT = {RuleId.AND_L1: 1, RuleId.AND_L2: 1, RuleId.WEAK_L: 1,
+                 RuleId.OR_R1: 0, RuleId.OR_R2: 0, RuleId.WEAK_R: 0}
+
+
+def decode_data(table, rule: RuleId, data: tuple) -> tuple:
+    """The data of a table instance with its side formula decoded."""
+    slot = _FORMULA_SLOT.get(rule)
+    if slot is None:
+        return data
+    return data[:slot] + (table.formulas[data[slot]],) + data[slot + 1:]
 
 
 # ---------------------------------------------------------------------------

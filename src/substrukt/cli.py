@@ -11,18 +11,16 @@ import json
 import sys
 
 from .syntax import Language, PRESET_NAMES, format_formula, mirror_formula, parse_formula
-from .sequents import (format_equation, format_sequent, mirror_sequent,
-                       parse_equation, parse_sequent, rho, rho_prime, tau,
-                       tau_prime)
+from .sequents import (format_sequent, mirror_sequent, parse_equation,
+                       parse_sequent, rho, rho_prime, tau, tau_prime)
 from .calculus import calculus, format_proof_sexp, parse_sigma
-from .search import Proved, Refuted, Unknown, prove, prove_with_hyps
+from .search import Proved, Refuted, prove, prove_with_hyps
 from .algebra import (MAX_ENUMERATION_SIZE, VarietyId,
                       check_property_equivalences, check_variety,
                       derive_pseudocomplements, derive_residuals,
                       enumerate_algebras, family_of_language, load_algebra,
                       opposite, to_json_dict)
-from .bridge import (Found, all_filters, canonical_filter, countermodel,
-                     filter_congruence_correspondence, k_congruences)
+from .bridge import Found, countermodel, filter_congruence_correspondence
 from .completion import embedding_json, ideal_completion
 from .hilbert import (PRESETS, axioms_to_sequents, check_hilbert_proof,
                       hilbert_system, matching_calculus, parse_hilbert_proof,

@@ -10,7 +10,6 @@ complete lattice needs them).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .algebra import (AlgebraError, FiniteAlgebra, VarietyId, check_variety)

@@ -5,7 +5,6 @@ the RNG for reproducible corpora.
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 

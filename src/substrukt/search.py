@@ -10,6 +10,14 @@ With exchange in sigma, goals are normalized to multisets (sorted
 antecedents) and two-premise splits range over sub-multisets; the returned
 proof is rebuilt on sequences with explicit exchange steps so that it
 passes check_proof.
+
+Cut-free proofs have the subformula property, so each call compiles the
+goal (and the hypotheses) once into a `SubformulaTable` and searches on
+table sequents: a tuple of formula numbers and a number for the succedent,
+-1 when it is empty.  Numbers sort as formulas do under `formula_key`, so
+sorting a table antecedent sorts the multiset in the same order as sorting
+the formulas.  The memos keep, for each proved goal, the instance that
+proved it; the ProofTree is decoded from them once, at the end.
 """
 
 from __future__ import annotations
@@ -18,17 +26,32 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .syntax import Bin, Neg, ONE, ZERO, formula_key, subformulas
-from .sequents import (Sequent, check_sequent_language, rho_prime,
-                       sequent_key)
-from .calculus import (CalculusId, ProofTree, RuleId, rule_instances_backward,
-                       rules_of)
+from .sequents import (Sequent, check_sequent_language, decode_sequent,
+                       encode_sequents, rho_prime)
+from .calculus import (CalculusId, ProofTree, RuleId, decode_data, rules_of,
+                       table_instances_backward)
 
 DEFAULT_BOUND = 12
 SUBMULTISET_CAP = 10
 
+# Flags of a failed search below a goal.  A failure is bounded when one of
+# the limits cut it; the bits name the limits, so Unknown can say which.
 _PRUNED = 1
-_BOUNDED = 2
+_DEPTH = 2
+_SPLIT_CAP = 4
+_ANTECEDENT_CAP = 8
+_NODE_CAP = 16
+_BOUNDED = _DEPTH | _SPLIT_CAP | _ANTECEDENT_CAP | _NODE_CAP
+
+_LIMIT_NAMES = ((_DEPTH, "depth-exhausted"),
+                (_SPLIT_CAP, "submultiset-cap"),
+                (_ANTECEDENT_CAP, "antecedent-cap"),
+                (_NODE_CAP, "node-cap"))
+
+
+def _limits(flags) -> str:
+    """The limits named by the flags of a bounded failure, comma-separated."""
+    return ", ".join(name for bit, name in _LIMIT_NAMES if flags & bit)
 
 
 @dataclass(frozen=True)
@@ -43,6 +66,11 @@ class Refuted:
 
 @dataclass(frozen=True)
 class Unknown:
+    """No verdict.  When a limit cut the search, the reason names each
+    limit that fired: depth-exhausted (the depth bound),
+    submultiset-cap (an antecedent longer than SUBMULTISET_CAP, whose
+    sub-multiset splits were not enumerated), antecedent-cap or node-cap
+    (prove_with_hyps)."""
     reason: str = "depth-exhausted"
 
 
@@ -63,8 +91,8 @@ _INVERTIBLE = frozenset({
 })
 
 
-def _sorted_ant(ant):
-    return tuple(sorted(ant, key=formula_key))
+def _priority(rec):
+    return _PRIORITY[rec[0]]
 
 
 def _remove_once(ant, f):
@@ -82,6 +110,13 @@ def _sub_multisets(ant):
         for (f, _), k in zip(groups, pick):
             chosen.extend([f] * k)
         yield tuple(chosen)
+
+
+def _multiset_minus(whole, part):
+    out = list(whole)
+    for f in part:
+        out.remove(f)
+    return tuple(out)
 
 
 def exchange_chain(tree: ProofTree, target_ant) -> ProofTree:
@@ -104,9 +139,18 @@ def exchange_chain(tree: ProofTree, target_ant) -> ProofTree:
 
 
 class _Search:
-    def __init__(self, cal: CalculusId, hyps=(), cut_formulas=None,
+    """One search over the table sequents of one SubformulaTable.
+
+    A proved goal's memo is a proof record (rule, data, conclusion, goal
+    antecedent, premises): the instance that proved it, with the concrete
+    conclusion, and for each premise its concrete antecedent and the record
+    that proved its canonical form.  Records refer to records, so a goal
+    proved again later (search by height has no loop check) does not change
+    the proofs already built on it."""
+
+    def __init__(self, cal: CalculusId, table, hyps=(), cut_formulas=None,
                  max_antecedent=None, by_height=False):
-        self.cal = cal
+        self.table = table
         self.rules = rules_of(cal)
         self.multiset = "e" in cal.sigma
         self.collapse_dups = "c" in cal.sigma
@@ -118,201 +162,180 @@ class _Search:
         # function of (goal, b), so failures memoize soundly by budget
         self.by_height = by_height
         # exact canonical matching: the duplicate-collapsed key is only for
-        # the ancestor loop check, never for hypothesis closure
+        # the ancestor loop check, never for hypothesis closure; of two
+        # hypotheses with one canonical form, the first in sorted order wins
         self.hyp_by_key = {}
-        for h in sorted(hyps, key=sequent_key):
+        for h in sorted(hyps):
             self.hyp_by_key.setdefault(self.canon(h), h)
         self.success = {}
         self.abs_fail = set()
-        self.bounded_fail = {}
+        self.bounded_fail = {}   # goal -> (budget, limit flags)
         self.nodes = 0
         self.node_cap = None  # deterministic effort cap; None = unlimited
 
-    def canon(self, s: Sequent) -> Sequent:
+    def canon(self, s):
         if self.multiset:
-            return Sequent(_sorted_ant(s.antecedent), s.succedent)
+            return (tuple(sorted(s[0])), s[1])
         return s
 
-    def _canon_key(self, s: Sequent):
-        ant = s.antecedent
-        if self.collapse_dups:
-            out = []
-            for f in ant:
-                if len(out) >= 2 and out[-1] == f and out[-2] == f:
-                    continue
-                out.append(f)
-            ant = tuple(out)
-        return (ant, s.succedent)
+    def _canon_key(self, s):
+        if not self.collapse_dups:
+            return s
+        out = []
+        for f in s[0]:
+            if len(out) >= 2 and out[-1] == f and out[-2] == f:
+                continue
+            out.append(f)
+        return (tuple(out), s[1])
 
     # -- instance enumeration -------------------------------------------
 
-    def instances(self, goal: Sequent):
-        """(instances, complete) for a canonical goal.  An instance is
+    def instances(self, goal):
+        """(instances, limit flags) for a canonical goal.  An instance is
         (rule, data, concrete conclusion, ((concrete premise, canonical
         premise), ...)); the concrete parts form a genuine sequence-level
-        rule instance."""
+        rule instance.  The flags name the limits that left instances out."""
         if not self.multiset:
-            plain = rule_instances_backward(goal, self.cal)
-            inst = [(rule, data, goal, tuple((p, p) for p in prems))
-                    for rule, data, prems in plain]
+            inst = [(rule, data, goal, tuple([(p, p) for p in prems]))
+                    for rule, data, prems in table_instances_backward(
+                        self.table, goal, self.rules)]
             inst.extend(self._cut_instances_seq(goal))
-            complete = True
+            flags = 0
         else:
-            inst, complete = self._multiset_instances(goal)
+            inst, flags = self._multiset_instances(goal)
         if self.max_antecedent is not None:
             kept = [rec for rec in inst
-                    if all(len(p.antecedent) <= self.max_antecedent
+                    if all(len(p[0]) <= self.max_antecedent
                            for p, _ in rec[3])]
             if len(kept) != len(inst):
-                complete = False
+                flags |= _ANTECEDENT_CAP
             inst = kept
-        inst.sort(key=lambda rec: _PRIORITY[rec[0]])
-        return inst, complete
+        inst.sort(key=_priority)
+        return inst, flags
 
     def _cut_instances_seq(self, goal):
         if self.cut_formulas is None or RuleId.CUT not in self.rules:
             return []
-        a, d = goal.antecedent, goal.succedent
+        a, d = goal
         out = []
         for chi in self.cut_formulas:
             for i in range(len(a) + 1):
                 for j in range(i, len(a) + 1):
-                    p1 = Sequent(a[i:j], chi)
-                    p2 = Sequent(a[:i] + (chi,) + a[j:], d)
+                    p1 = (a[i:j], chi)
+                    p2 = (a[:i] + (chi,) + a[j:], d)
                     out.append((RuleId.CUT, (i,),
                                 goal, ((p1, p1), (p2, p2))))
         return out
 
     def _multiset_instances(self, goal):
-        a, d = goal.antecedent, goal.succedent
+        a, d = goal
+        op, left, right = self.table.op, self.table.left, self.table.right
         rules = self.rules
         out = []
-        complete = True
+        flags = 0
         seen = set()
 
-        def emit(rule, data, concl, prems):
-            rec = (rule, data, tuple(sequent_key(c) for _, c in prems))
+        def emit(rule, data, concl, *prems):
+            canonical = tuple([(tuple(sorted(p[0])), p[1]) for p in prems])
+            rec = (rule, data, canonical)
             if rec in seen:
                 return
             seen.add(rec)
-            out.append((rule, data, concl, tuple(prems)))
-
-        def canonp(s):
-            return (s, self.canon(s))
+            out.append((rule, data, concl, tuple(zip(prems, canonical))))
 
         split_ok = len(a) <= SUBMULTISET_CAP
-        for f in sorted(set(a), key=formula_key):
+        for f in sorted(set(a)):
             rest = _remove_once(a, f)
-            tail = Sequent(rest + (f,), d)
-            if isinstance(f, Bin):
-                if f.op == "join" and RuleId.OR_L in rules:
-                    emit(RuleId.OR_L, (len(rest),), tail,
-                         [canonp(Sequent(rest + (f.left,), d)),
-                          canonp(Sequent(rest + (f.right,), d))])
-                elif f.op == "meet" and RuleId.AND_L1 in rules:
-                    emit(RuleId.AND_L1, (len(rest), f.right), tail,
-                         [canonp(Sequent(rest + (f.left,), d))])
-                    emit(RuleId.AND_L2, (len(rest), f.left), tail,
-                         [canonp(Sequent(rest + (f.right,), d))])
-                elif f.op == "fus" and RuleId.FUS_L in rules:
-                    emit(RuleId.FUS_L, (len(rest),), tail,
-                         [canonp(Sequent(rest + (f.left, f.right), d))])
-                elif f.op == "rimp" and RuleId.RIMP_L in rules:
-                    if split_ok:
-                        for x in _sub_multisets(rest):
-                            y = _multiset_minus(rest, x)
-                            emit(RuleId.RIMP_L, (len(y),),
-                                 Sequent(y + x + (f,), d),
-                                 [canonp(Sequent(x, f.left)),
-                                  canonp(Sequent(y + (f.right,), d))])
-                    else:
-                        complete = False
-                elif f.op == "limp" and RuleId.LIMP_L in rules:
-                    if split_ok:
-                        for x in _sub_multisets(rest):
-                            y = _multiset_minus(rest, x)
-                            emit(RuleId.LIMP_L, (len(y),),
-                                 Sequent(y + (f,) + x, d),
-                                 [canonp(Sequent(x, f.left)),
-                                  canonp(Sequent(y + (f.right,), d))])
-                    else:
-                        complete = False
-            if f == ONE:
-                emit(RuleId.ONE_L, (len(rest),), tail,
-                     [canonp(Sequent(rest, d))])
+            tail = (rest + (f,), d)
+            o = op[f]
+            if o == "join" and RuleId.OR_L in rules:
+                emit(RuleId.OR_L, (len(rest),), tail,
+                     (rest + (left[f],), d), (rest + (right[f],), d))
+            elif o == "meet" and RuleId.AND_L1 in rules:
+                emit(RuleId.AND_L1, (len(rest), right[f]), tail,
+                     (rest + (left[f],), d))
+                emit(RuleId.AND_L2, (len(rest), left[f]), tail,
+                     (rest + (right[f],), d))
+            elif o == "fus" and RuleId.FUS_L in rules:
+                emit(RuleId.FUS_L, (len(rest),), tail,
+                     (rest + (left[f], right[f]), d))
+            elif o == "rimp" and RuleId.RIMP_L in rules:
+                if split_ok:
+                    for x in _sub_multisets(rest):
+                        y = _multiset_minus(rest, x)
+                        emit(RuleId.RIMP_L, (len(y),), (y + x + (f,), d),
+                             (x, left[f]), (y + (right[f],), d))
+                else:
+                    flags |= _SPLIT_CAP
+            elif o == "limp" and RuleId.LIMP_L in rules:
+                if split_ok:
+                    for x in _sub_multisets(rest):
+                        y = _multiset_minus(rest, x)
+                        emit(RuleId.LIMP_L, (len(y),), (y + (f,) + x, d),
+                             (x, left[f]), (y + (right[f],), d))
+                else:
+                    flags |= _SPLIT_CAP
+            elif o == "one":
+                emit(RuleId.ONE_L, (len(rest),), tail, (rest, d))
             if RuleId.WEAK_L in rules:
-                emit(RuleId.WEAK_L, (len(rest), f), tail,
-                     [canonp(Sequent(rest, d))])
+                emit(RuleId.WEAK_L, (len(rest), f), tail, (rest, d))
             if RuleId.CONTR_L in rules:
-                emit(RuleId.CONTR_L, (len(rest),), tail,
-                     [canonp(Sequent(rest + (f, f), d))])
-            if d is None and isinstance(f, Neg):
-                if f.op == "rneg" and RuleId.RNEG_L in rules:
-                    emit(RuleId.RNEG_L, (), tail,
-                         [canonp(Sequent(rest, f.child))])
-                if f.op == "lneg" and RuleId.LNEG_L in rules:
-                    emit(RuleId.LNEG_L, (), Sequent((f,) + rest, d),
-                         [canonp(Sequent(rest, f.child))])
+                emit(RuleId.CONTR_L, (len(rest),), tail, (rest + (f, f), d))
+            if d < 0:
+                if o == "rneg" and RuleId.RNEG_L in rules:
+                    emit(RuleId.RNEG_L, (), tail, (rest, left[f]))
+                if o == "lneg" and RuleId.LNEG_L in rules:
+                    emit(RuleId.LNEG_L, (), ((f,) + rest, d), (rest, left[f]))
 
-        if d is not None:
-            if isinstance(d, Bin):
-                if d.op == "join" and RuleId.OR_R1 in rules:
-                    emit(RuleId.OR_R1, (d.right,), goal,
-                         [canonp(Sequent(a, d.left))])
-                    emit(RuleId.OR_R2, (d.left,), goal,
-                         [canonp(Sequent(a, d.right))])
-                elif d.op == "meet" and RuleId.AND_R in rules:
-                    emit(RuleId.AND_R, (), goal,
-                         [canonp(Sequent(a, d.left)),
-                          canonp(Sequent(a, d.right))])
-                elif d.op == "fus" and RuleId.FUS_R in rules:
-                    if split_ok:
-                        for x in _sub_multisets(a):
-                            y = _multiset_minus(a, x)
-                            emit(RuleId.FUS_R, (), Sequent(x + y, d),
-                                 [canonp(Sequent(x, d.left)),
-                                  canonp(Sequent(y, d.right))])
-                    else:
-                        complete = False
-                elif d.op == "rimp" and RuleId.RIMP_R in rules:
-                    emit(RuleId.RIMP_R, (), goal,
-                         [canonp(Sequent((d.left,) + a, d.right))])
-                elif d.op == "limp" and RuleId.LIMP_R in rules:
-                    emit(RuleId.LIMP_R, (), goal,
-                         [canonp(Sequent(a + (d.left,), d.right))])
-            elif isinstance(d, Neg):
-                if d.op == "rneg" and RuleId.RNEG_R in rules:
-                    emit(RuleId.RNEG_R, (), goal,
-                         [canonp(Sequent((d.child,) + a, None))])
-                if d.op == "lneg" and RuleId.LNEG_R in rules:
-                    emit(RuleId.LNEG_R, (), goal,
-                         [canonp(Sequent(a + (d.child,), None))])
-            if d == ZERO:
-                emit(RuleId.ZERO_R, (), goal, [canonp(Sequent(a, None))])
+        if d >= 0:
+            o = op[d]
+            if o == "join" and RuleId.OR_R1 in rules:
+                emit(RuleId.OR_R1, (right[d],), goal, (a, left[d]))
+                emit(RuleId.OR_R2, (left[d],), goal, (a, right[d]))
+            elif o == "meet" and RuleId.AND_R in rules:
+                emit(RuleId.AND_R, (), goal, (a, left[d]), (a, right[d]))
+            elif o == "fus" and RuleId.FUS_R in rules:
+                if split_ok:
+                    for x in _sub_multisets(a):
+                        y = _multiset_minus(a, x)
+                        emit(RuleId.FUS_R, (), (x + y, d),
+                             (x, left[d]), (y, right[d]))
+                else:
+                    flags |= _SPLIT_CAP
+            elif o == "rimp" and RuleId.RIMP_R in rules:
+                emit(RuleId.RIMP_R, (), goal, ((left[d],) + a, right[d]))
+            elif o == "limp" and RuleId.LIMP_R in rules:
+                emit(RuleId.LIMP_R, (), goal, (a + (left[d],), right[d]))
+            elif o == "rneg" and RuleId.RNEG_R in rules:
+                emit(RuleId.RNEG_R, (), goal, ((left[d],) + a, -1))
+            elif o == "lneg" and RuleId.LNEG_R in rules:
+                emit(RuleId.LNEG_R, (), goal, (a + (left[d],), -1))
+            elif o == "zero":
+                emit(RuleId.ZERO_R, (), goal, (a, -1))
             if RuleId.WEAK_R in rules:
-                emit(RuleId.WEAK_R, (d,), goal, [canonp(Sequent(a, None))])
+                emit(RuleId.WEAK_R, (d,), goal, (a, -1))
 
-        if self.cut_formulas is not None and RuleId.CUT in self.rules:
+        if self.cut_formulas is not None and RuleId.CUT in rules:
             if split_ok:
                 for chi in self.cut_formulas:
                     for x in _sub_multisets(a):
                         y = _multiset_minus(a, x)
-                        emit(RuleId.CUT, (len(y),), Sequent(y + x, d),
-                             [canonp(Sequent(x, chi)),
-                              canonp(Sequent(y + (chi,), d))])
+                        emit(RuleId.CUT, (len(y),), (y + x, d),
+                             (x, chi), (y + (chi,), d))
             else:
-                complete = False
-        return out, complete
+                flags |= _SPLIT_CAP
+        return out, flags
 
     # -- the search proper ----------------------------------------------
 
-    def solve(self, goal: Sequent, ancestors, budget):
-        """goal must be canonical.  Returns (tree proving goal or None,
-        flags), flags a bitmask of _PRUNED/_BOUNDED over the subtree."""
+    def solve(self, goal, ancestors, budget):
+        """goal must be canonical.  Returns (proof record of goal or None,
+        flags), flags a bitmask of _PRUNED and the limit bits over the
+        subtree."""
         if self.node_cap is not None:
             self.nodes += 1
             if self.nodes > self.node_cap:
-                return None, _BOUNDED
+                return None, _NODE_CAP
         if not self.by_height:
             key = self._canon_key(goal)
             if key in ancestors:
@@ -322,9 +345,9 @@ class _Search:
             return memo, 0
         if goal in self.abs_fail:
             return None, 0
-        bounded_at = self.bounded_fail.get(goal)
-        if bounded_at is not None and budget <= bounded_at:
-            return None, _BOUNDED
+        bounded = self.bounded_fail.get(goal)
+        if bounded is not None and budget <= bounded[0]:
+            return None, bounded[1]
 
         leaf = self._leaf(goal)
         if leaf is not None:
@@ -332,10 +355,9 @@ class _Search:
             return leaf, 0
 
         if budget <= 0:
-            return None, _BOUNDED
+            return None, _DEPTH
 
-        instances, complete = self.instances(goal)
-        flags = 0 if complete else _BOUNDED
+        instances, flags = self.instances(goal)
         if self.commit:
             for rec in instances:
                 if rec[0] in _INVERTIBLE:
@@ -345,55 +367,83 @@ class _Search:
         if not self.by_height:
             ancestors = ancestors | {key}
         for rule, data, concl, prems in instances:
-            trees = []
-            inst_flags = 0
+            subs = []
             for concrete, canonical in prems:
                 sub, sub_flags = self.solve(canonical, ancestors, budget - 1)
                 if sub is None:
-                    inst_flags = sub_flags
-                    trees = None
+                    flags |= sub_flags
                     break
-                trees.append(exchange_chain(sub, concrete.antecedent))
-            if trees is None:
-                flags |= inst_flags
-                continue
-            node = ProofTree(concl, rule, tuple(trees), data)
-            node = exchange_chain(node, goal.antecedent)
-            self.success[goal] = node
-            return node, 0
+                subs.append((concrete[0], sub))
+            else:
+                record = (rule, data, concl, goal[0], tuple(subs))
+                self.success[goal] = record
+                return record, 0
         if flags == 0:
             # exhausted without ever hitting the budget: absolute failure
             self.abs_fail.add(goal)
         elif not flags & _PRUNED:
-            prev = self.bounded_fail.get(goal, -1)
-            self.bounded_fail[goal] = max(prev, budget)
+            prev = self.bounded_fail.get(goal)
+            if prev is None or budget > prev[0]:
+                self.bounded_fail[goal] = (budget, flags)
         return None, flags
 
     def _leaf(self, goal):
-        a, d = goal.antecedent, goal.succedent
-        hyp = self.hyp_by_key.get(goal)
-        if hyp is not None:
-            return exchange_chain(ProofTree(hyp, RuleId.HYPOTHESIS),
-                                  goal.antecedent)
+        a, d = goal
+        if self.hyp_by_key:
+            hyp = self.hyp_by_key.get(goal)
+            if hyp is not None:
+                return (RuleId.HYPOTHESIS, (), hyp, a, ())
         if len(a) == 1 and d == a[0]:
-            return ProofTree(goal, RuleId.AXIOM)
-        if a == () and d == ONE:
-            return ProofTree(goal, RuleId.ONE_R)
-        if a == (ZERO,) and d is None:
-            return ProofTree(goal, RuleId.ZERO_L)
+            return (RuleId.AXIOM, (), goal, a, ())
+        op = self.table.op
+        if not a and d >= 0 and op[d] == "one":
+            return (RuleId.ONE_R, (), goal, a, ())
+        if len(a) == 1 and d < 0 and op[a[0]] == "zero":
+            return (RuleId.ZERO_L, (), goal, a, ())
         return None
 
+    # -- decoding the proof ---------------------------------------------
 
-def _deepening(search: _Search, start: Sequent, bound):
+    def proof_tree(self, record, target_ant) -> ProofTree:
+        """The ProofTree of a proof record, its antecedent permuted into the
+        table antecedent `target_ant`.  A record used twice gives one shared
+        subtree."""
+        built = {}
+        return self._arrange(self._build(record, built), record[3],
+                             target_ant)
+
+    def _build(self, record, built):
+        tree = built.get(id(record))
+        if tree is None:
+            rule, data, concl, goal_ant, premises = record
+            subtrees = tuple(self._arrange(self._build(sub, built), sub[3],
+                                           ant)
+                             for ant, sub in premises)
+            tree = ProofTree(decode_sequent(self.table, concl), rule,
+                             subtrees, decode_data(self.table, rule, data))
+            tree = self._arrange(tree, concl[0], goal_ant)
+            built[id(record)] = tree
+        return tree
+
+    def _arrange(self, tree, ant, target_ant):
+        """exchange_chain from the table antecedent `ant` of tree's
+        conclusion to `target_ant`."""
+        if ant == target_ant:
+            return tree
+        formulas = self.table.formulas
+        return exchange_chain(tree, [formulas[i] for i in target_ant])
+
+
+def _deepening(search: _Search, start, bound):
     """Iterative deepening: shallow proofs are found before deep failures
     are explored; stops early when the space closes below the bound."""
     if bound >= 10 ** 6:
         return search.solve(start, frozenset(), bound)
     flags = 0
     for budget in range(1, bound + 1):
-        tree, flags = search.solve(start, frozenset(), budget)
-        if tree is not None:
-            return tree, 0
+        record, flags = search.solve(start, frozenset(), budget)
+        if record is not None:
+            return record, 0
         if not flags & _BOUNDED:
             return None, flags
     return None, flags
@@ -402,18 +452,19 @@ def _deepening(search: _Search, start: Sequent, bound):
 def prove(goal: Sequent, cal: CalculusId, bound=None):
     """Cut-free backward search.  Decides derivability when c is not in
     sigma; with c the search is bounded and Refuted carries a caveat (or
-    degrades to Unknown without wl)."""
+    degrades to Unknown without wl).  Unknown names the limits that cut
+    the search."""
     check_sequent_language(goal, cal.lang)
     contraction = "c" in cal.sigma
     if bound is None:
         bound = DEFAULT_BOUND if contraction else 10 ** 9
-    search = _Search(cal)
-    start = search.canon(goal)
-    tree, flags = _deepening(search, start, bound)
-    if tree is not None:
-        return Proved(exchange_chain(tree, goal.antecedent))
+    table, (encoded,) = encode_sequents((goal,))
+    search = _Search(cal, table)
+    record, flags = _deepening(search, search.canon(encoded), bound)
+    if record is not None:
+        return Proved(search.proof_tree(record, encoded[0]))
     if flags & _BOUNDED:
-        return Unknown("depth-exhausted")
+        return Unknown(_limits(flags))
     if not contraction:
         return Refuted()
     if "wl" in cal.sigma:
@@ -429,34 +480,33 @@ def prove_with_hyps(goal: Sequent, hyps, cal: CalculusId, bound=DEFAULT_BOUND,
     restricted to subformulas of the goal and hypotheses.  Semidecision:
     never claims Refuted.  Antecedent growth is capped (a little above the
     goal and hypothesis lengths by default) to keep the cut space finite,
-    and a deterministic node cap bounds the total effort."""
+    and a deterministic node cap bounds the total effort.  Unknown names
+    the limits that cut the last round of the search."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
     check_sequent_language(goal, cal.lang)
-    hyps = frozenset(hyps)
-    universe = set()
-    lengths = [len(goal.antecedent)]
-    for s in list(hyps) + [goal]:
-        lengths.append(len(s.antecedent))
-        for f in s.antecedent:
-            universe |= subformulas(f)
-        if s.succedent is not None:
-            universe |= subformulas(s.succedent)
-    cuts = tuple(sorted(universe, key=formula_key))
+    sequents = (goal,) + tuple(frozenset(hyps))
+    # the table holds exactly the subformulas of the goal and hypotheses,
+    # numbered in formula_key order: all of them are the cut formulas
+    table, encoded = encode_sequents(sequents)
     if max_antecedent is None:
-        max_antecedent = max(max(lengths) + 4, 6)
-    search = _Search(cal, hyps=hyps, cut_formulas=cuts,
+        max_antecedent = max(max(len(s.antecedent) for s in sequents) + 4, 6)
+    search = _Search(cal, table, hyps=encoded[1:],
+                     cut_formulas=tuple(range(len(table))),
                      max_antecedent=max_antecedent, by_height=True)
     search.node_cap = node_cap
-    start = search.canon(goal)
-    tree = None
+    start = search.canon(encoded[0])
+    record, flags = None, 0
     for budget in range(1, bound + 1):
-        tree, _ = search.solve(start, frozenset(), budget)
-        if tree is not None or search.nodes > (node_cap or 0) > 0:
+        record, flags = search.solve(start, frozenset(), budget)
+        if record is not None or search.nodes > (node_cap or 0) > 0:
             break
-    if tree is not None:
-        return Proved(exchange_chain(tree, goal.antecedent))
-    return Unknown()
+    if record is not None:
+        return Proved(search.proof_tree(record, encoded[0][0]))
+    if flags & _BOUNDED:
+        return Unknown(_limits(flags))
+    return Unknown("search space closed without a proof; refutation is "
+                   "not claimed with hypotheses and cut")
 
 
 def external_entails(premises, conclusion, cal: CalculusId,
@@ -480,9 +530,3 @@ def external_entails(premises, conclusion, cal: CalculusId,
         return Refuted()
     return Unknown()
 
-
-def _multiset_minus(whole, part):
-    out = list(whole)
-    for f in part:
-        out.remove(f)
-    return tuple(out)

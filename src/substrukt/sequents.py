@@ -10,8 +10,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .syntax import (Formula, FormulaSyntaxError, Language, FULL, ZERO, ONE,
-                     fus, join, rimp, check_language, format_formula,
-                     mirror_formula, parse_formula, variables_of, formula_key)
+                     SubformulaTable, fus, join, rimp, check_language,
+                     format_formula, mirror_formula, parse_formula,
+                     variables_of)
 
 
 @dataclass(frozen=True)
@@ -122,9 +123,29 @@ def mirror_equation(e: Equation) -> Equation:
     return Equation(mirror_formula(e.lhs), mirror_formula(e.rhs))
 
 
-def sequent_key(s: Sequent):
-    succ = ("",) if s.succedent is None else ("f", formula_key(s.succedent))
-    return (tuple(formula_key(f) for f in s.antecedent), succ)
+def encode_sequents(sequents):
+    """Compile sequents into one SubformulaTable.  Returns the table and
+    each sequent as a table sequent: (antecedent numbers, succedent number
+    or -1 for an empty succedent)."""
+    roots = []
+    for s in sequents:
+        roots.extend(s.antecedent)
+        if s.succedent is not None:
+            roots.append(s.succedent)
+    table = SubformulaTable(roots)
+    ids = iter(table.roots)
+    encoded = []
+    for s in sequents:
+        ant = tuple(next(ids) for _ in s.antecedent)
+        encoded.append((ant, -1 if s.succedent is None else next(ids)))
+    return table, encoded
+
+
+def decode_sequent(table: SubformulaTable, s) -> Sequent:
+    ant, succ = s
+    formulas = table.formulas
+    return Sequent(tuple([formulas[i] for i in ant]),
+                   None if succ < 0 else formulas[succ])
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 BINARY_CONNECTIVES = ("join", "meet", "fus", "rimp", "limp")
 UNARY_CONNECTIVES = ("rneg", "lneg")
@@ -283,6 +283,83 @@ def formula_key(f):
     if isinstance(f, Neg):
         return (2, f.op, formula_key(f.child))
     return (3, f.op, formula_key(f.left), formula_key(f.right))
+
+
+class SubformulaTable:
+    """The distinct subformulas of some root formulas, numbered 0..n-1 in
+    `formula_key` order.
+
+    ``op[i]`` is the connective of formula i (``"var"`` for a variable,
+    ``"zero"``/``"one"`` for a constant), ``left[i]`` and ``right[i]`` the
+    numbers of its children (a negation's child is in ``left``; -1 where
+    there is none), and ``formulas[i]`` the formula itself, for decoding.
+    ``roots`` numbers the given roots in order.  Numbers sort exactly as
+    their formulas sort under `formula_key`, so a sorted tuple of numbers
+    is a sorted antecedent.
+
+    The table is built in one iterative post-order pass.  Nodes are interned
+    by (connective, child numbers), and each node's sort key is built from
+    its children's keys, so that no formula is hashed, compared or keyed
+    recursively; equal subformulas that are distinct objects get one number.
+    """
+
+    __slots__ = ("op", "left", "right", "formulas", "roots")
+
+    def __init__(self, roots):
+        intern = {}
+        keys, nodes, found = [], [], []
+        for root in roots:
+            todo = [(root, False)]
+            done = []
+            while todo:
+                f, ready = todo.pop()
+                cls = type(f)
+                if cls is Bin:
+                    if not ready:
+                        todo += ((f, True), (f.right, False), (f.left, False))
+                        continue
+                    r = done.pop()
+                    l = done.pop()
+                    op = f.op
+                    name = (op, l, r)
+                elif cls is Neg:
+                    if not ready:
+                        todo += ((f, True), (f.child, False))
+                        continue
+                    op, l, r = f.op, done.pop(), -1
+                    name = (op, l)
+                elif cls is Var:
+                    op, l, r = "var", -1, -1
+                    name = ("var", f.name)
+                elif cls is Const:
+                    op, l, r = f.which, -1, -1
+                    name = op
+                else:
+                    raise TypeError(f"not a formula: {f!r}")
+                k = intern.get(name)
+                if k is None:
+                    k = intern[name] = len(keys)
+                    if r >= 0:
+                        keys.append((3, op, keys[l], keys[r]))
+                    elif l >= 0:
+                        keys.append((2, op, keys[l]))
+                    else:
+                        keys.append(formula_key(f))
+                    nodes.append((f, op, l, r))
+                done.append(k)
+            found.append(done.pop())
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        rank = [0] * len(order) + [-1]   # rank[-1] is -1: no child
+        for i, k in enumerate(order):
+            rank[k] = i
+        self.formulas = tuple(nodes[k][0] for k in order)
+        self.op = tuple(nodes[k][1] for k in order)
+        self.left = tuple(rank[nodes[k][2]] for k in order)
+        self.right = tuple(rank[nodes[k][3]] for k in order)
+        self.roots = tuple(rank[k] for k in found)
+
+    def __len__(self):
+        return len(self.formulas)
 
 
 # ---------------------------------------------------------------------------

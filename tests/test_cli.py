@@ -163,3 +163,15 @@ def test_deep_nesting_is_a_data_error(capsys, command):
     code, out, err = run(capsys, command, deep)
     assert code == 65
     assert out == "" and err == "error: input nested too deeply\n"
+
+
+def test_unknown_names_the_limit_that_fired(capsys):
+    # depth is unbounded for sigma = {e}; the sub-multiset cap cut the search
+    goal = "p,p,p,p,p,p,p,p,p,p,p,q => p * (p \\/ q)"
+    code, out, _ = run(capsys, "--sigma", "e", "prove", goal)
+    assert code == 2 and out == "unknown (submultiset-cap)\n"
+    code, out, _ = run(capsys, "--sigma", "e", "--format", "json",
+                       "prove", goal)
+    assert code == 2
+    assert json.loads(out) == {"verdict": "unknown",
+                               "reason": "submultiset-cap"}

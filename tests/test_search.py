@@ -147,3 +147,16 @@ def test_agreement_with_countermodels():
         verdict = prove(s, cal)
         witness = countermodel(s, VarietyId("Msl"), 3)
         assert not (isinstance(verdict, Proved) and isinstance(witness, Found))
+
+
+def test_unknown_names_the_limit_that_fired():
+    # depth is unbounded without c: the sub-multiset cap cut this search
+    goal = parse_sequent("p,p,p,p,p,p,p,p,p,p,p,q => p * (p \\/ q)")
+    assert prove(goal, FLE) == Unknown("submultiset-cap")
+    assert prove(parse_sequent("p * p => q"), calculus("c"),
+                 bound=2) == Unknown("depth-exhausted")
+    hyps = {parse_sequent("=> p")}
+    res = prove_with_hyps(parse_sequent("=> q"), hyps, FL, node_cap=10)
+    assert res == Unknown("depth-exhausted, node-cap")
+    res = prove_with_hyps(parse_sequent("=> q"), hyps, FL)
+    assert res == Unknown("depth-exhausted, antecedent-cap")
