@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Compare prover verdicts with bounded countermodel search on a random
-sequent corpus, in the decidable left-weakening regime and outside it.
+sequent corpus, and name the regime in which `prove` treats the calculus:
+decided by the shrinking search (no c), decided on antecedent sets (e, wl
+and c), or bounded (the rest; a plain refutation comes from the decided
+calculus with e and wl added).
 
 Set SUBSTRUKT_SEED to pin the corpus.
 """
@@ -12,7 +15,7 @@ from substrukt.algebra import VarietyId
 from substrukt.bridge import Found, countermodel
 from substrukt.calculus import calculus, parse_sigma
 from substrukt.corpus import random_sequent, rng_from_env
-from substrukt.search import Proved, Refuted, prove
+from substrukt.search import Proved, Refuted, prove, regime
 from substrukt.syntax import Language
 
 
@@ -29,7 +32,10 @@ def main():
     sigma = parse_sigma(args.sigma)
     cal = calculus(sigma, lang)
     variety = VarietyId("Msl", sigma)
-    regime = "FEP (genuine decision)" if "wl" in sigma else "bounded"
+    label = {"shrinking": "decided (shrinking search)",
+             "sets": "decided (on antecedent sets)",
+             "bounded": "bounded (plain refutation from "
+                        "sigma + e + wl)"}[regime(sigma)]
     tally = {"proved+nomodel": 0, "refuted+model": 0,
              "refuted+nomodel": 0, "proved+model": 0, "unknown": 0}
     t0 = time.time()
@@ -47,7 +53,7 @@ def main():
             key = "unknown"
         tally[key] += 1
     matched = tally["proved+nomodel"] + tally["refuted+model"]
-    print(f"sigma={{{args.sigma}}} regime: {regime}")
+    print(f"sigma={{{args.sigma}}} regime: {label}")
     for key, count in tally.items():
         print(f"  {key:16} {count}")
     print(f"matched verdicts: {matched}/{args.corpus} "

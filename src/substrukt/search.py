@@ -1,10 +1,26 @@
 """Backward cut-free proof search and hypothesis-admitting bounded search.
 
-For sigma without contraction the search is a decision procedure: every
-backward step strictly shrinks the goal, so exhaustion refutes.  With
-contraction the search is depth-bounded and loop-checked; a search space
-that closes under the loop check yields Refuted only together with
-left-weakening, and carries a caveat flag.
+Which sigma `prove` decides:
+
+- sigma without contraction: every backward step strictly shrinks the
+  goal, so the search terminates and exhaustion refutes.
+- sigma containing e, wl and c: with exchange, weakening and contraction
+  the multiplicity of an antecedent formula does not matter, so
+  `_SetSearch` decides the goal on antecedent *sets* of subformulas, with
+  contraction absorbed into the rules (G3 style; Troelstra and
+  Schwichtenberg, Basic Proof Theory, ch. 3).  Its proofs are rebuilt as
+  FL_sigma trees with explicit weakening, contraction and exchange steps.
+- every other sigma with c: an FL_sigma proof is also an FL_sigma' proof
+  when sigma is a subset of sigma' (the FL_sigma'-algebras form a
+  subvariety of the FL_sigma-algebras), so a goal that fails in
+  FL_{sigma + e + wl} fails in FL_sigma, and such a goal is refuted
+  plainly.  The rest go to a depth-bounded, loop-checked search, and
+  what it does not prove to the decided FL_{sigma - c}, whose proofs are
+  FL_sigma proofs.  When the bounded search's space closes under the loop
+  check it yields Refuted only together with left-weakening, and with a
+  caveat.  FL_c itself is undecidable (Chvalovsky and Horcik, JSL 2016).
+
+The depth bound matters only to this last case.
 
 With exchange in sigma, goals are normalized to multisets (sorted
 antecedents) and two-premise splits range over sub-multisets; the returned
@@ -17,7 +33,9 @@ table sequents: a tuple of formula numbers and a number for the succedent,
 -1 when it is empty.  Numbers sort as formulas do under `formula_key`, so
 sorting a table antecedent sorts the multiset in the same order as sorting
 the formulas.  The memos keep, for each proved goal, the instance that
-proved it; the ProofTree is decoded from them once, at the end.
+proved it; the ProofTree is decoded from them once, at the end.  Under
+deepening each goal is expanded once: its committed instance list and its
+loop-check key are kept across the iterations.
 """
 
 from __future__ import annotations
@@ -170,6 +188,11 @@ class _Search:
         self.success = {}
         self.abs_fail = set()
         self.bounded_fail = {}   # goal -> (budget, limit flags)
+        # Under deepening a goal is met again on every iteration, so its
+        # expansion is kept: goal -> (loop-check key, committed instances,
+        # limit flags).  A single pass meets most goals once; there the
+        # memo only costs memory and collector work.
+        self.expansions = {} if by_height or self.collapse_dups else None
         self.nodes = 0
         self.node_cap = None  # deterministic effort cap; None = unlimited
 
@@ -178,15 +201,18 @@ class _Search:
             return (tuple(sorted(s[0])), s[1])
         return s
 
-    def _canon_key(self, s):
+    def _loop_key(self, s):
+        """(key, run lengths) of a canonical goal for the ancestor loop
+        check.  With c the key collapses each run of three or more equal
+        formulas to two, and the run lengths keep the true counts."""
         if not self.collapse_dups:
-            return s
-        out = []
-        for f in s[0]:
-            if len(out) >= 2 and out[-1] == f and out[-2] == f:
-                continue
-            out.append(f)
-        return (tuple(out), s[1])
+            return s, ()
+        key, runs = [], []
+        for f, run in itertools.groupby(s[0]):
+            n = len(list(run))
+            key += (f,) * min(n, 2)
+            runs.append(n)
+        return (tuple(key), s[1]), tuple(runs)
 
     # -- instance enumeration -------------------------------------------
 
@@ -329,17 +355,25 @@ class _Search:
     # -- the search proper ----------------------------------------------
 
     def solve(self, goal, ancestors, budget):
-        """goal must be canonical.  Returns (proof record of goal or None,
-        flags), flags a bitmask of _PRUNED and the limit bits over the
-        subtree."""
+        """goal must be canonical; ancestors maps the loop-check keys of
+        the goals above to their run lengths (unused when searching by
+        height).  Returns (proof record of goal or None, flags), flags a
+        bitmask of _PRUNED and the limit bits over the subtree."""
         if self.node_cap is not None:
             self.nodes += 1
             if self.nodes > self.node_cap:
                 return None, _NODE_CAP
+        expansion = (self.expansions.get(goal)
+                     if self.expansions is not None else None)
         if not self.by_height:
-            key = self._canon_key(goal)
-            if key in ancestors:
-                return None, _PRUNED
+            key, runs = (expansion[0] if expansion is not None
+                         else self._loop_key(goal))
+            # a goal repeats an ancestor when it has at least as many
+            # copies in every run; one with fewer copies may still be
+            # provable (weakening removed some) and is not cut
+            for prior in ancestors.get(key, ()):
+                if all(n >= m for n, m in zip(runs, prior)):
+                    return None, _PRUNED
         memo = self.success.get(goal)
         if memo is not None:
             return memo, 0
@@ -357,15 +391,23 @@ class _Search:
         if budget <= 0:
             return None, _DEPTH
 
-        instances, flags = self.instances(goal)
-        if self.commit:
-            for rec in instances:
-                if rec[0] in _INVERTIBLE:
-                    instances = [rec]
-                    flags = 0
-                    break
+        if expansion is None:
+            instances, flags = self.instances(goal)
+            if self.commit:
+                for rec in instances:
+                    if rec[0] in _INVERTIBLE:
+                        instances = [rec]
+                        flags = 0
+                        break
+            expansion = (None if self.by_height else (key, runs),
+                         instances, flags)
+            if self.expansions is not None:
+                self.expansions[goal] = expansion
+        _, instances, flags = expansion
         if not self.by_height:
-            ancestors = ancestors | {key}
+            above = ancestors.setdefault(key, [])
+            above.append(runs)
+        record = None
         for rule, data, concl, prems in instances:
             subs = []
             for concrete, canonical in prems:
@@ -377,7 +419,11 @@ class _Search:
             else:
                 record = (rule, data, concl, goal[0], tuple(subs))
                 self.success[goal] = record
-                return record, 0
+                break
+        if not self.by_height:
+            above.pop()
+        if record is not None:
+            return record, 0
         if flags == 0:
             # exhausted without ever hitting the budget: absolute failure
             self.abs_fail.add(goal)
@@ -402,46 +448,397 @@ class _Search:
             return (RuleId.ZERO_L, (), goal, a, ())
         return None
 
-    # -- decoding the proof ---------------------------------------------
 
-    def proof_tree(self, record, target_ant) -> ProofTree:
-        """The ProofTree of a proof record, its antecedent permuted into the
-        table antecedent `target_ant`.  A record used twice gives one shared
-        subtree."""
-        built = {}
-        return self._arrange(self._build(record, built), record[3],
-                             target_ant)
+def _proof_tree(table, record, target_ant) -> ProofTree:
+    """The ProofTree of a proof record (see `_Search`), its antecedent
+    permuted into the table antecedent `target_ant`.  A record used twice
+    gives one shared subtree."""
+    built = {}
+    return _arrange(table, _build(table, record, built), record[3],
+                    target_ant)
 
-    def _build(self, record, built):
-        tree = built.get(id(record))
-        if tree is None:
-            rule, data, concl, goal_ant, premises = record
-            subtrees = tuple(self._arrange(self._build(sub, built), sub[3],
-                                           ant)
-                             for ant, sub in premises)
-            tree = ProofTree(decode_sequent(self.table, concl), rule,
-                             subtrees, decode_data(self.table, rule, data))
-            tree = self._arrange(tree, concl[0], goal_ant)
-            built[id(record)] = tree
+
+def _build(table, record, built):
+    tree = built.get(id(record))
+    if tree is None:
+        rule, data, concl, goal_ant, premises = record
+        subtrees = tuple(_arrange(table, _build(table, sub, built), sub[3],
+                                  ant)
+                         for ant, sub in premises)
+        tree = ProofTree(decode_sequent(table, concl), rule, subtrees,
+                         decode_data(table, rule, data))
+        tree = _arrange(table, tree, concl[0], goal_ant)
+        built[id(record)] = tree
+    return tree
+
+
+def _arrange(table, tree, ant, target_ant):
+    """exchange_chain from the table antecedent `ant` of tree's conclusion
+    to `target_ant`."""
+    if ant == target_ant:
         return tree
+    formulas = table.formulas
+    return exchange_chain(tree, [formulas[i] for i in target_ant])
 
-    def _arrange(self, tree, ant, target_ant):
-        """exchange_chain from the table antecedent `ant` of tree's
-        conclusion to `target_ant`."""
-        if ant == target_ant:
-            return tree
-        formulas = self.table.formulas
-        return exchange_chain(tree, [formulas[i] for i in target_ant])
+
+def _members(s):
+    """The numbers in the bit set s, in increasing order."""
+    while s:
+        low = s & -s
+        yield low.bit_length() - 1
+        s ^= low
+
+
+# connectives whose left rule keeps its principal formula in the set search
+_KEEPS_PRINCIPAL = frozenset({"rimp", "limp", "rneg", "lneg"})
+_LEFT_IMPLICATION = {"rimp": RuleId.RIMP_L, "limp": RuleId.LIMP_L}
+_LEFT_NEGATION = {"rneg": RuleId.RNEG_L, "lneg": RuleId.LNEG_L}
+_RIGHT_UNARY = {"rimp": RuleId.RIMP_R, "limp": RuleId.LIMP_R,
+                "rneg": RuleId.RNEG_R, "lneg": RuleId.LNEG_R}
+
+
+class _SetSearch:
+    """The decision procedure for FL_sigma with e, wl and c in sigma, over
+    the set sequents of one SubformulaTable: (antecedent, succedent), the
+    antecedent a bit set of formula numbers, the succedent a number or -1.
+
+    Each rule is the FL rule with the contraction it needs built in:
+    fus-r and the two-premise rules give both premises the whole set,
+    the left rules of join, meet and fusion replace their principal formula
+    by its parts (meet by both conjuncts), the left rules of the negations
+    keep it, and those of the implications keep it in the premise that
+    proves the implication's antecedent.  Leaves weaken what they do not
+    use.  The invertible rules are applied first and alone; cut
+    admissibility makes them invertible, and with e, wl and c fusion is
+    meet, so fus-r is invertible too.  A left rule that keeps its
+    principal formula can lead back to its own goal, so when the table has
+    one, a goal equal to one of its ancestors fails (a shortest proof never
+    repeats a sequent on a branch).  Without them every backward step
+    shrinks the goal.
+
+    `proofs` maps each proved set sequent to its step (rule, principal
+    formula or succedent, premises); for the meet rule the rule is AND_L1.
+    `record` rebuilds an FL_sigma proof record for a concrete antecedent,
+    adding weakening, contraction and exchange steps only where the
+    premises' proofs need them."""
+
+    def __init__(self, table, weak_right):
+        self.table = table
+        self.weak_right = weak_right
+        self.zero = table.op.index("zero") if "zero" in table.op else -1
+        self.proofs = {}
+        self.failed = set()
+        # the repetition check: the goals being searched, by depth; a frame
+        # lists the failures that hold only while it is searched
+        checked = bool(_KEEPS_PRINCIPAL.intersection(table.op))
+        self.frames = [] if checked else None
+        self.depth = {}
+        self.cut_failed = {}
+        self.used = {}
+        self.needs = {}
+        self.records = {}
+
+    def solve(self, goal):
+        """(goal proved, cut), cut the bit set of the depths of the goals
+        being searched whose repetition failed it (0: the failure holds
+        whatever is being searched).  A failure that depends on them is
+        kept while the deepest of them is searched: below it, every goal
+        it depends on is still an ancestor."""
+        if goal in self.proofs:
+            return True, 0
+        if goal in self.failed:
+            return False, 0
+        frames = self.frames
+        if frames is not None:
+            depth = self.depth.get(goal)
+            if depth is not None:
+                return False, 1 << depth
+            cut = self.cut_failed.get(goal)
+            if cut is not None:
+                return False, cut
+        leaf = self._leaf(goal)
+        if leaf is not None:
+            self.proofs[goal] = leaf
+            return True, 0
+        if frames is not None:
+            depth = self.depth[goal] = len(frames)
+            frames.append([])
+        cut = 0
+        for step in self._steps(goal):
+            for premise in step[2]:
+                proved, premise_cut = self.solve(premise)
+                if not proved:
+                    cut |= premise_cut
+                    break
+            else:
+                self.proofs[goal] = step
+                break
+        if frames is not None:
+            for g in frames.pop():
+                del self.cut_failed[g]
+            del self.depth[goal]
+            cut &= ~(1 << depth)
+        if goal in self.proofs:
+            return True, 0
+        if cut:
+            self.cut_failed[goal] = cut
+            frames[cut.bit_length() - 1].append(goal)
+        else:
+            self.failed.add(goal)
+        return False, cut
+
+    def _leaf(self, goal):
+        s, d = goal
+        if d >= 0:
+            if s >> d & 1:
+                return (RuleId.AXIOM, d, ())
+            if self.table.op[d] == "one":
+                return (RuleId.ONE_R, d, ())
+        elif self.zero >= 0 and s >> self.zero & 1:
+            return (RuleId.ZERO_L, self.zero, ())
+        return None
+
+    def _steps(self, goal):
+        """The steps to try on a goal: the first invertible one alone, or
+        else every non-invertible one."""
+        s, d = goal
+        op, left, right = self.table.op, self.table.left, self.table.right
+        joins = []
+        for f in _members(s):
+            o = op[f]
+            rest = s & ~(1 << f)
+            if o == "fus" or o == "meet":
+                rule = RuleId.FUS_L if o == "fus" else RuleId.AND_L1
+                return [(rule, f, ((rest | 1 << left[f] | 1 << right[f], d),))]
+            if o == "one":
+                return [(RuleId.ONE_L, f, ((rest, d),))]
+            if o == "join":
+                joins.append(f)
+        o = op[d] if d >= 0 else None
+        if o in _RIGHT_UNARY:
+            succ = right[d] if o == "rimp" or o == "limp" else -1
+            return [(_RIGHT_UNARY[o], d, ((s | 1 << left[d], succ),))]
+        if o == "zero":
+            return [(RuleId.ZERO_R, d, ((s, -1),))]
+        if joins:
+            f = joins[0]
+            rest = s & ~(1 << f)
+            return [(RuleId.OR_L, f, ((rest | 1 << left[f], d),
+                                      (rest | 1 << right[f], d)))]
+        if o == "meet" or o == "fus":
+            rule = RuleId.AND_R if o == "meet" else RuleId.FUS_R
+            return [(rule, d, ((s, left[d]), (s, right[d])))]
+        steps = []
+        if o == "join":
+            steps.append((RuleId.OR_R1, d, ((s, left[d]),)))
+            steps.append((RuleId.OR_R2, d, ((s, right[d]),)))
+        for f in _members(s):
+            o = op[f]
+            if o in _LEFT_IMPLICATION:
+                steps.append((_LEFT_IMPLICATION[o], f, (
+                    (s, left[f]), (s & ~(1 << f) | 1 << right[f], d))))
+            elif o in _LEFT_NEGATION and d < 0:
+                steps.append((_LEFT_NEGATION[o], f, ((s, left[f]),)))
+        if self.weak_right and d >= 0:
+            steps.append((RuleId.WEAK_R, d, ((s, -1),)))
+        return steps
+
+    # -- rebuilding FL_sigma proofs -------------------------------------
+
+    def _skip(self, goal):
+        """The premise of a proved goal whose proof proves the goal's own
+        antecedent with the same succedent (it uses nothing the rule
+        added), or None."""
+        s, d = goal
+        rule, _, premises = self.proofs[goal]
+        if rule in (RuleId.ONE_L, RuleId.FUS_L, RuleId.AND_L1, RuleId.OR_L,
+                    RuleId.RIMP_L, RuleId.LIMP_L):
+            for premise in premises:
+                if premise[1] == d and not self._used(premise) & ~s:
+                    return premise
+        return None
+
+    def _used(self, goal):
+        """The bit set of the antecedent formulas of a proved goal that its
+        rebuilt proof uses."""
+        u = self.used.get(goal)
+        if u is None:
+            u = 0
+            for f in self._need(goal):
+                u |= 1 << f
+            self.used[goal] = u
+        return u
+
+    def _need(self, goal):
+        """The antecedent of the rule that the rebuilt proof of a proved
+        goal ends with, as a sorted tuple: the formulas the rule's premises
+        use, each as often as they use it."""
+        need = self.needs.get(goal)
+        if need is not None:
+            return need
+        skip = self._skip(goal)
+        if skip is not None:
+            need = self._need(skip)
+        else:
+            rule, f, premises = self.proofs[goal]
+            left, right = self.table.left, self.table.right
+            used = [self._used(p) for p in premises]
+            if rule is RuleId.AXIOM or rule is RuleId.ZERO_L:
+                parts = [1 << f]
+            elif rule in _RIGHT_UNARY.values():
+                parts = [used[0] & ~(1 << left[f])]
+            elif rule is RuleId.AND_R:
+                parts = [used[0] | used[1]]
+            elif rule is RuleId.FUS_L:
+                parts = [1 << f, used[0] & ~(1 << left[f] | 1 << right[f])]
+            elif rule is RuleId.AND_L1:
+                parts = [1 << f, used[0] & goal[0]]
+            elif rule is RuleId.OR_L:
+                parts = [1 << f, used[0] & ~(1 << left[f])
+                         | used[1] & ~(1 << right[f])]
+            elif rule in (RuleId.RIMP_L, RuleId.LIMP_L):
+                parts = [1 << f, used[0], used[1] & ~(1 << right[f])]
+            elif rule in (RuleId.RNEG_L, RuleId.LNEG_L):
+                parts = [1 << f, used[0]]
+            else:   # ONE_R, OR_R1, OR_R2, ZERO_R, WEAK_R, FUS_R
+                parts = used
+            need = tuple(sorted(f for part in parts for f in _members(part)))
+        self.needs[goal] = need
+        return need
+
+    def record(self, goal, ant):
+        """A proof record (see `_Search`) of the table antecedent `ant`, in
+        its order, with the goal's succedent; every formula the goal's
+        proof uses occurs in `ant`.  Weakening drops the formulas the proof
+        does not use, contraction doubles those it uses more often than
+        `ant` has them, both in place."""
+        key = (goal, ant)
+        rec = self.records.get(key)
+        if rec is not None:
+            return rec
+        skip = self._skip(goal)
+        if skip is not None:
+            rec = self.records[key] = self.record(skip, ant)
+            return rec
+        need = self._need(goal)
+        cur, steps = ant, []
+        for g in sorted(set(ant)):
+            have, want = cur.count(g), need.count(g)
+            for _ in range(want, have):
+                i = cur.index(g)
+                steps.append((RuleId.WEAK_L, (i, g), cur))
+                cur = cur[:i] + cur[i + 1:]
+            for _ in range(have, want):
+                i = cur.index(g)
+                steps.append((RuleId.CONTR_L, (i,), cur))
+                cur = cur[:i + 1] + cur[i:]
+        rec = self._rule_record(goal, cur)
+        d = goal[1]
+        for rule, data, concl in reversed(steps):
+            rec = (rule, data, (concl, d), concl, ((rec[3], rec),))
+        self.records[key] = rec
+        return rec
+
+    def _rule_record(self, goal, cur):
+        """The record of the goal's rule with the antecedent `cur` (the
+        goal's `_need`, in some order); left rules act in place, and a rule
+        that splits its antecedent deals it out in order."""
+        d = goal[1]
+        rule, f, premises = self.proofs[goal]
+        left, right = self.table.left, self.table.right
+        sub = self.record
+        if rule in (RuleId.AXIOM, RuleId.ZERO_L, RuleId.ONE_R):
+            return (rule, (), (cur, d), cur, ())
+        if rule in _RIGHT_UNARY.values():
+            (p,) = premises
+            a = left[f]
+            pa = ((a,) + cur if rule in (RuleId.RIMP_R, RuleId.RNEG_R)
+                  else cur + (a,))
+            return (rule, (), (cur, d), cur, ((pa, sub(p, pa)),))
+        if rule in (RuleId.OR_R1, RuleId.OR_R2, RuleId.ZERO_R,
+                    RuleId.WEAK_R):
+            (p,) = premises
+            data = {RuleId.OR_R1: (right[d],), RuleId.OR_R2: (left[d],),
+                    RuleId.WEAK_R: (d,)}.get(rule, ())
+            return (rule, data, (cur, d), cur, ((cur, sub(p, cur)),))
+        if rule is RuleId.AND_R:
+            return (rule, (), (cur, d), cur,
+                    tuple((cur, sub(p, cur)) for p in premises))
+        if rule is RuleId.FUS_R:
+            x, y = _deal(cur, [self._used(p) for p in premises])
+            return (rule, (), (x + y, d), cur,
+                    ((x, sub(premises[0], x)), (y, sub(premises[1], y))))
+        if rule is RuleId.AND_L1:
+            return self._meet_record(goal, cur)
+        if rule is RuleId.FUS_L or rule is RuleId.OR_L:
+            i = cur.index(f)
+            parts = (((left[f], right[f]),) if rule is RuleId.FUS_L
+                     else ((left[f],), (right[f],)))
+            ants = [cur[:i] + part + cur[i + 1:] for part in parts]
+            return (rule, (i,), (cur, d), cur,
+                    tuple((pa, sub(p, pa)) for pa, p in zip(ants, premises)))
+        if rule in (RuleId.RIMP_L, RuleId.LIMP_L):
+            b = right[f]
+            _, x, y = _deal(cur, [1 << f, self._used(premises[0]),
+                                  self._used(premises[1]) & ~(1 << b)])
+            concl = y + x + (f,) if rule is RuleId.RIMP_L else y + (f,) + x
+            return (rule, (len(y),), (concl, d), cur,
+                    ((x, sub(premises[0], x)),
+                     (y + (b,), sub(premises[1], y + (b,)))))
+        # RNEG_L, LNEG_L
+        (p,) = premises
+        _, x = _deal(cur, [1 << f, self._used(p)])
+        concl = x + (f,) if rule is RuleId.RNEG_L else (f,) + x
+        return (rule, (), (concl, d), cur, ((x, sub(p, x)),))
+
+    def _meet_record(self, goal, cur):
+        """The meet rule in place in `cur`: and-l1 or and-l2 for the
+        conjunct the premise's proof uses that the goal lacks, or, when it
+        uses both, a contraction and then both."""
+        s, d = goal
+        _, f, (p,) = self.proofs[goal]
+        a, b = self.table.left[f], self.table.right[f]
+        i = cur.index(f)
+        used = self._used(p)
+        wanted = [g for g in (a, b) if used >> g & 1 and not s >> g & 1]
+        if len(wanted) == 1 or a == b:
+            g = wanted[0]
+            rule, side = ((RuleId.AND_L1, b) if g == a
+                          else (RuleId.AND_L2, a))
+            pg = cur[:i] + (g,) + cur[i + 1:]
+            return (rule, (i, side), (cur, d), cur,
+                    ((pg, self.record(p, pg)),))
+        pab = cur[:i] + (a, b) + cur[i + 1:]
+        paf = cur[:i] + (a, f) + cur[i + 1:]
+        pff = cur[:i] + (f, f) + cur[i + 1:]
+        rec = (RuleId.AND_L2, (i + 1, a), (paf, d), paf,
+               ((pab, self.record(p, pab)),))
+        rec = (RuleId.AND_L1, (i, b), (pff, d), pff, ((paf, rec),))
+        return (RuleId.CONTR_L, (i,), (cur, d), cur, ((pff, rec),))
+
+
+def _deal(ant, parts):
+    """Deal the formulas of `ant`, in order, to the bit sets `parts`, each
+    to the first part that holds it and has not had it yet; the parts
+    together must hold exactly the formulas of `ant`."""
+    out = [[] for _ in parts]
+    parts = list(parts)
+    for f in ant:
+        bit = 1 << f
+        k = next(k for k, part in enumerate(parts) if part & bit)
+        parts[k] &= ~bit
+        out[k].append(f)
+    return [tuple(dealt) for dealt in out]
 
 
 def _deepening(search: _Search, start, bound):
     """Iterative deepening: shallow proofs are found before deep failures
     are explored; stops early when the space closes below the bound."""
     if bound >= 10 ** 6:
-        return search.solve(start, frozenset(), bound)
+        return search.solve(start, {}, bound)
     flags = 0
     for budget in range(1, bound + 1):
-        record, flags = search.solve(start, frozenset(), budget)
+        record, flags = search.solve(start, {}, budget)
         if record is not None:
             return record, 0
         if not flags & _BOUNDED:
@@ -449,25 +846,62 @@ def _deepening(search: _Search, start, bound):
     return None, flags
 
 
+def _set_goal(encoded):
+    ant, succ = encoded
+    s = 0
+    for f in ant:
+        s |= 1 << f
+    return s, succ
+
+
+def regime(sigma) -> str:
+    """How `prove` treats FL_sigma: "shrinking" (decided, no c),
+    "sets" (decided on antecedent sets, e, wl and c in sigma) or "bounded"
+    (the rest: a plain refutation when FL_{sigma + e + wl} refutes, else a
+    depth-bounded search)."""
+    if "c" not in sigma:
+        return "shrinking"
+    return "sets" if {"e", "wl"} <= sigma else "bounded"
+
+
 def prove(goal: Sequent, cal: CalculusId, bound=None):
     """Cut-free backward search.  Decides derivability when c is not in
-    sigma; with c the search is bounded and Refuted carries a caveat (or
-    degrades to Unknown without wl).  Unknown names the limits that cut
-    the search."""
+    sigma, and when e, wl and c all are (on antecedent sets; `bound` has
+    no effect then).  With c but without e or wl, a goal unprovable in
+    FL_{sigma + e + wl} is refuted; the others go to a search bounded by
+    `bound` (12 by default), then, unproved, to the decided FL_{sigma - c}.
+    A Refuted from the bounded search carries a caveat (or degrades to
+    Unknown without wl).  Unknown names the limits that cut the bounded
+    search."""
     check_sequent_language(goal, cal.lang)
-    contraction = "c" in cal.sigma
+    sigma = cal.sigma
+    kind = regime(sigma)
+    table, (encoded,) = encode_sequents((goal,))
+    if kind != "shrinking":
+        decider = _SetSearch(table, "wr" in sigma)
+        start = _set_goal(encoded)
+        proved, _ = decider.solve(start)
+        if not proved:
+            return Refuted()
+        if kind == "sets":
+            return Proved(_proof_tree(table, decider.record(start, encoded[0]),
+                                      encoded[0]))
+    contraction = kind == "bounded"
     if bound is None:
         bound = DEFAULT_BOUND if contraction else 10 ** 9
-    table, (encoded,) = encode_sequents((goal,))
     search = _Search(cal, table)
     record, flags = _deepening(search, search.canon(encoded), bound)
+    if record is None and contraction:
+        # FL_{sigma - c} is decided, and its proofs are FL_sigma proofs
+        lower = _Search(CalculusId(sigma - {"c"}, cal.lang), table)
+        record, _ = _deepening(lower, lower.canon(encoded), 10 ** 9)
     if record is not None:
-        return Proved(search.proof_tree(record, encoded[0]))
+        return Proved(_proof_tree(table, record, encoded[0]))
     if flags & _BOUNDED:
         return Unknown(_limits(flags))
     if not contraction:
         return Refuted()
-    if "wl" in cal.sigma:
+    if "wl" in sigma:
         return Refuted(caveat="search space closed under the loop check; "
                               "refutation with contraction relies on it")
     return Unknown("search space closed under loop check; refutation is "
@@ -498,11 +932,11 @@ def prove_with_hyps(goal: Sequent, hyps, cal: CalculusId, bound=DEFAULT_BOUND,
     start = search.canon(encoded[0])
     record, flags = None, 0
     for budget in range(1, bound + 1):
-        record, flags = search.solve(start, frozenset(), budget)
+        record, flags = search.solve(start, None, budget)
         if record is not None or search.nodes > (node_cap or 0) > 0:
             break
     if record is not None:
-        return Proved(search.proof_tree(record, encoded[0][0]))
+        return Proved(_proof_tree(table, record, encoded[0][0]))
     if flags & _BOUNDED:
         return Unknown(_limits(flags))
     return Unknown("search space closed without a proof; refutation is "

@@ -20,6 +20,8 @@ def test_prove_exit_codes(capsys):
     code, out, _ = run(capsys, "--lang", "core", "prove", "p => p * p")
     assert code == 1 and out.startswith("refuted")
     code, out, _ = run(capsys, "--sigma", "c", "prove", "p => q")
+    assert code == 1 and out.startswith("refuted")
+    code, out, _ = run(capsys, "--sigma", "c", "prove", "p, p => p")
     assert code == 2 and out.startswith("unknown")
 
 
@@ -41,10 +43,11 @@ def test_decide_reports_a_decided_refutation_without_a_countermodel(capsys):
     assert code == 1
     assert json.loads(out) == {"verdict": "refuted",
                                "by": "decision procedure", "model_bound": 1}
-    # with c the refutation carries a caveat: still unknown without a model
+    # p => q fails in the decided FL_{e,wl,c}, so also under wl,c
     code, out, _ = run(capsys, "--sigma", "wl,c", "--lang", "core",
                        "--max-size", "1", "decide", "p => q")
-    assert code == 2 and out.startswith("unknown")
+    assert code == 1
+    assert out.startswith("refuted (by the decision procedure")
 
 
 @pytest.mark.parametrize("size", ["-1", "0", "6", "x"])

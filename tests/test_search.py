@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 
 import pytest
@@ -47,12 +49,16 @@ def test_refuted_decision_without_contraction():
 
 
 def test_contraction_verdicts():
-    # with c and wl: refutation carries the loop-check caveat
+    # p => q fails in FL_{e,wl,c}, which is decided, so it fails in every
+    # FL_sigma with c: refuted without a caveat
     res = P("p => q", calculus("wl,c"))
-    assert isinstance(res, Refuted) and res.caveat
-    # with c but no wl: closed spaces degrade to Unknown
+    assert res == Refuted()
     res = P("p => q", calculus("c"))
-    assert isinstance(res, Unknown)
+    assert isinstance(res, Refuted)
+    # provable with e, so it reaches the bounded search, whose loop check
+    # closes the space: refutation carries the loop-check caveat
+    res = P("p * q => q * p", calculus("wl,c"))
+    assert isinstance(res, Refuted) and res.caveat
     # contraction proofs are still found
     assert isinstance(P("p => p * p", calculus("c")), Proved)
     assert isinstance(P("p => p * p", calculus("e,wl,wr,c")), Proved)
@@ -154,9 +160,90 @@ def test_unknown_names_the_limit_that_fired():
     goal = parse_sequent("p,p,p,p,p,p,p,p,p,p,p,q => p * (p \\/ q)")
     assert prove(goal, FLE) == Unknown("submultiset-cap")
     assert prove(parse_sequent("p * p => q"), calculus("c"),
+                 bound=2) == Refuted()
+    assert prove(parse_sequent("p * p => p"), calculus("c"),
                  bound=2) == Unknown("depth-exhausted")
     hyps = {parse_sequent("=> p")}
     res = prove_with_hyps(parse_sequent("=> q"), hyps, FL, node_cap=10)
     assert res == Unknown("depth-exhausted, node-cap")
     res = prove_with_hyps(parse_sequent("=> q"), hyps, FL)
     assert res == Unknown("depth-exhausted, antecedent-cap")
+
+
+# ---------------------------------------------------------------------------
+# Every sigma with contraction
+# ---------------------------------------------------------------------------
+
+ALL_SIGMAS = [frozenset(c) for k in range(5)
+              for c in itertools.combinations(("e", "wl", "wr", "c"), k)]
+DECIDED = frozenset({"e", "wl", "c"})
+FRAGMENTS = ("core", "core-meet", "core-neg", "full")
+
+
+@functools.cache
+def _contraction_verdicts():
+    """{(language, goal index): (goal, {sigma: verdict})} on a seeded corpus,
+    every sigma; the bounded search runs at depth 4."""
+    rng = random.Random(31)
+    out = {}
+    for preset in FRAGMENTS:
+        lang = Language.preset(preset)
+        for k in range(40):
+            goal = random_sequent(rng, depth=rng.choice((2, 3)), lang=lang,
+                                  max_antecedent=3)
+            out[preset, k] = goal, {
+                sigma: prove(goal, calculus(sigma, lang), bound=4)
+                for sigma in ALL_SIGMAS}
+    return out
+
+
+def test_contraction_proofs_check():
+    for (preset, _), (goal, verdicts) in _contraction_verdicts().items():
+        for sigma, res in verdicts.items():
+            if isinstance(res, Proved):
+                cal = calculus(sigma, Language.preset(preset))
+                assert res.tree.conclusion == goal
+                assert check_proof(res.tree, cal), (goal, sigma)
+
+
+def test_verdicts_are_monotone_in_sigma():
+    # an FL_sigma' proof is an FL_sigma proof for sigma' below sigma
+    for goal, verdicts in _contraction_verdicts().values():
+        for sigma, res in verdicts.items():
+            if not isinstance(res, Refuted):
+                continue
+            for smaller in ALL_SIGMAS:
+                if smaller <= sigma:
+                    assert not isinstance(verdicts[smaller], Proved), \
+                        (goal, sorted(smaller), sorted(sigma))
+
+
+def test_sigma_with_e_wl_c_is_decided():
+    from substrukt.algebra import VarietyId, family_of_language
+    from substrukt.bridge import Found, countermodel
+    for (preset, _), (goal, verdicts) in _contraction_verdicts().items():
+        lang = Language.preset(preset)
+        for sigma, res in verdicts.items():
+            if not DECIDED <= sigma:
+                continue
+            assert isinstance(res, (Proved, Refuted)), (goal, sigma)
+            assert isinstance(res, Proved) or res.caveat is None
+            variety = VarietyId(family_of_language(lang), sigma)
+            witness = countermodel(goal, variety, 3)
+            assert not (isinstance(res, Proved) and isinstance(witness, Found))
+            if preset in ("core", "core-meet"):
+                # there the algebras are distributive lattices with two
+                # constants, subdirect products of two-element ones: a
+                # refuted goal fails in one of size 2
+                assert isinstance(res, Proved) == \
+                    (not isinstance(countermodel(goal, variety, 2), Found))
+
+
+@pytest.mark.parametrize("sigma", ["wl,c", "e,wl,c", "e,wl,wr,c"])
+def test_weakened_copies_are_not_cut_by_the_loop_check(sigma):
+    # below q, q, q => q the goal q, q => q (one copy weakened away) has
+    # the same duplicate-collapsed key; cutting it refuted this sequent
+    cal = calculus(sigma)
+    res = P("q * (1 \\/ q) * (q * q \\/ (r \\/ r)) => q", cal)
+    assert isinstance(res, Proved)
+    assert check_proof(res.tree, cal)
