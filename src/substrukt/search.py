@@ -35,7 +35,9 @@ sorting a table antecedent sorts the multiset in the same order as sorting
 the formulas.  The memos keep, for each proved goal, the instance that
 proved it; the ProofTree is decoded from them once, at the end.  Under
 deepening each goal is expanded once: its committed instance list and its
-loop-check key are kept across the iterations.
+loop-check key are kept across the iterations.  A failure the loop check
+caused is kept while the ancestor that cut it is searched; one that hit
+the depth bound, only within its iteration.
 """
 
 from __future__ import annotations
@@ -54,12 +56,14 @@ SUBMULTISET_CAP = 10
 
 # Flags of a failed search below a goal.  A failure is bounded when one of
 # the limits cut it; the bits name the limits, so Unknown can say which.
-_PRUNED = 1
-_DEPTH = 2
-_SPLIT_CAP = 4
-_ANTECEDENT_CAP = 8
-_NODE_CAP = 16
+# The bits from _CUT on are the depths of the goals above whose loop check
+# cut the failure: it holds only while the deepest of them is searched.
+_DEPTH = 1
+_SPLIT_CAP = 2
+_ANTECEDENT_CAP = 4
+_NODE_CAP = 8
 _BOUNDED = _DEPTH | _SPLIT_CAP | _ANTECEDENT_CAP | _NODE_CAP
+_CUT = 4
 
 _LIMIT_NAMES = ((_DEPTH, "depth-exhausted"),
                 (_SPLIT_CAP, "submultiset-cap"),
@@ -171,14 +175,15 @@ class _Search:
         self.table = table
         self.rules = rules_of(cal)
         self.multiset = "e" in cal.sigma
-        self.collapse_dups = "c" in cal.sigma
         # invertibility relies on cut admissibility, which FL_{c} alone lacks
         self.commit = cal.sigma != frozenset({"c"})
         self.cut_formulas = cut_formulas  # None: cut-free
         self.max_antecedent = max_antecedent
-        # by_height: no loop check; "provable within height b" is a pure
-        # function of (goal, b), so failures memoize soundly by budget
-        self.by_height = by_height
+        # no loop check when searching by height ("provable within height
+        # b" is a pure function of (goal, b), so failures memoize soundly by
+        # budget) or without c (every backward step shrinks the goal, and no
+        # goal can repeat an ancestor)
+        self.loop_check = "c" in cal.sigma and not by_height
         # exact canonical matching: the duplicate-collapsed key is only for
         # the ancestor loop check, never for hypothesis closure; of two
         # hypotheses with one canonical form, the first in sorted order wins
@@ -188,11 +193,16 @@ class _Search:
         self.success = {}
         self.abs_fail = set()
         self.bounded_fail = {}   # goal -> (budget, limit flags)
+        # failures the loop check cut: goal -> (budget, flags); frames lists,
+        # for each goal being searched, by depth, the failures that hold
+        # only while it is searched
+        self.cut_failed = {}
+        self.frames = []
         # Under deepening a goal is met again on every iteration, so its
         # expansion is kept: goal -> (loop-check key, committed instances,
         # limit flags).  A single pass meets most goals once; there the
         # memo only costs memory and collector work.
-        self.expansions = {} if by_height or self.collapse_dups else None
+        self.expansions = {} if by_height or self.loop_check else None
         self.nodes = 0
         self.node_cap = None  # deterministic effort cap; None = unlimited
 
@@ -203,10 +213,8 @@ class _Search:
 
     def _loop_key(self, s):
         """(key, run lengths) of a canonical goal for the ancestor loop
-        check.  With c the key collapses each run of three or more equal
-        formulas to two, and the run lengths keep the true counts."""
-        if not self.collapse_dups:
-            return s, ()
+        check.  The key collapses each run of three or more equal formulas
+        to two, and the run lengths keep the true counts."""
         key, runs = [], []
         for f, run in itertools.groupby(s[0]):
             n = len(list(run))
@@ -356,24 +364,24 @@ class _Search:
 
     def solve(self, goal, ancestors, budget):
         """goal must be canonical; ancestors maps the loop-check keys of
-        the goals above to their run lengths (unused when searching by
-        height).  Returns (proof record of goal or None, flags), flags a
-        bitmask of _PRUNED and the limit bits over the subtree."""
+        the goals above to their (run lengths, depth) (unused without
+        the loop check).  Returns (proof record of goal or None,
+        flags), flags the limit and cut bits over the subtree."""
         if self.node_cap is not None:
             self.nodes += 1
             if self.nodes > self.node_cap:
                 return None, _NODE_CAP
         expansion = (self.expansions.get(goal)
                      if self.expansions is not None else None)
-        if not self.by_height:
+        if self.loop_check:
             key, runs = (expansion[0] if expansion is not None
                          else self._loop_key(goal))
             # a goal repeats an ancestor when it has at least as many
             # copies in every run; one with fewer copies may still be
             # provable (weakening removed some) and is not cut
-            for prior in ancestors.get(key, ()):
+            for prior, depth in ancestors.get(key, ()):
                 if all(n >= m for n, m in zip(runs, prior)):
-                    return None, _PRUNED
+                    return None, 1 << depth + _CUT
         memo = self.success.get(goal)
         if memo is not None:
             return memo, 0
@@ -382,6 +390,9 @@ class _Search:
         bounded = self.bounded_fail.get(goal)
         if bounded is not None and budget <= bounded[0]:
             return None, bounded[1]
+        cut_failed = self.cut_failed.get(goal)
+        if cut_failed is not None and budget <= cut_failed[0]:
+            return None, cut_failed[1]
 
         leaf = self._leaf(goal)
         if leaf is not None:
@@ -399,14 +410,17 @@ class _Search:
                         instances = [rec]
                         flags = 0
                         break
-            expansion = (None if self.by_height else (key, runs),
+            expansion = ((key, runs) if self.loop_check else None,
                          instances, flags)
             if self.expansions is not None:
                 self.expansions[goal] = expansion
         _, instances, flags = expansion
-        if not self.by_height:
+        if self.loop_check:
+            frames = self.frames
+            depth = len(frames)
+            frames.append([])
             above = ancestors.setdefault(key, [])
-            above.append(runs)
+            above.append((runs, depth))
         record = None
         for rule, data, concl, prems in instances:
             subs = []
@@ -420,14 +434,21 @@ class _Search:
                 record = (rule, data, concl, goal[0], tuple(subs))
                 self.success[goal] = record
                 break
-        if not self.by_height:
+        if self.loop_check:
             above.pop()
+            for g in frames.pop():
+                self.cut_failed.pop(g, None)
+            flags &= ~(1 << depth + _CUT)
         if record is not None:
             return record, 0
+        cut = flags >> _CUT
         if flags == 0:
             # exhausted without ever hitting the budget: absolute failure
             self.abs_fail.add(goal)
-        elif not flags & _PRUNED:
+        elif cut:
+            self.cut_failed[goal] = (budget, flags)
+            frames[cut.bit_length() - 1].append(goal)
+        else:
             prev = self.bounded_fail.get(goal)
             if prev is None or budget > prev[0]:
                 self.bounded_fail[goal] = (budget, flags)
@@ -489,8 +510,6 @@ def _members(s):
         s ^= low
 
 
-# connectives whose left rule keeps its principal formula in the set search
-_KEEPS_PRINCIPAL = frozenset({"rimp", "limp", "rneg", "lneg"})
 _LEFT_IMPLICATION = {"rimp": RuleId.RIMP_L, "limp": RuleId.LIMP_L}
 _LEFT_NEGATION = {"rneg": RuleId.RNEG_L, "lneg": RuleId.LNEG_L}
 _RIGHT_UNARY = {"rimp": RuleId.RIMP_R, "limp": RuleId.LIMP_R,
@@ -511,10 +530,9 @@ class _SetSearch:
     use.  The invertible rules are applied first and alone; cut
     admissibility makes them invertible, and with e, wl and c fusion is
     meet, so fus-r is invertible too.  A left rule that keeps its
-    principal formula can lead back to its own goal, so when the table has
-    one, a goal equal to one of its ancestors fails (a shortest proof never
-    repeats a sequent on a branch).  Without them every backward step
-    shrinks the goal.
+    principal formula can lead back to its own goal, so a goal equal to
+    one of its ancestors fails (a shortest proof never repeats a sequent
+    on a branch).
 
     `proofs` maps each proved set sequent to its step (rule, principal
     formula or succedent, premises); for the meet rule the rule is AND_L1.
@@ -530,8 +548,7 @@ class _SetSearch:
         self.failed = set()
         # the repetition check: the goals being searched, by depth; a frame
         # lists the failures that hold only while it is searched
-        checked = bool(_KEEPS_PRINCIPAL.intersection(table.op))
-        self.frames = [] if checked else None
+        self.frames = []
         self.depth = {}
         self.cut_failed = {}
         self.used = {}
@@ -548,21 +565,19 @@ class _SetSearch:
             return True, 0
         if goal in self.failed:
             return False, 0
-        frames = self.frames
-        if frames is not None:
-            depth = self.depth.get(goal)
-            if depth is not None:
-                return False, 1 << depth
-            cut = self.cut_failed.get(goal)
-            if cut is not None:
-                return False, cut
+        depth = self.depth.get(goal)
+        if depth is not None:
+            return False, 1 << depth
+        cut = self.cut_failed.get(goal)
+        if cut is not None:
+            return False, cut
         leaf = self._leaf(goal)
         if leaf is not None:
             self.proofs[goal] = leaf
             return True, 0
-        if frames is not None:
-            depth = self.depth[goal] = len(frames)
-            frames.append([])
+        frames = self.frames
+        depth = self.depth[goal] = len(frames)
+        frames.append([])
         cut = 0
         for step in self._steps(goal):
             for premise in step[2]:
@@ -573,11 +588,10 @@ class _SetSearch:
             else:
                 self.proofs[goal] = step
                 break
-        if frames is not None:
-            for g in frames.pop():
-                del self.cut_failed[g]
-            del self.depth[goal]
-            cut &= ~(1 << depth)
+        for g in frames.pop():
+            del self.cut_failed[g]
+        del self.depth[goal]
+        cut &= ~(1 << depth)
         if goal in self.proofs:
             return True, 0
         if cut:
@@ -838,6 +852,10 @@ def _deepening(search: _Search, start, bound):
         return search.solve(start, {}, bound)
     flags = 0
     for budget in range(1, bound + 1):
+        # a goal that hit the budget under some ancestors may close under
+        # others, whose loop check cuts what hit it; kept across iterations
+        # such failures would keep every later iteration from closing
+        search.bounded_fail.clear()
         record, flags = search.solve(start, {}, budget)
         if record is not None:
             return record, 0

@@ -247,3 +247,13 @@ def test_weakened_copies_are_not_cut_by_the_loop_check(sigma):
     res = P("q * (1 \\/ q) * (q * q \\/ (r \\/ r)) => q", cal)
     assert isinstance(res, Proved)
     assert check_proof(res.tree, cal)
+
+
+def test_deepening_closes_when_one_iteration_does():
+    # a failure that hit the depth bound under one set of ancestors is cut
+    # by the loop check under another; kept across iterations, such
+    # failures kept every deepening iteration from closing on this goal
+    goal = ("(1 \\/ q \\/ (p \\/ 0)) * (1 * 1 * (1 \\/ 0)), "
+            "(1 \\/ 1) * (0 * 1) * q => (p \\/ q) * (0 \\/ r) \\/ p * r * 0")
+    res = P(goal, calculus("wl,c"), bound=24)
+    assert isinstance(res, Refuted) and res.caveat is not None
