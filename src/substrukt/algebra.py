@@ -257,7 +257,21 @@ def compile_terms(terms, names) -> Program:
 _BLOCK = 1024
 
 
-def run_program(a: FiniteAlgebra, program: Program):
+def assignment_columns(program: Program, n):
+    """The columns that run_program gives the trailing variables, those it
+    runs through all their values within a block, on a carrier of n
+    elements: one tuple per variable, in itertools.product order.
+
+    They depend only on the program's variables and n, so a scan over many
+    algebras of one size builds them once and passes them to each run.
+    """
+    inner = len(program.names)
+    while inner and n ** inner > _BLOCK:
+        inner -= 1
+    return tuple(zip(*itertools.product(range(n), repeat=inner)))
+
+
+def run_program(a: FiniteAlgebra, program: Program, trailing=None):
     """Evaluate the program under every assignment of elements of a to its
     variables, in itertools.product order (the first variable varies
     slowest), column-wise: one list per slot, filled by one comprehension
@@ -267,15 +281,14 @@ def run_program(a: FiniteAlgebra, program: Program):
     columns[i] lists the values of the i-th compiled term at assignments
     start, start + 1, ...  A block fixes the leading variables and runs the
     trailing ones through all their values, so a caller that stops at the
-    first block it needs evaluates no later one.
+    first block it needs evaluates no later one.  `trailing` is
+    assignment_columns(program, a.n); it is built here when not given.
     """
     n = a.n
-    inner = len(program.names)
-    while inner and n ** inner > _BLOCK:
-        inner -= 1
+    if trailing is None:
+        trailing = assignment_columns(program, n)
+    inner = len(trailing)
     size = n ** inner
-    trailing = [list(column) for column
-                in zip(*itertools.product(range(n), repeat=inner))]
     code = []
     for op, *args in program.steps:
         if op in ("zero", "one"):
@@ -286,7 +299,8 @@ def run_program(a: FiniteAlgebra, program: Program):
             code.append((len(args), a.ops[op], args[0], args[-1]))
     start = 0
     for lead in itertools.product(range(n), repeat=len(program.names) - inner):
-        cols = [[v] * size for v in lead] + trailing
+        cols = [[v] * size for v in lead]
+        cols += map(list, trailing)  # lists for the caller; shared tuples kept
         for arity, table, x, y in code:
             if arity == 2:
                 cols.append([table[i][j] for i, j in zip(cols[x], cols[y])])
@@ -308,11 +322,11 @@ def compile_equations(equations) -> Program:
                          sorted(names))
 
 
-def failing_indices(a: FiniteAlgebra, program: Program):
+def failing_indices(a: FiniteAlgebra, program: Program, trailing=None):
     """For a program from compile_equations: the indices, in product order,
     of the assignments under which every equation but the last holds and
-    the last fails."""
-    for start, cols in run_program(a, program):
+    the last fails.  `trailing` is passed on to run_program."""
+    for start, cols in run_program(a, program, trailing):
         lhs, rhs = cols[-2], cols[-1]
         if lhs == rhs:
             continue
@@ -664,7 +678,13 @@ def semilattice_orders(n):
 
 def monoid_tables(leq, unit, n, distributive=True, value_order=None):
     """DFS over monotone associative unit tables, optionally distributive
-    over the join induced by leq."""
+    over the join induced by leq.
+
+    Filling cell (i, j) checks only the constraints that read it: every
+    constraint whose cells were all filled before was checked when its
+    last cell was.  So a step costs O(n^2), not O(n^3), and the tables
+    come out exactly as from a check of every constraint after each step.
+    """
     jt = _join_table_from_leq(leq, n)
     table = [[None] * n for _ in range(n)]
     for k in range(n):
@@ -673,41 +693,67 @@ def monoid_tables(leq, unit, n, distributive=True, value_order=None):
     cells = [(i, j) for i in range(n) for j in range(n)
              if i != unit and j != unit]
     order = value_order if value_order is not None else list(range(n))
+    ups = [[k for k in range(n) if leq[i][k]] for i in range(n)]
+    downs = [[k for k in range(n) if leq[k][i]] for i in range(n)]
+    pairs = [(x, y, jt[x][y]) for x in range(n) for y in range(n)]
 
-    def consistent(i, j):
-        v = table[i][j]
-        for i2 in range(n):
-            for j2 in range(n):
-                w = table[i2][j2]
-                if w is None:
-                    continue
-                if leq[i][i2] and leq[j][j2] and not leq[v][w]:
+    def consistent(i, j, v):
+        leq_v = leq[v]
+        # monotone: (i, j) against the filled cells above and below it
+        for i2 in ups[i]:
+            row = table[i2]
+            for j2 in ups[j]:
+                w = row[j2]
+                if w is not None and not leq_v[w]:
                     return False
-                if leq[i2][i] and leq[j2][j] and not leq[w][v]:
+        for i2 in downs[i]:
+            row = table[i2]
+            for j2 in downs[j]:
+                w = row[j2]
+                if w is not None and not leq[w][v]:
+                    return False
+        # associative: (xy)z = x(yz) where (i, j) is xy, yz, (xy)z or x(yz)
+        row_i, row_v = table[i], table[v]
+        for z in range(n):  # x, y = i, j
+            yz = table[j][z]
+            if yz is not None:
+                left, right = row_v[z], row_i[yz]
+                if left is not None and right is not None and left != right:
+                    return False
+        for x in range(n):  # y, z = i, j
+            row_x = table[x]
+            xy = row_x[i]
+            if xy is not None:
+                left, right = table[xy][j], row_x[v]
+                if left is not None and right is not None and left != right:
                     return False
         for x in range(n):
+            row_x = table[x]
             for y in range(n):
-                xy = table[x][y]
-                for z in range(n):
-                    yz = table[y][z]
-                    if xy is not None and table[xy][z] is not None \
-                            and yz is not None and table[x][yz] is not None:
-                        if table[xy][z] != table[x][yz]:
+                xy = row_x[y]
+                if xy == i:  # (xy)j = v against x(yj)
+                    yj = table[y][j]
+                    if yj is not None:
+                        right = row_x[yj]
+                        if right is not None and right != v:
+                            return False
+                if xy == j:  # i(xy) = v against (ix)y
+                    ix = row_i[x]
+                    if ix is not None:
+                        left = table[ix][y]
+                        if left is not None and left != v:
                             return False
         if distributive:
-            for x in range(n):
-                for y in range(n):
-                    for z in range(n):
-                        xz, yz = table[x][z], table[y][z]
-                        j1 = table[jt[x][y]][z]
-                        if xz is not None and yz is not None and j1 is not None:
-                            if j1 != jt[xz][yz]:
-                                return False
-                        zx, zy = table[z][x], table[z][y]
-                        j2 = table[z][jt[x][y]]
-                        if zx is not None and zy is not None and j2 is not None:
-                            if j2 != jt[zx][zy]:
-                                return False
+            # (x v y)j = xj v yj and i(x v y) = ix v iy
+            for x, y, xy in pairs:
+                xz, yz, j1 = table[x][j], table[y][j], table[xy][j]
+                if xz is not None and yz is not None and j1 is not None:
+                    if j1 != jt[xz][yz]:
+                        return False
+                zx, zy, j2 = row_i[x], row_i[y], row_i[xy]
+                if zx is not None and zy is not None and j2 is not None:
+                    if j2 != jt[zx][zy]:
+                        return False
         return True
 
     def fill(k):
@@ -717,42 +763,67 @@ def monoid_tables(leq, unit, n, distributive=True, value_order=None):
         i, j = cells[k]
         for v in order:
             table[i][j] = v
-            if consistent(i, j):
+            if consistent(i, j, v):
                 yield from fill(k + 1)
         table[i][j] = None
 
     yield from fill(0)
 
 
-def _relabel_binary(table, perm, inv, n):
-    return tuple(tuple(perm[table[inv[i]][inv[j]]] for j in range(n))
-                 for i in range(n))
-
-
-def _relabel_unary(table, perm, inv, n):
-    return tuple(perm[table[inv[i]]] for i in range(n))
+def _relabeled_rows(tables, perm, inv):
+    """The relabeled tables row by row: a unary table is one row."""
+    for unary, t in tables:
+        if unary:
+            yield tuple([perm[t[x]] for x in inv])
+        else:
+            for x in inv:
+                row = t[x]
+                yield tuple([perm[row[y]] for y in inv])
 
 
 def canonical_key(a: FiniteAlgebra):
-    """Lexicographically minimal relabeling over all carrier permutations."""
+    """The lexicographically least relabeling of the algebra over all
+    carrier permutations.
+
+    The encoding starts with (perm[zero], perm[one]), so the least one
+    sends zero to 0 and, when one differs from zero, one to 1: only the
+    permutations that do so are tried, and the other elements are permuted
+    freely.  The tables are compared row by row, and a relabeling is
+    dropped at its first row above the least so far.  The key is the same
+    as from encoding all n! relabelings and taking the least.
+    """
     n = a.n
     names = sorted(a.ops)
-    best = None
-    for perm in itertools.permutations(range(n)):
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        encoded = [perm[a.zero], perm[a.one]]
-        for op in names:
-            t = a.ops[op]
-            if op in UNARY_OPS:
-                encoded.append(_relabel_unary(t, perm, inv, n))
-            else:
-                encoded.append(_relabel_binary(t, perm, inv, n))
-        encoded = tuple(encoded)
-        if best is None or encoded < best:
-            best = encoded
-    return (n, tuple(names), best)
+    tables = [(op in UNARY_OPS, a.ops[op]) for op in names]
+    fixed = [a.zero] if a.zero == a.one else [a.zero, a.one]
+    free = [x for x in range(n) if x not in fixed]
+    perm = [0] * n
+    best = None  # the rows of the least relabeling so far
+    for tail in itertools.permutations(free):
+        inv = fixed + list(tail)  # inv[label] is the element given label
+        for label, x in enumerate(inv):
+            perm[x] = label
+        rows = []
+        tied = best is not None  # equal to best in every row so far
+        for row in _relabeled_rows(tables, perm, inv):
+            if tied and row != best[len(rows)]:
+                if row > best[len(rows)]:
+                    break
+                tied = False
+            rows.append(row)
+        else:
+            if not tied:
+                best = rows
+    encoded = [0, len(fixed) - 1]  # perm[zero], perm[one]
+    k = 0
+    for unary, _ in tables:
+        if unary:
+            encoded.append(best[k])
+            k += 1
+        else:
+            encoded.append(tuple(best[k:k + n]))
+            k += n
+    return (n, tuple(names), tuple(encoded))
 
 
 def _default_names(n):
@@ -776,19 +847,18 @@ def _extend_for_family(base: FiniteAlgebra, family):
     """Derive the family's extra operations, or None when they don't exist."""
     ops = dict(base.ops)
     need = FAMILY_OPS[family]
-    work = FiniteAlgebra(base.name, base.elements, ops, base.zero, base.one)
     if "meet" in need:
-        mt = _meet_table(work)
+        mt = _meet_table(base)
         if mt is None:
             return None
         ops["meet"] = mt
     try:
         if "rimp" in need:
-            with_res = derive_residuals(work)
+            with_res = derive_residuals(base)
             ops["rimp"] = with_res.ops["rimp"]
             ops["limp"] = with_res.ops["limp"]
         if "rneg" in need:
-            with_pc = derive_pseudocomplements(work)
+            with_pc = derive_pseudocomplements(base)
             ops["rneg"] = with_pc.ops["rneg"]
             ops["lneg"] = with_pc.ops["lneg"]
     except NoMaximum:
@@ -801,7 +871,14 @@ MAX_ENUMERATION_SIZE = 5
 
 def enumerate_algebras(v: VarietyId, size: int):
     """All members of the variety on a carrier of exactly `size` elements,
-    up to isomorphism (canonical-form pruning).  size <= 5."""
+    up to isomorphism (canonical-form pruning).  size <= 5.
+
+    Duplicates are dropped on the join/fusion base, before the family's
+    operations are derived: those operations and membership are invariant
+    under isomorphism, so the first base of each class decides the class,
+    and the same members come out in the same order as from a check of
+    the extended algebras.
+    """
     if size > MAX_ENUMERATION_SIZE:
         raise SizeTooLarge("enumeration is capped at carrier size "
                            f"{MAX_ENUMERATION_SIZE}")
@@ -817,15 +894,13 @@ def enumerate_algebras(v: VarietyId, size: int):
                 for zero in range(size):
                     base = FiniteAlgebra(f"enum{count}", names,
                                          {"join": jt, "fus": ft}, zero, unit)
-                    full = _extend_for_family(base, v.family)
-                    if full is None:
-                        continue
-                    if not in_variety(full):
-                        continue
-                    key = canonical_key(full)
+                    key = canonical_key(base)
                     if key in seen:
                         continue
                     seen.add(key)
+                    full = _extend_for_family(base, v.family)
+                    if full is None or not in_variety(full):
+                        continue
                     count += 1
                     yield full
 

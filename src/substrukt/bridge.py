@@ -23,8 +23,9 @@ from typing import Optional
 
 from .sequents import Sequent, tau_equation
 from .algebra import (FiniteAlgebra, VarietyId, assignment_at,
-                      compile_equations, enumerate_algebras, failing_indices,
-                      holds, language_of_family, membership_test)
+                      assignment_columns, compile_equations,
+                      enumerate_algebras, failing_indices, holds,
+                      language_of_family, membership_test)
 
 
 @dataclass(frozen=True)
@@ -433,13 +434,15 @@ class NotFound:
 def _first_countermodel(equations, v: VarietyId, max_size: int):
     """The first (algebra, assignment), in enumeration and product order,
     under which every equation but the last holds and the last fails, or
-    None.  The equations are compiled once and run on each enumerated
-    member; the one assignment returned is re-checked with `holds`."""
+    None.  The equations are compiled once, their assignment columns are
+    built once per size, and the program is run on each enumerated member;
+    the one assignment returned is re-checked with `holds`."""
     program = compile_equations(equations)
     *premises, goal = equations
     for size in range(1, max_size + 1):
+        trailing = assignment_columns(program, size)
         for a in _enumerated(v, size):
-            for index in failing_indices(a, program):
+            for index in failing_indices(a, program, trailing):
                 assignment = assignment_at(a, program, index)
                 if holds(a, goal, assignment) or \
                         not all(holds(a, p, assignment) for p in premises):

@@ -280,41 +280,6 @@ def ideal_completion(a: FiniteAlgebra):
     return completion, embedding
 
 
-# -- Explicit element-level characterizations, used as independent checks ---
-
-def ideal_join_pointwise(a, i1, i2):
-    """{c : c <= x v y for some x in I1, y in I2}."""
-    jt = a.ops["join"]
-    out = 0
-    for x in bits(i1):
-        for y in bits(i2):
-            out |= principal_ideal(a, jt[x][y])
-    return out
-
-
-def ideal_fuse_pointwise(a, i1, i2):
-    """{c : c <= x * y for some x in I1, y in I2}."""
-    ft = a.ops["fus"]
-    out = 0
-    for x in bits(i1):
-        for y in bits(i2):
-            out |= principal_ideal(a, ft[x][y])
-    return out
-
-
-def ideal_residual_right(a, i1, i2):
-    """{z : x * z in I2 for every x in I1}."""
-    ft = a.ops["fus"]
-    return mask_of(z for z in range(a.n)
-                   if all(i2 >> ft[x][z] & 1 for x in bits(i1)))
-
-
-def ideal_residual_left(a, i1, i2):
-    ft = a.ops["fus"]
-    return mask_of(z for z in range(a.n)
-                   if all(i2 >> ft[z][x] & 1 for x in bits(i1)))
-
-
 @dataclass(frozen=True)
 class EmbeddingReport:
     ok: bool

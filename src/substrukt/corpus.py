@@ -13,7 +13,7 @@ from .syntax import (Bin, Const, Formula, Language, Neg, Var, FULL, ONE,
 from .sequents import Sequent
 from .calculus import (CalculusId, ProofTree, RuleId, derive_conclusion,
                        rules_of)
-from .algebra import FiniteAlgebra, monoid_tables
+from .algebra import FiniteAlgebra, _join_table_from_leq, monoid_tables
 
 ENV_SEED = "SUBSTRUKT_SEED"
 
@@ -192,23 +192,9 @@ def random_semilattice(rng: random.Random, n):
                     for j in range(n):
                         if leq[k][j]:
                             leq[i][j] = True
-        table = []
-        good = True
-        for i in range(n):
-            row = []
-            for j in range(n):
-                uppers = [k for k in range(n) if leq[i][k] and leq[j][k]]
-                lub = next((m for m in uppers
-                            if all(leq[m][u] for u in uppers)), None)
-                if lub is None:
-                    good = False
-                    break
-                row.append(lub)
-            if not good:
-                break
-            table.append(tuple(row))
-        if good:
-            return tuple(table), tuple(tuple(r) for r in leq)
+        table = _join_table_from_leq(leq, n)
+        if table is not None:
+            return table, tuple(tuple(r) for r in leq)
 
 
 def random_pomonoid(rng: random.Random, n, distributive=False,
