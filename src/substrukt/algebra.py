@@ -13,6 +13,7 @@ countermodel are checked against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -494,32 +495,52 @@ class VarietyReport:
         return self.ok
 
 
-def membership_test(v: VarietyId):
-    """The test a -> check_variety(a, v).ok for many algebras.
+@functools.lru_cache(maxsize=len(FAMILY_OPS) * 2 ** len(SIGMA_EQS))
+def variety_program(v: VarietyId) -> Program:
+    """All the variety's equations compiled into one program over the
+    union of their variables, so shared subterms are evaluated once.
 
-    All the variety's equations are compiled once into one program over
-    the union of their variables, so shared subterms are evaluated once
-    and an algebra costs one run; the run stops at the first block where
-    an equation fails.
+    Compiled once per VarietyId and kept in an lru_cache bounded by the
+    number of varieties (six families times 16 sigmas);
+    `variety_program.cache_clear()` empties it.
     """
-    needed = FAMILY_OPS[v.family]
-    program = compile_equations([eq for _, eq in variety_equations(v)])
+    return compile_equations([eq for _, eq in variety_equations(v)])
+
+
+def _satisfies_all(a: FiniteAlgebra, program: Program) -> bool:
+    """Whether every equation of a compile_equations program holds in a;
+    the run stops at the first block where one fails."""
     sides = range(0, len(program.outputs), 2)
+    for _, cols in run_program(a, program):
+        if any(cols[i] != cols[i + 1] for i in sides):
+            return False
+    return True
+
+
+def membership_test(v: VarietyId):
+    """The test a -> check_variety(a, v).ok for many algebras: an algebra
+    costs one run of the cached `variety_program(v)`."""
+    needed = FAMILY_OPS[v.family]
+    program = variety_program(v)
 
     def test(a: FiniteAlgebra) -> bool:
-        if not needed.issubset(a.ops):
-            return False
-        for _, cols in run_program(a, program):
-            if any(cols[i] != cols[i + 1] for i in sides):
-                return False
-        return True
+        return needed.issubset(a.ops) and _satisfies_all(a, program)
     return test
 
 
 def check_variety(a: FiniteAlgebra, v: VarietyId) -> VarietyReport:
+    """Membership of a in v, with the missing operations or, per failed
+    equation in basis order, up to 50 failing assignments in product order.
+
+    A member is recognised by one run of the cached `variety_program(v)`;
+    only an algebra that fails it has each equation compiled and run on
+    its own to collect the witnesses.
+    """
     missing = tuple(sorted(FAMILY_OPS[v.family] - frozenset(a.ops)))
     if missing:
         return VarietyReport(False, v, missing_ops=missing)
+    if _satisfies_all(a, variety_program(v)):
+        return VarietyReport(True, v)
     violations = []
     for name, eq in variety_equations(v):
         witnesses = equation_witnesses(a, eq)

@@ -9,9 +9,12 @@ pair (x0*...*xk, delta) is in a slice; closure under the sequent rules then
 reduces to element-quantified conditions.  `_filter_rules` compiles them
 once per algebra into Horn clauses with at most two premises over the n*n+n
 slice members, held as int bitmasks, and `_close` closes a set under them
-with a semi-naive worklist.  `is_filter`, `filter_closure` and
-`all_filters` all use these clauses; `filter_closed_expanded` is the
-independent oracle that re-checks closure by honest tuple expansion.
+with a semi-naive worklist.  A rule applied inside a context u, v for every
+succedent delta is compiled from the distinct tuples of element values it
+relates over all contexts, so contexts with equal values add no clause
+twice.  `is_filter`, `filter_closure` and `all_filters` all use these
+clauses; `filter_closed_expanded` is the independent oracle that re-checks
+closure by honest tuple expansion.
 """
 
 from __future__ import annotations
@@ -64,12 +67,15 @@ def _filter_rules(a: FiniteAlgebra, sigma, lang):
     (facts, unary, binary): unary[i] holds the conclusions of the clauses
     with the single premise i, and binary[i] pairs (1 << j, conclusions) for
     the clauses with premises i and j, stored under both premises.
+
+    The rules that act inside a context u, v for every succedent delta
+    are first collected as the distinct tuples of element values they
+    relate over all contexts; only those are lifted over delta to atoms.
     """
     n = a.n
     ft, jt = a.ops["fus"], a.ops["join"]
     # at[p][d]: the atom of (p, delta), delta = d for d < n, None for d = n
     at = [[p * n + d for d in range(n)] + [n * n + p] for p in range(n)]
-    ds = range(n + 1)
     unary = [0] * (n * n + n)
     pairs = {}  # (i, k) with i < k -> conclusions
 
@@ -83,10 +89,17 @@ def _filter_rules(a: FiniteAlgebra, sigma, lang):
             key = (i, k) if i < k else (k, i)
             pairs[key] = pairs.get(key, 0) | 1 << j
 
-    # products u*x*v of a formula x in a context u, v
-    ctx = [[[ft[ft[u][x]][v] for v in range(n)] for u in range(n)]
-           for x in range(n)]
-    ctx_pairs = [(u, v) for u in range(n) for v in range(n)]
+    def in_context(lefts):  # w * v for each w in lefts and every v
+        return [wv for w in lefts for wv in ft[w]]
+
+    # ctx[x]: u*x*v over the contexts (u, v); ctx2[x][y]: u*x*y*v
+    ctx = [in_context([ft[u][x] for u in range(n)]) for x in range(n)]
+    ctx2 = [[in_context([ft[ft[u][x]][y] for u in range(n)])
+             for y in range(n)] for x in range(n)]
+    # Value tuples of the rules applied in context, for every delta:
+    lifted = set()  # (p, q): the clause (p, delta) -> (q, delta)
+    joins = set()  # (p, q, r): (p, delta), (q, delta) -> (r, delta)
+    guarded = {}  # atom c -> {(p, q)}: c, (p, delta) -> (q, delta)
 
     # axioms
     facts = 1 << at[a.one][a.one] | 1 << at[a.zero][n]
@@ -95,12 +108,9 @@ def _filter_rules(a: FiniteAlgebra, sigma, lang):
 
     for x in range(n):
         for y in range(n):
-            for u, v in ctx_pairs:
-                old, other = ctx[x][u][v], ctx[y][u][v]
-                joined = ctx[jt[x][y]][u][v]
-                for d in ds:
-                    two(at[old][d], at[other][d], at[joined][d])  # or-l
-                    two(at[y][x], at[old][d], at[other][d])  # cut
+            joins.update(zip(ctx[x], ctx[y], ctx[jt[x][y]]))  # or-l
+            guarded.setdefault(at[y][x], set()).update(
+                zip(ctx[x], ctx[y]))  # cut
             for z in range(n):
                 one(at[x][y], at[x][jt[y][z]])  # or-r
                 one(at[x][y], at[x][jt[z][y]])
@@ -110,11 +120,10 @@ def _filter_rules(a: FiniteAlgebra, sigma, lang):
     if "meet" in lang:
         mt = a.ops["meet"]
         for x in range(n):
+            for m in {mt[x][y] for y in range(n)} | \
+                    {mt[y][x] for y in range(n)}:
+                lifted.update(zip(ctx[x], ctx[m]))  # and-l
             for y in range(n):
-                for u, v in ctx_pairs:
-                    for d in ds:  # and-l
-                        one(at[ctx[x][u][v]][d], at[ctx[mt[x][y]][u][v]][d])
-                        one(at[ctx[x][u][v]][d], at[ctx[mt[y][x]][u][v]][d])
                 for z in range(n):
                     two(at[x][y], at[x][z], at[x][mt[y][z]])  # and-r
 
@@ -122,16 +131,12 @@ def _filter_rules(a: FiniteAlgebra, sigma, lang):
         rt, lt = a.ops["rimp"], a.ops["limp"]
         for g in range(n):
             for x in range(n):
+                premises = guarded.setdefault(at[g][x], set())
                 for y in range(n):
                     one(at[ft[x][g]][y], at[g][rt[x][y]])  # rimp-r
                     one(at[ft[g][x]][y], at[g][lt[x][y]])  # limp-r
-                    for u, v in ctx_pairs:
-                        lhs_r = ft[ft[ft[u][g]][rt[x][y]]][v]
-                        lhs_l = ft[ft[ft[u][lt[x][y]]][g]][v]
-                        for d in ds:
-                            premise = at[ctx[y][u][v]][d]  # rimp-l, limp-l
-                            two(at[g][x], premise, at[lhs_r][d])
-                            two(at[g][x], premise, at[lhs_l][d])
+                    premises.update(zip(ctx[y], ctx2[g][rt[x][y]]))  # rimp-l
+                    premises.update(zip(ctx[y], ctx2[lt[x][y]][g]))  # limp-l
 
     if "rneg" in lang:
         rn, ln = a.ops["rneg"], a.ops["lneg"]
@@ -148,18 +153,26 @@ def _filter_rules(a: FiniteAlgebra, sigma, lang):
         if "wr" in sigma:
             for x in range(n):
                 one(at[g][n], at[g][x])
-    for u, v in ctx_pairs:
-        for x in range(n):
-            ux = ft[u][x]
-            for d in ds:
-                if "wl" in sigma:
-                    one(at[ft[u][v]][d], at[ft[ux][v]][d])
-                if "c" in sigma:
-                    one(at[ft[ft[ux][x]][v]][d], at[ft[ux][v]][d])
-                if "e" in sigma:
-                    for y in range(n):
-                        one(at[ft[ft[ux][y]][v]][d],
-                            at[ft[ft[ft[u][y]][x]][v]][d])
+    empty = in_context(range(n))  # u*v
+    for x in range(n):
+        if "wl" in sigma:
+            lifted.update(zip(empty, ctx[x]))
+        if "c" in sigma:
+            lifted.update(zip(ctx2[x][x], ctx[x]))
+        if "e" in sigma:
+            for y in range(n):
+                lifted.update(zip(ctx2[x][y], ctx2[y][x]))
+
+    for p, q in lifted:
+        for i, j in zip(at[p], at[q]):
+            one(i, j)
+    for p, q, r in joins:
+        for i, k, j in zip(at[p], at[q], at[r]):
+            two(i, k, j)
+    for c, group in guarded.items():
+        for p, q in group:
+            for i, j in zip(at[p], at[q]):
+                two(c, i, j)
     binary = [[] for _ in unary]
     for (i, k), conclusions in pairs.items():
         binary[i].append((1 << k, conclusions))

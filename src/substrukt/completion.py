@@ -172,23 +172,26 @@ def ideal_closure(a: FiniteAlgebra) -> ClosureOperatorSpec:
     return ClosureOperatorSpec.from_function(a.n, close)
 
 
-def _set_product_fn(m: FiniteAlgebra):
+def _set_product_table(m: FiniteAlgebra):
+    """table[X][Y] = X * Y = {x * y : x in X, y in Y} for every pair of
+    subsets of the carrier, as bitmasks.  The row of {x} is built from
+    the fusion table; the row of any other nonempty X is the row of X
+    without its lowest bit OR'd with the row of that bit."""
     ft = m.ops["fus"]
     size = 1 << m.n
-    rows = [[0] * size for _ in range(m.n)]
-    for x in range(m.n):
-        for mask in range(size):
-            acc = 0
-            for y in bits(mask):
-                acc |= 1 << ft[x][y]
-            rows[x][mask] = acc
-
-    def product(xmask, ymask):
-        acc = 0
-        for x in bits(xmask):
-            acc |= rows[x][ymask]
-        return acc
-    return product
+    table = [[0] * size]
+    for xmask in range(1, size):
+        low = xmask & -xmask
+        if xmask == low:
+            products = [1 << xy for xy in ft[low.bit_length() - 1]]
+            row = [0]
+            for ymask in range(1, size):
+                ylow = ymask & -ymask
+                row.append(row[ymask ^ ylow] | products[ylow.bit_length() - 1])
+        else:
+            row = [p | q for p, q in zip(table[xmask ^ low], table[low])]
+        table.append(row)
+    return table
 
 
 def nucleus_completion(m: FiniteAlgebra, c: ClosureOperatorSpec,
@@ -203,37 +206,30 @@ def nucleus_completion(m: FiniteAlgebra, c: ClosureOperatorSpec,
         d = c(1 << m.zero)
     if c(d) != d:
         raise AlgebraError("the designated zero set must be closed")
-    product = _set_product_fn(m)
+    product = _set_product_table(m)
+    close = c.table
     size = 1 << m.n
     # The construction applies C to products and unions of nonempty closed
     # sets only, so the nucleus law is required on nonempty operands; the
     # empty cases are trivial whenever the empty set is itself closed.
     for xmask in range(1, size):
+        closed_row, row = product[close[xmask]], product[xmask]
         for ymask in range(1, size):
-            if product(c(xmask), c(ymask)) & ~c(product(xmask, ymask)):
+            if closed_row[close[ymask]] & ~close[row[ymask]]:
                 raise NucleusLawViolated(
                     (mask_names(m, xmask), mask_names(m, ymask)))
 
     carrier = c.closed_sets()
     index = {mask: i for i, mask in enumerate(carrier)}
     names = tuple(mask_names(m, mask) for mask in carrier)
-    full = (1 << m.n) - 1
 
-    def residual_right(xmask, ymask):  # X \ Y
-        out = 0
-        ft = m.ops["fus"]
-        for z in range(m.n):
-            if all(ymask >> ft[x][z] & 1 for x in bits(xmask)):
-                out |= 1 << z
-        return out
+    def residual_right(xmask, ymask):  # X \ Y = {z : X * {z} <= Y}
+        row = product[xmask]
+        return mask_of(z for z in range(m.n) if not row[1 << z] & ~ymask)
 
-    def residual_left(xmask, ymask):  # Y / X
-        out = 0
-        ft = m.ops["fus"]
-        for z in range(m.n):
-            if all(ymask >> ft[z][x] & 1 for x in bits(xmask)):
-                out |= 1 << z
-        return out
+    def residual_left(xmask, ymask):  # Y / X = {z : {z} * X <= Y}
+        return mask_of(z for z in range(m.n)
+                       if not product[1 << z][xmask] & ~ymask)
 
     join_t, meet_t, fus_t, rimp_t, limp_t = [], [], [], [], []
     for x in carrier:
@@ -241,7 +237,7 @@ def nucleus_completion(m: FiniteAlgebra, c: ClosureOperatorSpec,
         for y in carrier:
             jr.append(index[c(x | y)])
             mr.append(index[x & y])
-            fr.append(index[c(product(x, y))])
+            fr.append(index[close[product[x][y]]])
             r = residual_right(x, y)
             l = residual_left(x, y)
             if r not in index or l not in index:

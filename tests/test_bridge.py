@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import random
 
@@ -6,9 +7,9 @@ import pytest
 
 from substrukt.syntax import Language
 from substrukt.sequents import parse_sequent
-from substrukt.algebra import (FAMILY_OPS, FiniteAlgebra, VarietyId,
-                               check_variety, enumerate_algebras,
-                               language_of_family)
+from substrukt.algebra import (BINARY_OPS, FAMILY_OPS, UNARY_OPS,
+                               FiniteAlgebra, VarietyId, check_variety,
+                               enumerate_algebras, language_of_family)
 from substrukt.bridge import (Congruence, CorrespondenceReport, FilterSlices,
                               Found, NoCountermodelUpTo, NotACongruence,
                               NotFound, SemRefuted, all_congruences,
@@ -17,6 +18,7 @@ from substrukt.bridge import (Congruence, CorrespondenceReport, FilterSlices,
                               filter_closure, filter_congruence_correspondence,
                               filter_member, is_filter, k_congruences,
                               leibniz_congruence, quotient_algebra)
+from substrukt.corpus import random_semilattice
 from substrukt import bridge, fixtures
 
 CORE = Language.preset("core")
@@ -305,3 +307,188 @@ def test_soundness_coupling_random_corpus():
         s = random_sequent(rng, depth=2, lang=CORE)
         if isinstance(prove(s, cal), Proved):
             assert isinstance(countermodel(s, VarietyId("Msl"), 3), NotFound)
+
+
+# -- the clause compilation against the per-context builder -----------------
+
+def filter_rules_oracle(a, sigma, lang):
+    """The clauses as `_filter_rules` built them before it collected
+    element values: one clause per context (u, v), delta and rule, with
+    every duplicate generated again."""
+    n = a.n
+    ft, jt = a.ops["fus"], a.ops["join"]
+    at = [[p * n + d for d in range(n)] + [n * n + p] for p in range(n)]
+    ds = range(n + 1)
+    unary = [0] * (n * n + n)
+    pairs = {}
+
+    def one(i, j):
+        unary[i] |= 1 << j
+
+    def two(i, k, j):
+        if i == k:
+            unary[i] |= 1 << j
+        else:
+            key = (i, k) if i < k else (k, i)
+            pairs[key] = pairs.get(key, 0) | 1 << j
+
+    ctx = [[[ft[ft[u][x]][v] for v in range(n)] for u in range(n)]
+           for x in range(n)]
+    ctx_pairs = [(u, v) for u in range(n) for v in range(n)]
+
+    facts = 1 << at[a.one][a.one] | 1 << at[a.zero][n]
+    for x in range(n):
+        facts |= 1 << at[x][x]
+
+    for x in range(n):
+        for y in range(n):
+            for u, v in ctx_pairs:
+                old, other = ctx[x][u][v], ctx[y][u][v]
+                joined = ctx[jt[x][y]][u][v]
+                for d in ds:
+                    two(at[old][d], at[other][d], at[joined][d])  # or-l
+                    two(at[y][x], at[old][d], at[other][d])  # cut
+            for z in range(n):
+                one(at[x][y], at[x][jt[y][z]])  # or-r
+                one(at[x][y], at[x][jt[z][y]])
+                for w in range(n):  # fus-r
+                    two(at[x][y], at[z][w], at[ft[x][z]][ft[y][w]])
+
+    if "meet" in lang:
+        mt = a.ops["meet"]
+        for x in range(n):
+            for y in range(n):
+                for u, v in ctx_pairs:
+                    for d in ds:  # and-l
+                        one(at[ctx[x][u][v]][d], at[ctx[mt[x][y]][u][v]][d])
+                        one(at[ctx[x][u][v]][d], at[ctx[mt[y][x]][u][v]][d])
+                for z in range(n):
+                    two(at[x][y], at[x][z], at[x][mt[y][z]])  # and-r
+
+    if "rimp" in lang:
+        rt, lt = a.ops["rimp"], a.ops["limp"]
+        for g in range(n):
+            for x in range(n):
+                for y in range(n):
+                    one(at[ft[x][g]][y], at[g][rt[x][y]])  # rimp-r
+                    one(at[ft[g][x]][y], at[g][lt[x][y]])  # limp-r
+                    for u, v in ctx_pairs:
+                        lhs_r = ft[ft[ft[u][g]][rt[x][y]]][v]
+                        lhs_l = ft[ft[ft[u][lt[x][y]]][g]][v]
+                        for d in ds:
+                            premise = at[ctx[y][u][v]][d]  # rimp-l, limp-l
+                            two(at[g][x], premise, at[lhs_r][d])
+                            two(at[g][x], premise, at[lhs_l][d])
+
+    if "rneg" in lang:
+        rn, ln = a.ops["rneg"], a.ops["lneg"]
+        for g in range(n):
+            for x in range(n):  # rneg-l, lneg-l, rneg-r, lneg-r
+                one(at[g][x], at[ft[g][rn[x]]][n])
+                one(at[g][x], at[ft[ln[x]][g]][n])
+                one(at[ft[x][g]][n], at[g][rn[x]])
+                one(at[ft[g][x]][n], at[g][ln[x]])
+
+    for g in range(n):
+        one(at[g][n], at[g][a.zero])
+        if "wr" in sigma:
+            for x in range(n):
+                one(at[g][n], at[g][x])
+    for u, v in ctx_pairs:
+        for x in range(n):
+            ux = ft[u][x]
+            for d in ds:
+                if "wl" in sigma:
+                    one(at[ft[u][v]][d], at[ft[ux][v]][d])
+                if "c" in sigma:
+                    one(at[ft[ft[ux][x]][v]][d], at[ft[ux][v]][d])
+                if "e" in sigma:
+                    for y in range(n):
+                        one(at[ft[ft[ux][y]][v]][d],
+                            at[ft[ft[ft[u][y]][x]][v]][d])
+    binary = [[] for _ in unary]
+    for (i, k), conclusions in pairs.items():
+        binary[i].append((1 << k, conclusions))
+        binary[k].append((1 << i, conclusions))
+    return facts, unary, binary
+
+
+FAMILIES = ("Msl", "Ml", "PMsl", "PMl", "FL")
+
+
+@functools.cache
+def _members_upto_3(family):
+    return tuple(a for size in (1, 2, 3)
+                 for a in enumerate_algebras(VarietyId(family), size))
+
+
+def _clause_set(rules):
+    facts, unary, binary = rules
+    return facts, list(unary), sorted((i, other, conclusions)
+                                      for i, row in enumerate(binary)
+                                      for other, conclusions in row)
+
+
+def test_filter_rules_match_the_per_context_oracle():
+    checked = 0
+    for family in FAMILIES:
+        lang = language_of_family(family)
+        for a in _members_upto_3(family):
+            for sigma in ALL_SIGMAS:
+                assert _clause_set(bridge._filter_rules(a, sigma, lang)) == \
+                    _clause_set(filter_rules_oracle(a, sigma, lang)), \
+                    (family, a.name, sorted(sigma))
+                checked += 1
+    assert checked > 1000
+
+
+# sha256 of the filters (in order) and the variety congruences of every
+# member of size <= 3 of every (family, sigma), as computed with the
+# per-context clause builder and the per-algebra compilation of the
+# variety's equations.
+FILTERS_DIGEST = \
+    "c5ae4eb466d9fa1bcab9533924826e64c90f388558f3e7530a82105b13daaf55"
+
+
+def filters_digest():
+    digest = hashlib.sha256()
+    for family in FAMILIES:
+        lang = language_of_family(family)
+        for sigma in ALL_SIGMAS:
+            v = VarietyId(family, sigma)
+            for size in (1, 2, 3):
+                for a in enumerate_algebras(v, size):
+                    filters = [(sorted(f.s1), sorted(f.s0))
+                               for f in all_filters(a, sigma, lang)]
+                    congruences = [c.blocks for c in k_congruences(a, v)]
+                    record = [str(v), a.name, filters, congruences]
+                    digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+def test_filters_and_congruences_are_pinned():
+    assert filters_digest() == FILTERS_DIGEST
+
+
+def _random_algebra(rng, n):
+    """A semilattice with every other table random, so that no law of a
+    family (associativity, commutativity, residuation) holds by chance."""
+    jt, _ = random_semilattice(rng, n)
+    ops = {"join": jt}
+    for op in BINARY_OPS[1:]:
+        ops[op] = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    for op in UNARY_OPS:
+        ops[op] = [rng.randrange(n) for _ in range(n)]
+    return FiniteAlgebra(f"random{n}", [f"e{i}" for i in range(n)], ops,
+                         rng.randrange(n), rng.randrange(n))
+
+
+def test_filter_rules_match_the_per_context_oracle_on_random_tables():
+    rng = random.Random(5)
+    lang = Language.preset("full")
+    for n in (2, 3, 4, 4):
+        a = _random_algebra(rng, n)
+        for sigma in ALL_SIGMAS:
+            assert _clause_set(bridge._filter_rules(a, sigma, lang)) == \
+                _clause_set(filter_rules_oracle(a, sigma, lang)), \
+                (a.name, sorted(sigma))

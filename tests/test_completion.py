@@ -1,11 +1,16 @@
+import functools
+import hashlib
 import itertools
+import json
 
 import pytest
 
 from substrukt.algebra import (AlgebraError, FiniteAlgebra, VarietyId,
-                               check_variety, enumerate_algebras)
+                               check_variety, enumerate_algebras,
+                               to_json_dict)
 from substrukt.completion import (ClosureOperatorSpec, EmptyGeneratorNoMinimum,
-                                  NucleusLawViolated, all_ideals, bits,
+                                  NucleusLawViolated, _set_product_table,
+                                  all_ideals, bits,
                                   completion_needs_empty_set, down_closure,
                                   embedding_json, ideal_closure,
                                   ideal_completion, ideal_generated, is_ideal,
@@ -258,3 +263,54 @@ def test_embedding_json():
 def test_down_closure():
     c4 = fixtures.chain4_min()
     assert down_closure(c4, mask_of([2])) == mask_of([0, 1, 2])
+
+
+# -- the tabulated set product and the pinned completions -------------------
+
+def set_product_oracle(m, xmask, ymask):
+    """X * Y = {x * y : x in X, y in Y}, element by element."""
+    ft = m.ops["fus"]
+    out = 0
+    for x in bits(xmask):
+        for y in bits(ymask):
+            out |= 1 << ft[x][y]
+    return out
+
+
+@functools.cache
+def _msl_upto_4():
+    return tuple(a for n in (1, 2, 3, 4)
+                 for a in enumerate_algebras(VarietyId("Msl"), n))
+
+
+def test_set_product_table_matches_the_oracle():
+    algebras = _msl_upto_4() + (
+        fixtures.boolean2(), fixtures.chain3_nilpotent(),
+        fixtures.chain4_min(), fixtures.diamond(), fixtures.pm5_chain())
+    for m in algebras:
+        table = _set_product_table(m)
+        size = 1 << m.n
+        assert len(table) == size
+        for xmask in range(size):
+            assert table[xmask] == [set_product_oracle(m, xmask, ymask)
+                                    for ymask in range(size)], m.name
+
+
+# sha256 of the ideal completion (names, tables, constants) and the
+# embedding of every Msl member of size <= 4, as computed with the
+# element-by-element set product.
+COMPLETION_DIGEST = \
+    "54d1c8691d7a98bb3a2ed3b2ac058e4bde322fd3bb8857d706ecacb715ef1c42"
+
+
+def completion_digest():
+    digest = hashlib.sha256()
+    for a in _msl_upto_4():
+        completion, embedding = ideal_completion(a)
+        record = [a.name, to_json_dict(completion), sorted(embedding.items())]
+        digest.update(json.dumps(record, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_ideal_completions_are_pinned():
+    assert completion_digest() == COMPLETION_DIGEST

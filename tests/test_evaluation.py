@@ -17,15 +17,17 @@ import hypothesis.strategies as st
 
 from substrukt import fixtures
 from substrukt.algebra import (BINARY_OPS, FAMILY_OPS, UNARY_OPS,
-                               FiniteAlgebra, VarietyId, assignment_at,
-                               check_variety, compile_equations, compile_terms,
-                               enumerate_algebras, eval_term, failing_indices,
-                               holds, membership_test, run_program,
+                               FiniteAlgebra, VarietyId, VarietyReport,
+                               assignment_at, check_variety, compile_equations,
+                               compile_terms, enumerate_algebras,
+                               equation_witnesses, eval_term, failing_indices,
+                               holds, membership_test, reduct, run_program,
                                satisfies_equation, satisfies_quasi,
                                variety_equations)
 from substrukt.bridge import (Found, NoCountermodelUpTo, NotFound, SemRefuted,
                               _enumerated, countermodel, entails_semantically)
-from substrukt.corpus import random_semilattice, random_sequent
+from substrukt.corpus import (random_msl, random_pomonoid, random_semilattice,
+                             random_sequent)
 from substrukt.sequents import (Equation, Sequent, equation_variables, ineq,
                                 tau_equation)
 from substrukt.syntax import Bin, Const, Language, Neg, fus, join, var
@@ -132,6 +134,57 @@ def test_check_variety_matches_oracle_on_non_members():
                 assert membership_test(v)(a) == expected[0]
                 capped += sum(len(w) == 50 for _, w in expected[2])
     assert capped  # the witness cap was reached somewhere
+
+
+def per_equation_check_variety(a, v):
+    """check_variety without the shortcut through the variety's program:
+    every equation compiled and run on its own, member or not."""
+    missing = tuple(sorted(FAMILY_OPS[v.family] - frozenset(a.ops)))
+    if missing:
+        return VarietyReport(False, v, missing_ops=missing)
+    violations = []
+    for name, eq in variety_equations(v):
+        witnesses = equation_witnesses(a, eq)
+        if witnesses:
+            violations.append((name, tuple(witnesses)))
+    return VarietyReport(not violations, v, violations=tuple(violations))
+
+
+def _assert_per_equation_reports(algebras, families):
+    """check_variety against the per-equation path on every variety of
+    the families; counts the reports that were ok, that missed an
+    operation, that listed violations, and that cut a witness list at
+    the cap."""
+    seen = {"ok": 0, "missing": 0, "violated": 0, "capped": 0}
+    for a in algebras:
+        for family in families:
+            for sigma in ALL_SIGMAS:
+                v = VarietyId(family, sigma)
+                report = check_variety(a, v)
+                assert report == per_equation_check_variety(a, v), (a, v)
+                seen["ok"] += report.ok
+                seen["missing"] += bool(report.missing_ops)
+                seen["violated"] += bool(report.violations)
+                seen["capped"] += any(len(w) == 50
+                                      for _, w in report.violations)
+    return seen
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_OPS))
+def test_check_variety_matches_the_per_equation_path_on_enumerated_members(
+        family):
+    seen = _assert_per_equation_reports(_members(family), (family,))
+    assert seen["ok"] and seen["violated"], seen
+
+
+def test_check_variety_matches_the_per_equation_path_on_random_algebras():
+    rng = random.Random(7)
+    algebras = [random_pomonoid(rng, n) for n in (2, 3, 4, 5)]
+    algebras += [random_msl(rng, n) for n in (2, 3, 4, 5)]
+    algebras += [_random_algebra(rng, n) for n in (3, 4)]
+    algebras.append(reduct(fixtures.pm5_chain(), Language.preset("core")))
+    seen = _assert_per_equation_reports(algebras, sorted(FAMILY_OPS))
+    assert all(seen.values()), seen
 
 
 # -- countermodels and semantic consequence ---------------------------------
