@@ -13,11 +13,11 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .syntax import (Bin, Language, FULL, ZERO, ONE, fus, join, limp, lneg,
-                     meet, mirror_formula, rimp, rneg)
-from .sequents import (Sequent, check_sequent_language, decode_sequent,
-                       encode_sequents, format_sequent, fuse, mirror_sequent,
-                       parse_sequent)
+from .syntax import (Bin, Language, FULL, ZERO, ONE, check_language,
+                     format_formula, fus, join, limp, lneg, meet,
+                     mirror_formula, rimp, rneg)
+from .sequents import (Sequent, decode_sequent, encode_sequents, fuse,
+                       mirror_sequent, parse_sequent)
 
 SIGMA_LETTERS = ("e", "wl", "wr", "c")
 
@@ -311,9 +311,22 @@ class CheckResult:
 def check_proof(tree: ProofTree, cal: CalculusId, hyps=frozenset()) -> CheckResult:
     """Accepts iff every node is a correct instance of a rule of cal, or a
     declared hypothesis at a Hypothesis leaf.  Rejects with the first
-    offending node (in preorder) and the reason."""
+    offending node (in preorder) and the reason.
+
+    Every node's conclusion is checked against the language, but a formula
+    object is walked once per call: a memo keyed by object identity (not
+    by value, whose hash recurses) keeps the objects that passed, and keeps
+    them alive, so that no identity is reused during the call."""
     hyps = frozenset(hyps)
     allowed = rules_of(cal)
+    lang = cal.lang
+    passed = {}
+
+    def check(f):
+        if id(f) not in passed:
+            check_language(f, lang)
+            passed[id(f)] = f
+
     stack = [(tree, ())]
     while stack:
         node, path = stack.pop()
@@ -322,7 +335,11 @@ def check_proof(tree: ProofTree, cal: CalculusId, hyps=frozenset()) -> CheckResu
             return CheckResult(False, f"rule-not-in-calculus: {rule.label}",
                                path, node.conclusion)
         try:
-            check_sequent_language(node.conclusion, cal.lang)
+            concl = node.conclusion
+            for f in concl.antecedent:
+                check(f)
+            if concl.succedent is not None:
+                check(concl.succedent)
         except Exception as exc:
             return CheckResult(False, f"conclusion outside language: {exc}",
                                path, node.conclusion)
@@ -654,9 +671,35 @@ def lemma12_roundtrip(s: Sequent):
 # ---------------------------------------------------------------------------
 
 def format_proof_sexp(tree: ProofTree) -> str:
-    parts = [tree.rule.label, f'"{format_sequent(tree.conclusion)}"']
-    parts.extend(format_proof_sexp(p) for p in tree.premises)
-    return "(" + " ".join(parts) + ")"
+    """`(rule "sequent" premise*)`, premises in order, each sequent as
+    `format_sequent` gives it.  The walk is iterative, so a proof of any
+    height prints, and a formula object is rendered once per call: a memo
+    keyed by object identity keeps each text with its object."""
+    texts = {}
+
+    def text(f):
+        seen = texts.get(id(f))
+        if seen is None:
+            seen = texts[id(f)] = (f, format_formula(f))
+        return seen[1]
+
+    out = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+            continue
+        concl = node.conclusion
+        left = ", ".join([text(f) for f in concl.antecedent])
+        right = text(concl.succedent) if concl.succedent is not None else ""
+        out.append(f'({node.rule.label} "' + f"{left} => {right}".strip()
+                   + '"')
+        stack.append(")")
+        for premise in reversed(node.premises):
+            stack.append(premise)
+            stack.append(" ")
+    return "".join(out)
 
 
 _SEXP_TOKEN = re.compile(r'\(|\)|"[^"]*"|[a-z0-9-]+')

@@ -32,12 +32,18 @@ goal (and the hypotheses) once into a `SubformulaTable` and searches on
 table sequents: a tuple of formula numbers and a number for the succedent,
 -1 when it is empty.  Numbers sort as formulas do under `formula_key`, so
 sorting a table antecedent sorts the multiset in the same order as sorting
-the formulas.  The memos keep, for each proved goal, the instance that
-proved it; the ProofTree is decoded from them once, at the end.  Under
-deepening each goal is expanded once: its committed instance list and its
-loop-check key are kept across the iterations.  A failure the loop check
-caused is kept while the ancestor that cut it is searched; one that hit
-the depth bound, only within its iteration.
+the formulas.  In every sigma but {c} cut admissibility makes the rules
+or-l, fus-l, and-r, rimp-r, limp-r, rneg-r, lneg-r, zero-r and one-l
+invertible, so a goal commits to its first invertible instance in
+`_PRIORITY` order, built alone (`_Search.invertible`), as
+`_SetSearch._steps` builds its first invertible step; only a goal without
+one enumerates and sorts all its instances.  The memos keep, for each
+proved goal, the instance that proved it; the ProofTree is decoded from
+them once, at the end.  Under deepening each goal is expanded once: its
+committed instance list and its loop-check key are kept across the
+iterations.  A failure the loop check caused is kept while the ancestor
+that cut it is searched; one that hit the depth bound, only within its
+iteration.
 """
 
 from __future__ import annotations
@@ -107,10 +113,8 @@ _PRIORITY = {
     RuleId.EXCH_L: 22, RuleId.CUT: 23,
 }
 
-_INVERTIBLE = frozenset({
-    RuleId.OR_L, RuleId.FUS_L, RuleId.AND_R, RuleId.RIMP_R, RuleId.LIMP_R,
-    RuleId.RNEG_R, RuleId.LNEG_R, RuleId.ZERO_R, RuleId.ONE_L,
-})
+_RIGHT_UNARY = {"rimp": RuleId.RIMP_R, "limp": RuleId.LIMP_R,
+                "rneg": RuleId.RNEG_R, "lneg": RuleId.LNEG_R}
 
 
 def _priority(rec):
@@ -225,10 +229,12 @@ class _Search:
     # -- instance enumeration -------------------------------------------
 
     def instances(self, goal):
-        """(instances, limit flags) for a canonical goal.  An instance is
-        (rule, data, concrete conclusion, ((concrete premise, canonical
-        premise), ...)); the concrete parts form a genuine sequence-level
-        rule instance.  The flags name the limits that left instances out."""
+        """(instances, limit flags) for a canonical goal, sorted by
+        _PRIORITY.  An instance is (rule, data, concrete conclusion,
+        ((concrete premise, canonical premise), ...)); the concrete parts
+        form a genuine sequence-level rule instance.  The flags name the
+        limits that left instances out.  A committing search calls it only
+        on goals that `invertible` finds no instance for."""
         if not self.multiset:
             inst = [(rule, data, goal, tuple([(p, p) for p in prems]))
                     for rule, data, prems in table_instances_backward(
@@ -246,6 +252,61 @@ class _Search:
             inst = kept
         inst.sort(key=_priority)
         return inst, flags
+
+    def invertible(self, goal):
+        """The first invertible instance of `instances(goal)`, or None,
+        built without the others: the first invertible rule in _PRIORITY
+        order at its first position in the antecedent whose premises fit
+        max_antecedent.  Cut is never invertible."""
+        cap = self.max_antecedent
+        for rule, data, concl, prems in self._invertible_steps(goal):
+            if rule in self.rules and (cap is None or all(
+                    len(p[0]) <= cap for p in prems)):
+                return (rule, data, concl,
+                        tuple([(p, self.canon(p)) for p in prems]))
+        return None
+
+    def _invertible_steps(self, goal):
+        """(rule, data, concrete conclusion, premises) of each invertible
+        rule at its first position in a canonical goal, in the order
+        `instances` sorts them.  The instances of one rule all have premises
+        of the same lengths, so the first decides whether max_antecedent
+        keeps any.  A left rule on a multiset moves its principal formula
+        to the end, as `_multiset_instances` does."""
+        a, d = goal
+        op, left, right = self.table.op, self.table.left, self.table.right
+        ops = [op[f] for f in a]
+
+        def at(o):
+            i = ops.index(o)
+            if self.multiset:
+                rest = a[:i] + a[i + 1:]
+                return a[i], rest, (), (rest + (a[i],), d), (len(rest),)
+            return a[i], a[:i], a[i + 1:], goal, (i,)
+
+        if "join" in ops:
+            f, pre, post, concl, data = at("join")
+            yield (RuleId.OR_L, data, concl,
+                   ((pre + (left[f],) + post, d),
+                    (pre + (right[f],) + post, d)))
+        if "fus" in ops:
+            f, pre, post, concl, data = at("fus")
+            yield (RuleId.FUS_L, data, concl,
+                   ((pre + (left[f], right[f]) + post, d),))
+        o = op[d] if d >= 0 else None
+        if o == "meet":
+            yield RuleId.AND_R, (), goal, ((a, left[d]), (a, right[d]))
+        elif o in _RIGHT_UNARY:
+            # the r-rules add the part in front, the l-rules behind; the
+            # negations leave the succedent empty
+            ant = (left[d],) + a if o[0] == "r" else a + (left[d],)
+            succ = right[d] if o.endswith("imp") else -1
+            yield _RIGHT_UNARY[o], (), goal, ((ant, succ),)
+        elif o == "zero":
+            yield RuleId.ZERO_R, (), goal, ((a, -1),)
+        if "one" in ops:
+            _, pre, post, concl, data = at("one")
+            yield RuleId.ONE_L, data, concl, ((pre + post, d),)
 
     def _cut_instances_seq(self, goal):
         if self.cut_formulas is None or RuleId.CUT not in self.rules:
@@ -403,13 +464,13 @@ class _Search:
             return None, _DEPTH
 
         if expansion is None:
-            instances, flags = self.instances(goal)
-            if self.commit:
-                for rec in instances:
-                    if rec[0] in _INVERTIBLE:
-                        instances = [rec]
-                        flags = 0
-                        break
+            # commit to the first invertible instance, built alone; only a
+            # goal without one enumerates its instances
+            rec = self.invertible(goal) if self.commit else None
+            if rec is not None:
+                instances, flags = [rec], 0
+            else:
+                instances, flags = self.instances(goal)
             expansion = ((key, runs) if self.loop_check else None,
                          instances, flags)
             if self.expansions is not None:
@@ -512,8 +573,6 @@ def _members(s):
 
 _LEFT_IMPLICATION = {"rimp": RuleId.RIMP_L, "limp": RuleId.LIMP_L}
 _LEFT_NEGATION = {"rneg": RuleId.RNEG_L, "lneg": RuleId.LNEG_L}
-_RIGHT_UNARY = {"rimp": RuleId.RIMP_R, "limp": RuleId.LIMP_R,
-                "rneg": RuleId.RNEG_R, "lneg": RuleId.LNEG_R}
 
 
 class _SetSearch:

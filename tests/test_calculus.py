@@ -1,9 +1,12 @@
 import random
+import sys
 
 import pytest
 
-from substrukt.syntax import Language, ZERO, ONE, fus, join, rimp, var
-from substrukt.sequents import Sequent, rho, seq, tau, mirror_sequent
+from substrukt.syntax import (Language, Neg, ZERO, ONE, check_language, fus,
+                              join, rimp, var)
+from substrukt.sequents import (Sequent, mirror_sequent, parse_sequent, rho,
+                                seq, tau)
 from substrukt.calculus import (CalculusId, LemmaKind, ProofTree, RuleId,
                                 build_lemma_proofs, calculus, check_proof,
                                 derive_conclusion, format_proof_sexp,
@@ -201,3 +204,102 @@ def test_sexp_roundtrip():
         back = parse_proof_sexp(text)
         assert back.conclusion == tree.conclusion
         assert check_proof(back, FLE)
+
+
+# ---------------------------------------------------------------------------
+# check_proof and format_proof_sexp walk each formula object once
+# ---------------------------------------------------------------------------
+
+CORE_E = calculus("e", Language.preset("core"))
+
+
+def _exchanges(tree, steps):
+    """`steps` exch-l steps below `tree`, each swapping the first two
+    antecedent formulas back."""
+    for _ in range(steps):
+        a = tree.conclusion.antecedent
+        tree = ProofTree(Sequent((a[1], a[0]) + a[2:],
+                                 tree.conclusion.succedent),
+                         RuleId.EXCH_L, (tree,), (0,))
+    return tree
+
+
+def _cut_below_exchanges(steps, chi, chi_copy):
+    """p, q => p * q by cut on chi from two undischarged premises
+    (p, q => chi and chi_copy => p * q, as Hypothesis leaves), below
+    `steps` exchanges that share the formula objects p, q and p * q."""
+    pq = fus(p, q)
+    cut = ProofTree(seq([p, q], pq), RuleId.CUT,
+                    (ProofTree(seq([p, q], chi), RuleId.HYPOTHESIS),
+                     ProofTree(seq([chi_copy], pq), RuleId.HYPOTHESIS)),
+                    (0,))
+    return _exchanges(cut, steps)
+
+
+def _result(res):
+    return res.ok, res.reason, res.path, res.node
+
+
+def _count_language_checks(monkeypatch):
+    """The formula objects check_proof hands to check_language, in order."""
+    checked = []
+
+    def counting(f, lang):
+        checked.append(f)
+        return check_language(f, lang)
+
+    monkeypatch.setattr(sys.modules["substrukt.calculus"], "check_language",
+                        counting)
+    return checked
+
+
+def test_check_proof_rejects_the_first_deep_node_outside_the_language(
+        monkeypatch):
+    chi = Neg("rneg", p)
+    tree = _cut_below_exchanges(40, chi, Neg("rneg", p))
+    checked = _count_language_checks(monkeypatch)
+    assert _result(check_proof(tree, CORE_E)) == (
+        False, "conclusion outside language: rneg not in language",
+        (0,) * 41, seq([p, q], chi))
+    # the 41 nodes above share p, q and p * q: each is checked once
+    assert len(checked) == len({id(f) for f in checked}) == 4
+    # in the full language the same tree fails only at its leaves
+    assert _result(check_proof(tree, FLE)) == (
+        False, "hypothesis-not-declared", (0,) * 41, seq([p, q], chi))
+
+
+def test_check_proof_checks_each_equal_copy(monkeypatch):
+    # every node parses its own sequent: equal formulas, distinct objects
+    def node(text, rule, premises=(), data=()):
+        return ProofTree(parse_sequent(text), rule, premises, data)
+
+    tree = node("p, q => p * q", RuleId.CUT,
+                (node("p, q => p /\\ q", RuleId.HYPOTHESIS),
+                 node("p /\\ q => p * q", RuleId.HYPOTHESIS)), (0,))
+    for text in ["q, p => p * q", "p, q => p * q"] * 20:
+        tree = node(text, RuleId.EXCH_L, (tree,), (0,))
+    checked = _count_language_checks(monkeypatch)
+    assert _result(check_proof(tree, CORE_E)) == (
+        False, "conclusion outside language: meet not in language",
+        (0,) * 41, parse_sequent("p, q => p /\\ q"))
+    # no copy's pass vouches for another: all 3 formulas of the 42 nodes
+    # down to the offending one are checked
+    assert len(checked) == 3 * 42
+    assert _result(check_proof(tree, FLE)) == (
+        False, "hypothesis-not-declared", (0,) * 41,
+        parse_sequent("p, q => p /\\ q"))
+
+
+def test_format_proof_sexp_prints_a_deep_proof():
+    pq = fus(p, q)
+    start = ProofTree(seq([p, q], pq), RuleId.FUS_R,
+                      (ProofTree(seq([p], p), RuleId.AXIOM),
+                       ProofTree(seq([q], q), RuleId.AXIOM)))
+    tree = _exchanges(start, 2000)
+    assert check_proof(tree, FLE)
+    text = format_proof_sexp(tree)
+    expected = '(fus-r "p, q => p * q" (axiom "p => p") (axiom "q => q"))'
+    for k in range(2000):
+        sequent = "q, p => p * q" if k % 2 == 0 else "p, q => p * q"
+        expected = f'(exch-l "{sequent}" {expected})'
+    assert text == expected

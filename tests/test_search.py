@@ -1,12 +1,14 @@
 import functools
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from substrukt.syntax import Language, var
-from substrukt.sequents import parse_sequent, rho, rho_prime, seq, tau
-from substrukt.calculus import calculus, check_proof
+from substrukt.sequents import (mirror_sequent, parse_sequent, rho,
+                                rho_prime, seq, tau)
+from substrukt.calculus import calculus, check_proof, format_proof_sexp
 from substrukt.search import (Proved, Refuted, Unknown, exchange_chain,
                               external_entails, prove, prove_with_hyps)
 from substrukt.corpus import random_derivation, random_sequent
@@ -257,3 +259,47 @@ def test_deepening_closes_when_one_iteration_does():
             "(1 \\/ 1) * (0 * 1) * q => (p \\/ q) * (0 \\/ r) \\/ p * r * 0")
     res = P(goal, calculus("wl,c"), bound=24)
     assert isinstance(res, Refuted) and res.caveat is not None
+
+
+# The sha256 of the verdicts and proofs below, as the search gave them
+# before `solve` committed to its invertible instance without enumerating
+# the others.  A change to the search that moves it changed some proof.
+PROOF_DIGEST = ("09b1a56370823aa2bb471910b6d701f8"
+                "db6ccbb7d2277d5c57e2864b5d6fa0cf")
+
+
+def _proof_corpus():
+    """About 400 (goal, calculus) pairs: random goals in core and full
+    under the sigmas without c, and mirrored random derivations."""
+    rng = random.Random(20261018)
+    sigmas = ("", "e", "wl", "wl,wr")
+    goals = []
+    for preset in ("core", "full"):
+        lang = Language.preset(preset)
+        for sigma in sigmas:
+            cal = calculus(sigma, lang)
+            goals += [(random_sequent(rng, depth=3, lang=lang), cal)
+                      for _ in range(45)]
+    for sigma in sigmas:
+        cal = calculus(sigma)
+        goals += [(mirror_sequent(random_derivation(rng, cal).conclusion), cal)
+                  for _ in range(10)]
+    return goals
+
+
+def _proof_digest():
+    digest = hashlib.sha256()
+    for goal, cal in _proof_corpus():
+        res = prove(goal, cal)
+        if isinstance(res, Proved):
+            assert check_proof(res.tree, cal)
+            line = format_proof_sexp(res.tree)
+        else:
+            line = repr(res)
+        digest.update(f"{goal}\t{line}\n".encode())
+    return digest.hexdigest()
+
+
+def test_proofs_are_pinned():
+    assert len(_proof_corpus()) == 400
+    assert _proof_digest() == PROOF_DIGEST

@@ -395,6 +395,45 @@ def test_sequence_cut_instances_match_the_oracle():
                 check_instance(rule, data, concl, tuple(c for c, _ in prems))
 
 
+# The rules that cut admissibility makes invertible in every sigma but {c}.
+INVERTIBLE = {RuleId.OR_L, RuleId.FUS_L, RuleId.AND_R, RuleId.RIMP_R,
+              RuleId.LIMP_R, RuleId.RNEG_R, RuleId.LNEG_R, RuleId.ZERO_R,
+              RuleId.ONE_L}
+
+
+def test_commit_is_the_first_invertible_instance():
+    """`invertible` builds the one instance that the search commits to; it
+    must be the first invertible record of the sorted `instances` list, and
+    None exactly when that list has none.  With cut formulas, the goal
+    also runs under antecedent caps around its own length, as in
+    `prove_with_hyps`, so that the cap removes some rules' instances."""
+    committed = 0
+    for n, (lang, goal) in enumerate(CORPUS):
+        language = Language.preset(lang)
+        table, (encoded,) = encode_sequents((goal,))
+        for sigma in SIGMAS:
+            cal = calculus(sigma, language)
+            if cal.sigma == {"c"}:
+                continue   # no commit without cut admissibility
+            setups = [{}]
+            if n % 4 == 0:
+                setups.append({"cut_formulas": tuple(range(len(table))),
+                               "max_antecedent": len(goal.antecedent)
+                               + n // 4 % 3 - 1})
+            for setup in setups:
+                search = _Search(cal, table, **setup)
+                start = search.canon(encoded)
+                if search._leaf(start) is not None:
+                    continue   # solve expands no leaf
+                found, _ = search.instances(start)
+                first = next((rec for rec in found if rec[0] in INVERTIBLE),
+                             None)
+                assert search.invertible(start) == first, \
+                    (lang, sigma, str(goal), setup)
+                committed += first is not None
+    assert committed > 1000
+
+
 # ---------------------------------------------------------------------------
 # Equal subformulas that are distinct objects
 # ---------------------------------------------------------------------------
