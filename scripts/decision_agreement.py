@@ -3,7 +3,8 @@
 sequent corpus, and name the regime in which `prove` treats the calculus:
 decided by the shrinking search (no c), decided on antecedent sets (e, wl
 and c), or bounded (the rest; a plain refutation comes from the decided
-calculus with e and wl added).
+calculus with e and wl added, or from a checked countermodel of at most
+search.COUNTERMODEL_SIZE elements).
 
 Set SUBSTRUKT_SEED to pin the corpus.
 """
@@ -15,7 +16,8 @@ from substrukt.algebra import VarietyId
 from substrukt.bridge import Found, countermodel
 from substrukt.calculus import calculus, parse_sigma
 from substrukt.corpus import random_sequent, rng_from_env
-from substrukt.search import Proved, Refuted, prove, regime
+from substrukt.search import (COUNTERMODEL_SIZE, Proved, Refuted, prove,
+                              regime)
 from substrukt.syntax import Language
 
 
@@ -34,8 +36,9 @@ def main():
     variety = VarietyId("Msl", sigma)
     label = {"shrinking": "decided (shrinking search)",
              "sets": "decided (on antecedent sets)",
-             "bounded": "bounded (plain refutation from "
-                        "sigma + e + wl)"}[regime(sigma)]
+             "bounded": "bounded (plain refutation from sigma + e + wl "
+                        f"or a countermodel up to size {COUNTERMODEL_SIZE})"
+             }[regime(sigma)]
     tally = {"proved+nomodel": 0, "refuted+model": 0,
              "refuted+nomodel": 0, "proved+model": 0, "unknown": 0}
     t0 = time.time()

@@ -132,17 +132,48 @@ def rules_of(cal: CalculusId) -> frozenset:
     return frozenset(rules)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProofTree:
+    """A proof node.  Equality and `height` walk the tree without
+    recursion, so a proof of any height can be compared and measured; a
+    subtree shared by several premises is visited once per pair or level.
+    The hash reads the root node only."""
     conclusion: Sequent
     rule: RuleId
     premises: tuple = ()
     data: tuple = ()
 
+    def __eq__(self, other):
+        if not isinstance(other, ProofTree):
+            return NotImplemented
+        seen = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if (a.rule is not b.rule or a.conclusion != b.conclusion
+                    or a.data != b.data
+                    or len(a.premises) != len(b.premises)):
+                return False
+            stack.extend(zip(a.premises, b.premises))
+        return True
+
+    def __hash__(self):
+        return hash((self.conclusion, self.rule, self.data))
+
     def height(self):
-        if not self.premises:
-            return 1
-        return 1 + max(p.height() for p in self.premises)
+        # one level at a time, each level's distinct node objects once
+        h, level = 1, self.premises
+        while level:
+            h += 1
+            below = {}
+            for node in level:
+                for p in node.premises:
+                    below[id(p)] = p
+            level = list(below.values())
+        return h
 
 
 class InstanceError(ValueError):
@@ -501,9 +532,28 @@ _MIRROR_RULE = {
 def mirror_proof(tree: ProofTree) -> ProofTree:
     """The node-by-node mirror image of a proof; each instance maps to an
     instance of its partner rule, so the result checks in the same calculus
-    (with mirrored hypotheses)."""
+    (with mirrored hypotheses).  The walk is iterative, and a subtree
+    shared by several premises is mirrored once."""
+    mirrored = {}
+    stack = [tree]
+    while stack:
+        node = stack[-1]
+        if id(node) in mirrored:
+            stack.pop()
+            continue
+        pending = [p for p in node.premises if id(p) not in mirrored]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        mirrored[id(node)] = _mirror_node(
+            node, tuple([mirrored[id(p)] for p in node.premises]))
+    return mirrored[id(tree)]
+
+
+def _mirror_node(tree: ProofTree, prems) -> ProofTree:
+    """The mirror image of one proof node, given its mirrored premises."""
     rule = tree.rule
-    prems = tuple(mirror_proof(p) for p in tree.premises)
     concl = mirror_sequent(tree.conclusion)
     n = len(tree.conclusion.antecedent)
     data = tree.data
@@ -706,36 +756,38 @@ _SEXP_TOKEN = re.compile(r'\(|\)|"[^"]*"|[a-z0-9-]+')
 
 
 def parse_proof_sexp(text, lang=FULL) -> ProofTree:
-    """Parse `(rule "sequent" premise*)`, re-inferring the instance data."""
+    """Parse `(rule "sequent" premise*)`, re-inferring the instance data.
+    The parse is iterative: each open node is a frame of (rule, conclusion,
+    premises parsed so far), so a proof of any height reads back."""
     tokens = _SEXP_TOKEN.findall(text)
     pos = 0
-
-    def node():
-        nonlocal pos
-        if tokens[pos] != "(":
+    frames = []
+    while True:
+        if pos < len(tokens) and tokens[pos] == "(":
+            label, quoted = (tokens[pos + 1:pos + 3] + ["", ""])[:2]
+            rule = _RULES_BY_LABEL.get(label)
+            if rule is None:
+                raise ValueError(f"unknown rule {label!r}")
+            if not quoted.startswith('"'):
+                raise ValueError("expected a quoted sequent")
+            concl = parse_sequent(quoted[1:-1], lang)
+            frames.append((rule, concl, []))
+            pos += 3
+            continue
+        if not frames:
             raise ValueError("expected '('")
-        pos += 1
-        rule = _RULES_BY_LABEL.get(tokens[pos])
-        if rule is None:
-            raise ValueError(f"unknown rule {tokens[pos]!r}")
-        pos += 1
-        if not tokens[pos].startswith('"'):
-            raise ValueError("expected a quoted sequent")
-        concl = parse_sequent(tokens[pos][1:-1], lang)
-        pos += 1
-        premises = []
-        while tokens[pos] == "(":
-            premises.append(node())
-        if tokens[pos] != ")":
+        if pos >= len(tokens) or tokens[pos] != ")":
             raise ValueError("expected ')'")
         pos += 1
+        rule, concl, premises = frames.pop()
         data = _infer_data(rule, concl, tuple(p.conclusion for p in premises))
-        return ProofTree(concl, rule, tuple(premises), data)
-
-    tree = node()
+        node = ProofTree(concl, rule, tuple(premises), data)
+        if not frames:
+            break
+        frames[-1][2].append(node)
     if pos != len(tokens):
         raise ValueError("trailing input after proof")
-    return tree
+    return node
 
 
 def _infer_data(rule, conclusion, premise_seqs):

@@ -155,8 +155,18 @@ def _cmd_prove(args):
         return EXIT_PROVED
     if isinstance(result, Refuted):
         note = f" ({result.caveat})" if result.caveat else ""
-        _emit(args, {"verdict": "refuted", "caveat": result.caveat},
-              f"refuted{note}")
+        witness = result.countermodel
+        payload = {"verdict": "refuted", "caveat": result.caveat,
+                   "countermodel": None}
+        text = f"refuted{note}"
+        if witness is not None:
+            payload["countermodel"] = {
+                "algebra": to_json_dict(witness.algebra),
+                "assignment": witness.assignment}
+            text = ("refuted (countermodel)\n"
+                    + json.dumps(payload["countermodel"]["algebra"])
+                    + f"\nassignment: {witness.assignment}")
+        _emit(args, payload, text)
         return EXIT_REFUTED
     _emit(args, {"verdict": "unknown", "reason": result.reason},
           f"unknown ({result.reason})")
@@ -171,8 +181,11 @@ def _cmd_decide(args):
         sexp = format_proof_sexp(result.tree)
         _emit(args, {"verdict": "proved", "proof": sexp}, f"proved\n{sexp}")
         return EXIT_PROVED
-    variety = VarietyId(family_of_language(cal.lang), cal.sigma)
-    witness = countermodel(goal, variety, args.max_size)
+    if isinstance(result, Refuted) and result.countermodel is not None:
+        witness = result.countermodel
+    else:
+        variety = VarietyId(family_of_language(cal.lang), cal.sigma)
+        witness = countermodel(goal, variety, args.max_size)
     if isinstance(witness, Found):
         payload = {"verdict": "refuted",
                    "countermodel": to_json_dict(witness.algebra),

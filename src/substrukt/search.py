@@ -14,11 +14,16 @@ Which sigma `prove` decides:
   when sigma is a subset of sigma' (the FL_sigma'-algebras form a
   subvariety of the FL_sigma-algebras), so a goal that fails in
   FL_{sigma + e + wl} fails in FL_sigma, and such a goal is refuted
-  plainly.  The rest go to a depth-bounded, loop-checked search, and
-  what it does not prove to the decided FL_{sigma - c}, whose proofs are
-  FL_sigma proofs.  When the bounded search's space closes under the loop
-  check it yields Refuted only together with left-weakening, and with a
-  caveat.  FL_c itself is undecidable (Chvalovsky and Horcik, JSL 2016).
+  plainly.  So is a goal that fails in a member of FL_sigma's variety
+  (the paper's equivalent algebraic semantics, in which FL_sigma is
+  sound) of at most COUNTERMODEL_SIZE elements: `bridge.countermodel`
+  finds it, `check_variety` re-checks it, and the Refuted carries it.
+  The rest go to a depth-bounded, loop-checked search, and what it does
+  not prove to the decided FL_{sigma - c}, whose proofs are FL_sigma
+  proofs.  When the bounded search's space closes under the loop check
+  it yields Refuted only together with left-weakening, and with a
+  caveat.  FL_c itself is undecidable (Chvalovsky and Horcik, JSL 2016),
+  so neither search nor countermodels settle every goal.
 
 The depth bound matters only to this last case.
 
@@ -49,16 +54,21 @@ iteration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
+from . import bridge
 from .sequents import (Sequent, check_sequent_language, decode_sequent,
                        encode_sequents, rho_prime)
 from .calculus import (CalculusId, ProofTree, RuleId, decode_data, rules_of,
                        table_instances_backward)
+from .algebra import (AlgebraError, VarietyId, check_variety,
+                      family_of_language)
 
 DEFAULT_BOUND = 12
 SUBMULTISET_CAP = 10
+# the largest algebra searched for a countermodel in the bounded regime
+COUNTERMODEL_SIZE = 3
 
 # Flags of a failed search below a goal.  A failure is bounded when one of
 # the limits cut it; the bits name the limits, so Unknown can say which.
@@ -89,7 +99,10 @@ class Proved:
 
 @dataclass(frozen=True)
 class Refuted:
+    """A refutation: by a decision procedure, or by `countermodel`, a
+    `bridge.Found` member of FL_sigma's variety in which tau(goal) fails."""
     caveat: Optional[str] = None
+    countermodel: Optional[bridge.Found] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -934,7 +947,8 @@ def _set_goal(encoded):
 def regime(sigma) -> str:
     """How `prove` treats FL_sigma: "shrinking" (decided, no c),
     "sets" (decided on antecedent sets, e, wl and c in sigma) or "bounded"
-    (the rest: a plain refutation when FL_{sigma + e + wl} refutes, else a
+    (the rest: a plain refutation when FL_{sigma + e + wl} refutes or a
+    checked countermodel of size at most COUNTERMODEL_SIZE exists, else a
     depth-bounded search)."""
     if "c" not in sigma:
         return "shrinking"
@@ -945,11 +959,12 @@ def prove(goal: Sequent, cal: CalculusId, bound=None):
     """Cut-free backward search.  Decides derivability when c is not in
     sigma, and when e, wl and c all are (on antecedent sets; `bound` has
     no effect then).  With c but without e or wl, a goal unprovable in
-    FL_{sigma + e + wl} is refuted; the others go to a search bounded by
-    `bound` (12 by default), then, unproved, to the decided FL_{sigma - c}.
-    A Refuted from the bounded search carries a caveat (or degrades to
-    Unknown without wl).  Unknown names the limits that cut the bounded
-    search."""
+    FL_{sigma + e + wl} is refuted; so is one that fails in a member of
+    FL_sigma's variety of at most COUNTERMODEL_SIZE elements (the Refuted
+    carries it); the others go to a search bounded by `bound` (12 by
+    default), then, unproved, to the decided FL_{sigma - c}.  A Refuted
+    from the bounded search carries a caveat (or degrades to Unknown
+    without wl).  Unknown names the limits that cut the bounded search."""
     check_sequent_language(goal, cal.lang)
     sigma = cal.sigma
     kind = regime(sigma)
@@ -963,6 +978,9 @@ def prove(goal: Sequent, cal: CalculusId, bound=None):
         if kind == "sets":
             return Proved(_proof_tree(table, decider.record(start, encoded[0]),
                                       encoded[0]))
+        found = _countermodel(goal, cal)
+        if found is not None:
+            return Refuted(countermodel=found)
     contraction = kind == "bounded"
     if bound is None:
         bound = DEFAULT_BOUND if contraction else 10 ** 9
@@ -983,6 +1001,24 @@ def prove(goal: Sequent, cal: CalculusId, bound=None):
                               "refutation with contraction relies on it")
     return Unknown("search space closed under loop check; refutation is "
                    "not claimed for contraction without left-weakening")
+
+
+def _countermodel(goal: Sequent, cal: CalculusId):
+    """A member of FL_sigma's variety of at most COUNTERMODEL_SIZE elements
+    in which tau(goal) fails, re-checked with `check_variety`, or None; also
+    None for a language that names no variety.  FL_sigma is sound in its
+    variety, so such a member refutes the goal."""
+    try:
+        variety = VarietyId(family_of_language(cal.lang), cal.sigma)
+    except AlgebraError:
+        return None
+    found = bridge.countermodel(goal, variety, COUNTERMODEL_SIZE)
+    if not found:
+        return None
+    if not check_variety(found.algebra, variety).ok:
+        raise RuntimeError(f"countermodel {found.algebra.name} is not in "
+                           f"{variety}")
+    return found
 
 
 def prove_with_hyps(goal: Sequent, hyps, cal: CalculusId, bound=DEFAULT_BOUND,
@@ -1029,8 +1065,6 @@ def external_entails(premises, conclusion, cal: CalculusId,
     result = prove_with_hyps(goal, hyp_seqs, cal, bound)
     if isinstance(result, Proved):
         return result
-    from . import bridge
-    from .algebra import AlgebraError, VarietyId, family_of_language
     try:
         variety = VarietyId(family_of_language(cal.lang), cal.sigma)
     except AlgebraError:

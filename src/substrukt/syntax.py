@@ -352,11 +352,15 @@ class SubformulaTable:
         rank = [0] * len(order) + [-1]   # rank[-1] is -1: no child
         for i, k in enumerate(order):
             rank[k] = i
-        self.formulas = tuple(nodes[k][0] for k in order)
-        self.op = tuple(nodes[k][1] for k in order)
-        self.left = tuple(rank[nodes[k][2]] for k in order)
-        self.right = tuple(rank[nodes[k][3]] for k in order)
-        self.roots = tuple(rank[k] for k in found)
+        # tuple([...]), not tuple(genexpr): a tuple built from a generator
+        # is allocated at a guessed size and resized, and freed it lands on
+        # the free list of its final size, which only a full collection
+        # empties
+        self.formulas = tuple([nodes[k][0] for k in order])
+        self.op = tuple([nodes[k][1] for k in order])
+        self.left = tuple([rank[nodes[k][2]] for k in order])
+        self.right = tuple([rank[nodes[k][3]] for k in order])
+        self.roots = tuple([rank[k] for k in found])
 
     def __len__(self):
         return len(self.formulas)

@@ -303,3 +303,28 @@ def test_format_proof_sexp_prints_a_deep_proof():
         sequent = "q, p => p * q" if k % 2 == 0 else "p, q => p * q"
         expected = f'(exch-l "{sequent}" {expected})'
     assert text == expected
+
+
+def test_a_deep_proof_reads_back_mirrors_and_measures():
+    pq = fus(p, q)
+    start = ProofTree(seq([p, q], pq), RuleId.FUS_R,
+                      (ProofTree(seq([p], p), RuleId.AXIOM),
+                       ProofTree(seq([q], q), RuleId.AXIOM)))
+    tree = _exchanges(start, 2000)
+    assert parse_proof_sexp(format_proof_sexp(tree)) == tree
+    assert tree.height() == 2002
+    mirrored = mirror_proof(tree)
+    assert mirrored.height() == 2002
+    assert mirrored.conclusion == mirror_sequent(tree.conclusion)
+    assert check_proof(mirrored, FLE)
+    assert mirror_proof(mirrored) == tree
+
+
+def test_proof_equality_compares_every_node():
+    leaf = ProofTree(seq([p], p), RuleId.AXIOM)
+    other = ProofTree(seq([q], q), RuleId.AXIOM)
+    a = ProofTree(seq([p, q], fus(p, q)), RuleId.FUS_R, (leaf, other))
+    b = ProofTree(seq([p, q], fus(p, q)), RuleId.FUS_R, (leaf, leaf))
+    assert a != b and a == ProofTree(a.conclusion, a.rule, (leaf, other))
+    assert hash(a) == hash(ProofTree(a.conclusion, a.rule, (leaf, other)))
+    assert _exchanges(a, 3) != _exchanges(b, 3)

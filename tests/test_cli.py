@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from substrukt.algebra import dump_algebra
+import substrukt
+from substrukt.algebra import (VarietyId, check_variety, dump_algebra,
+                               from_json_dict, holds)
 from substrukt.cli import main
+from substrukt.sequents import parse_sequent, tau_equation
 from substrukt import fixtures
 
 
@@ -178,3 +185,49 @@ def test_unknown_names_the_limit_that_fired(capsys):
     assert code == 2
     assert json.loads(out) == {"verdict": "unknown",
                                "reason": "submultiset-cap"}
+
+
+CONTRACTION_GOAL = "q * (1 \\/ q) * (q * q \\/ (r \\/ r)) => q"
+
+
+def test_a_contraction_goal_is_refuted_by_a_countermodel():
+    # the bounded search alone ran for minutes on this goal under sigma = c
+    src = str(Path(substrukt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "substrukt.cli", "--sigma", "c", "prove",
+         CONTRACTION_GOAL], capture_output=True, text=True, timeout=5,
+        env=env)
+    assert done.returncode == 1
+    assert done.stdout.startswith("refuted (countermodel)\n")
+    assert "assignment: " in done.stdout
+
+
+def test_prove_reports_the_countermodel_in_json(capsys):
+    code, out, _ = run(capsys, "--format", "json", "--sigma", "c", "prove",
+                       CONTRACTION_GOAL)
+    assert code == 1
+    payload = json.loads(out)
+    assert set(payload) == {"verdict", "caveat", "countermodel"}
+    assert payload["verdict"] == "refuted" and payload["caveat"] is None
+    witness = payload["countermodel"]
+    a = from_json_dict(witness["algebra"])
+    assert check_variety(a, VarietyId("FL", frozenset({"c"}))).ok
+    values = {name: a.elements.index(element)
+              for name, element in witness["assignment"].items()}
+    assert not holds(a, tau_equation(parse_sequent(CONTRACTION_GOAL)), values)
+    # a refutation by a decision procedure has no countermodel
+    code, out, _ = run(capsys, "--format", "json", "--sigma", "c", "prove",
+                       "p => q")
+    assert code == 1
+    assert json.loads(out) == {"verdict": "refuted", "caveat": None,
+                               "countermodel": None}
+
+
+def test_decide_reports_the_provers_countermodel(capsys):
+    # the prover's countermodel has 3 elements: above --max-size, but found
+    code, out, _ = run(capsys, "--sigma", "c", "--lang", "core",
+                       "--max-size", "1", "decide", "p, p => p")
+    assert code == 1
+    assert out.startswith("refuted\n") and "assignment: {'p'" in out

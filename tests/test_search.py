@@ -303,3 +303,92 @@ def _proof_digest():
 def test_proofs_are_pinned():
     assert len(_proof_corpus()) == 400
     assert _proof_digest() == PROOF_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Countermodel refutations in the bounded regime
+# ---------------------------------------------------------------------------
+
+BOUNDED_SIGMAS = ("c", "e,c", "wl,c", "wr,c", "e,wr,c")
+
+# The sha256 of the proofs of every goal below that `prove` proved, as the
+# search gave them before the bounded regime looked for countermodels.  A
+# countermodel refutes only unprovable goals, so it must not move.
+BOUNDED_PROOF_DIGEST = ("a32982b2535f025ffda9c7979aae4384"
+                        "fd9b8e93bdc90cfc986285eb566dfb7a")
+
+
+@functools.cache
+def _bounded_verdicts():
+    """{sigma: [(goal, verdict)]} on a seeded core corpus: 40 random goals,
+    the same under every sigma, then 8 random derivations per sigma."""
+    lang = Language.preset("core")
+    rng = random.Random(9)
+    goals = [random_sequent(rng, depth=rng.choice((2, 3)), lang=lang,
+                            max_antecedent=3) for _ in range(40)]
+    derived = {sigma: [random_derivation(rng, calculus(sigma, lang),
+                                         height=4).conclusion
+                       for _ in range(8)]
+               for sigma in BOUNDED_SIGMAS}
+    out = {}
+    for sigma in BOUNDED_SIGMAS:
+        cal = calculus(sigma, lang)
+        out[sigma] = [(goal, prove(goal, cal))
+                      for goal in goals + derived[sigma]]
+    return out
+
+
+def test_bounded_proofs_are_pinned():
+    digest = hashlib.sha256()
+    proved = 0
+    goal_lang = Language.preset("core")
+    for sigma, verdicts in _bounded_verdicts().items():
+        for goal, res in verdicts:
+            if isinstance(res, Proved):
+                proved += 1
+                assert check_proof(res.tree, calculus(sigma, goal_lang))
+                digest.update(f"{sigma}\t{goal}\t"
+                              f"{format_proof_sexp(res.tree)}\n".encode())
+    assert proved == 53
+    assert digest.hexdigest() == BOUNDED_PROOF_DIGEST
+
+
+def test_countermodel_refutations_are_checked():
+    from substrukt.algebra import VarietyId, check_variety, holds
+    from substrukt.calculus import CalculusId
+    from substrukt.sequents import encode_sequents, tau_equation
+    from substrukt.search import _Search, _deepening
+    refuted = {}
+    for sigma, verdicts in _bounded_verdicts().items():
+        cal = calculus(sigma, Language.preset("core"))
+        variety = VarietyId("Msl", cal.sigma)
+        for goal, res in verdicts:
+            if not isinstance(res, Refuted) or res.countermodel is None:
+                continue
+            refuted[sigma] = refuted.get(sigma, 0) + 1
+            assert res.caveat is None
+            a = res.countermodel.algebra
+            assert a.n <= 3 and check_variety(a, variety).ok
+            values = {name: a.elements.index(element)
+                      for name, element in res.countermodel.assignment.items()}
+            assert not holds(a, tau_equation(goal), values)
+            # neither the bounded search nor FL_{sigma - c} proves it; under
+            # sigma = {c} the search does not commit to invertible rules and
+            # runs for minutes at bound 12, so a node cap ends it
+            table, (encoded,) = encode_sequents((goal,))
+            search = _Search(cal, table)
+            search.node_cap = 5_000
+            assert _deepening(search, search.canon(encoded), 12)[0] is None
+            lower = _Search(CalculusId(cal.sigma - {"c"}, cal.lang), table)
+            assert _deepening(lower, lower.canon(encoded), 10 ** 9)[0] is None
+    assert refuted == {"c": 11, "e,c": 11, "wr,c": 14, "e,wr,c": 14}
+
+
+def test_a_language_without_a_variety_skips_the_countermodel():
+    core = Language.preset("core")
+    res = prove(parse_sequent("p, p => p", core), calculus("c", core), bound=4)
+    assert isinstance(res, Refuted) and res.countermodel.algebra.n == 3
+    # join, fusion and the implications: no named family has these
+    lang = Language.of("rimp", "limp")
+    res = prove(parse_sequent("p, p => p", lang), calculus("c", lang), bound=4)
+    assert isinstance(res, Unknown)
