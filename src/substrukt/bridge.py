@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .sequents import Sequent, tau_equation
-from .algebra import (FiniteAlgebra, VarietyId, assignment_at,
+from .algebra import (FAMILY_OPS, FiniteAlgebra, VarietyId, assignment_at,
                       assignment_columns, compile_equations,
                       enumerate_algebras, failing_indices, holds,
-                      language_of_family, membership_test)
+                      language_of_family, run_program, variety_program)
 
 
 @dataclass(frozen=True)
@@ -507,19 +507,9 @@ def _enumerated(v: VarietyId, size: int):
 class Congruence:
     blocks: tuple  # tuple of sorted tuples, sorted by least member
 
-    def block_index(self):
-        out = {}
-        for k, block in enumerate(self.blocks):
-            for x in block:
-                out[x] = k
-        return out
-
     def pairs(self):
         return frozenset((x, y) for block in self.blocks
                          for x in block for y in block)
-
-    def __le__(self, other):
-        return self.pairs() <= other.pairs()
 
 
 @dataclass(frozen=True)
@@ -550,14 +540,16 @@ def partition_from_pairs(n, pairs) -> Congruence:
 
 def _compatible(a: FiniteAlgebra, pairs) -> Optional[tuple]:
     """None when pairs (an equivalence) respects every operation, else a
-    witness (op, (x, y, c))."""
+    witness (op, (x, y, c)).  A pair (x, x) maps into the diagonal, which
+    an equivalence contains, so only the pairs with x != y are checked."""
+    moved = [(x, y) for (x, y) in pairs if x != y]
     for op, table in a.ops.items():
         if op in ("rneg", "lneg"):
-            for (x, y) in pairs:
+            for (x, y) in moved:
                 if (table[x], table[y]) not in pairs:
                     return (op, (x, y))
         else:
-            for (x, y) in pairs:
+            for (x, y) in moved:
                 for c in range(a.n):
                     if (table[x][c], table[y][c]) not in pairs:
                         return (op, (x, y, c))
@@ -583,8 +575,10 @@ def leibniz_congruence(a: FiniteAlgebra, r: FilterSlices):
     return partition_from_pairs(a.n, theta)
 
 
+@functools.lru_cache(maxsize=8)
 def all_partitions(n):
-    """All set partitions of range(n), via restricted growth strings."""
+    """All set partitions of range(n), via restricted growth strings, as a
+    tuple kept per n."""
     def rec(i, assignment, used):
         if i == n:
             blocks = {}
@@ -594,7 +588,7 @@ def all_partitions(n):
             return
         for b in range(used + 1):
             yield from rec(i + 1, assignment + [b], max(used, b + 1))
-    yield from rec(0, [], 0)
+    return tuple(rec(0, [], 0))
 
 
 def all_congruences(a: FiniteAlgebra):
@@ -605,26 +599,28 @@ def all_congruences(a: FiniteAlgebra):
     return out
 
 
-def quotient_algebra(a: FiniteAlgebra, cong: Congruence) -> FiniteAlgebra:
-    index = cong.block_index()
-    reps = [block[0] for block in cong.blocks]
-    names = tuple("{" + ",".join(a.elements[x] for x in block) + "}"
-                  for block in cong.blocks)
-    ops = {}
-    for op, table in a.ops.items():
-        if op in ("rneg", "lneg"):
-            ops[op] = tuple(index[table[r]] for r in reps)
-        else:
-            ops[op] = tuple(tuple(index[table[r][s]] for s in reps)
-                            for r in reps)
-    return FiniteAlgebra(a.name + "/~", names, ops,
-                         index[a.zero], index[a.one])
-
-
 def k_congruences(a: FiniteAlgebra, v: VarietyId):
-    in_variety = membership_test(v)
-    return [c for c in all_congruences(a)
-            if in_variety(quotient_algebra(a, c))]
+    """The congruences theta of a with a/theta in v, from one run of the
+    cached `variety_program(v)` on a itself.
+
+    The quotient map is a surjective homomorphism, so a/theta satisfies
+    s = t iff s(x) theta t(x) at every assignment x in a.  The run collects
+    the value pairs at which the two sides of an equation differ, and a
+    congruence qualifies iff each pair lies in one of its blocks; no
+    quotient is built.  A member of v has no such pairs, so all its
+    congruences qualify: a variety is closed under homomorphic images.
+    """
+    if not FAMILY_OPS[v.family].issubset(a.ops):
+        return []
+    program = variety_program(v)
+    sides = range(0, len(program.outputs), 2)
+    apart = set()
+    for _, cols in run_program(a, program):
+        for i in sides:
+            if cols[i] != cols[i + 1]:
+                apart.update((x, y) for x, y in zip(cols[i], cols[i + 1])
+                             if x != y)
+    return [c for c in all_congruences(a) if apart <= c.pairs()]
 
 
 @dataclass(frozen=True)
@@ -647,25 +643,21 @@ def filter_congruence_correspondence(a: FiniteAlgebra, v: VarietyId) -> Correspo
     filters = all_filters(a, v.sigma, lang)
     congs = k_congruences(a, v)
     failures = []
-    pairs = []  # (filter, its Leibniz congruence)
+    leibniz = []  # (filter, the pair set of its Leibniz congruence)
+    images = set()
     for f in filters:
         omega = leibniz_congruence(a, f)
         if isinstance(omega, NotACongruence):
             failures.append(f"Leibniz of a filter is not a congruence: {omega}")
         else:
-            pairs.append((f, omega))
-    images = set(omega.blocks for _, omega in pairs)
-    if len(images) != len(pairs):
+            leibniz.append((f, omega.pairs()))
+            images.add(omega.blocks)
+    if len(images) != len(leibniz):
         failures.append("Leibniz operator is not injective on filters")
     if images != set(c.blocks for c in congs):
         failures.append("Leibniz images differ from the variety congruences")
-    for f1, o1 in pairs:
-        for f2, o2 in pairs:
-            if (f1 <= f2) != (o1 <= o2):
-                failures.append("Leibniz operator is not an order isomorphism")
-                break
-        else:
-            continue
-        break
+    if any((f1 <= f2) != (o1 <= o2)
+           for f1, o1 in leibniz for f2, o2 in leibniz):
+        failures.append("Leibniz operator is not an order isomorphism")
     return CorrespondenceReport(not failures, len(filters), len(congs),
                                 tuple(failures))

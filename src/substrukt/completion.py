@@ -223,23 +223,21 @@ def nucleus_completion(m: FiniteAlgebra, c: ClosureOperatorSpec,
     index = {mask: i for i, mask in enumerate(carrier)}
     names = tuple(mask_names(m, mask) for mask in carrier)
 
-    def residual_right(xmask, ymask):  # X \ Y = {z : X * {z} <= Y}
-        row = product[xmask]
-        return mask_of(z for z in range(m.n) if not row[1 << z] & ~ymask)
+    def residual(products, ymask):  # {z : products[z] <= Y}
+        return mask_of(z for z, p in enumerate(products) if not p & ~ymask)
 
-    def residual_left(xmask, ymask):  # Y / X = {z : {z} * X <= Y}
-        return mask_of(z for z in range(m.n)
-                       if not product[1 << z][xmask] & ~ymask)
-
+    singles = [1 << z for z in range(m.n)]
     join_t, meet_t, fus_t, rimp_t, limp_t = [], [], [], [], []
     for x in carrier:
         jr, mr, fr, rr, lr = [], [], [], [], []
+        right = [product[x][s] for s in singles]  # X * {z}, for X \ Y
+        left = [product[s][x] for s in singles]  # {z} * X, for Y / X
         for y in carrier:
             jr.append(index[c(x | y)])
             mr.append(index[x & y])
             fr.append(index[close[product[x][y]]])
-            r = residual_right(x, y)
-            l = residual_left(x, y)
+            r = residual(right, y)
+            l = residual(left, y)
             if r not in index or l not in index:
                 raise AlgebraError("residual of closed sets is not closed")
             rr.append(index[r])

@@ -9,7 +9,8 @@ from substrukt.syntax import Language
 from substrukt.sequents import parse_sequent
 from substrukt.algebra import (BINARY_OPS, FAMILY_OPS, UNARY_OPS,
                                FiniteAlgebra, VarietyId, check_variety,
-                               enumerate_algebras, language_of_family)
+                               enumerate_algebras, language_of_family,
+                               membership_test)
 from substrukt.bridge import (Congruence, CorrespondenceReport, FilterSlices,
                               Found, NoCountermodelUpTo, NotACongruence,
                               NotFound, SemRefuted, all_congruences,
@@ -17,7 +18,7 @@ from substrukt.bridge import (Congruence, CorrespondenceReport, FilterSlices,
                               entails_semantically, filter_closed_expanded,
                               filter_closure, filter_congruence_correspondence,
                               filter_member, is_filter, k_congruences,
-                              leibniz_congruence, quotient_algebra)
+                              leibniz_congruence)
 from substrukt.corpus import random_semilattice
 from substrukt import bridge, fixtures
 
@@ -286,6 +287,23 @@ def test_correspondence_names_a_failed_leibniz_image(monkeypatch):
     assert not any("injective" in f for f in rep.failures)
 
 
+def quotient_algebra(a, cong):
+    """a/cong, with each block named by its members."""
+    index = {x: k for k, block in enumerate(cong.blocks) for x in block}
+    reps = [block[0] for block in cong.blocks]
+    names = tuple("{" + ",".join(a.elements[x] for x in block) + "}"
+                  for block in cong.blocks)
+    ops = {}
+    for op, table in a.ops.items():
+        if op in UNARY_OPS:
+            ops[op] = tuple(index[table[r]] for r in reps)
+        else:
+            ops[op] = tuple(tuple(index[table[r][s]] for s in reps)
+                            for r in reps)
+    return FiniteAlgebra(a.name + "/~", names, ops,
+                         index[a.zero], index[a.one])
+
+
 def test_quotient_algebra():
     a = fixtures.chain4_min()
     congs = all_congruences(a)
@@ -492,3 +510,64 @@ def test_filter_rules_match_the_per_context_oracle_on_random_tables():
             assert _clause_set(bridge._filter_rules(a, sigma, lang)) == \
                 _clause_set(filter_rules_oracle(a, sigma, lang)), \
                 (a.name, sorted(sigma))
+
+
+# -- K-congruences against the quotients they stand for ---------------------
+
+def k_congruences_by_quotients(a, v):
+    """The congruences whose quotient algebra passes the variety's
+    membership test."""
+    in_variety = membership_test(v)
+    return [c for c in all_congruences(a)
+            if in_variety(quotient_algebra(a, c))]
+
+
+def _check_k_congruences(cases):
+    """Compare both routes on (algebra, variety) pairs; return how many
+    gave a proper nonempty subset of the congruences."""
+    proper = 0
+    for a, v in cases:
+        found = k_congruences(a, v)
+        assert found == k_congruences_by_quotients(a, v), (a.name, str(v))
+        proper += 0 < len(found) < len(all_congruences(a))
+    return proper
+
+
+def test_k_congruences_match_the_quotients_on_members():
+    cases = [(a, VarietyId(family, sigma))
+             for family in ("Msl", "PMl", "FL")
+             for a in _members_upto_3(family) for sigma in ALL_SIGMAS]
+    assert len(cases) == 1088
+    assert _check_k_congruences(cases) > 500
+
+
+def test_k_congruences_match_the_quotients_on_random_tables():
+    rng = random.Random(5)
+    algebras = [_random_algebra(rng, n) for n in (2, 3, 4, 4)]
+    assert _check_k_congruences(
+        [(a, VarietyId(family, sigma)) for a in algebras
+         for family in sorted(FAMILY_OPS) for sigma in ALL_SIGMAS]) > 0
+
+
+def test_k_congruences_need_every_operation_of_the_family():
+    a = fixtures.chain4_min()
+    assert "rneg" not in a.ops
+    v = VarietyId("PMsl")
+    assert k_congruences(a, v) == k_congruences_by_quotients(a, v) == []
+
+
+def test_correspondence_on_non_members():
+    # criterion 6 runs members only, where every congruence is a
+    # K-congruence; outside the variety the Leibniz images must still be
+    # exactly the K-congruences
+    checked = 0
+    for family in ("Msl", "Ml", "PMsl", "FL"):
+        for a in _members_upto_3(family):
+            for sigma in ALL_SIGMAS:
+                v = VarietyId(family, sigma)
+                if check_variety(a, v).ok:
+                    continue
+                rep = filter_congruence_correspondence(a, v)
+                assert rep.ok, (a.name, str(v), rep.failures)
+                checked += 1
+    assert checked == 984
