@@ -209,6 +209,28 @@ class Program:
     steps: tuple
     outputs: tuple
 
+    @functools.cached_property
+    def code(self):
+        """The steps with the operands they read: (operands, code), where
+        operands lists the operation names and constants ("zero", "one")
+        the steps apply, and code holds (slot, arity, operand index, x, y,
+        reads) per step.  `reads` is the bitmask of the operands that the
+        step's subterm reads, its own and its arguments' (bit k is operand
+        k), so a step's column is a function of those operands' tables.
+        Built once per program."""
+        operands = {}
+        reads = [0] * len(self.names)
+        code = []
+        for slot, (op, *args) in enumerate(self.steps, len(self.names)):
+            k = operands.setdefault(op, len(operands))
+            mask = 1 << k
+            for arg in args:
+                mask |= reads[arg]
+            reads.append(mask)
+            x, y = (args[0], args[-1]) if args else (0, 0)
+            code.append((slot, len(args), k, x, y, mask))
+        return tuple(operands), tuple(code)
+
 
 def compile_terms(terms, names) -> Program:
     """Compile the terms into one program over the variables `names` (in
@@ -258,59 +280,78 @@ def compile_terms(terms, names) -> Program:
 _BLOCK = 1024
 
 
-def assignment_columns(program: Program, n):
-    """The columns that run_program gives the trailing variables, those it
-    runs through all their values within a block, on a carrier of n
-    elements: one tuple per variable, in itertools.product order.
+def _run_blocks(algebras, program: Program, reuse=False):
+    """Evaluate the program on each of the algebras, all of one carrier
+    size, in turn, under every assignment in itertools.product order (the
+    first variable varies slowest), column-wise: one list per slot, filled
+    by one comprehension over the operation table per step.
 
-    They depend only on the program's variables and n, so a scan over many
-    algebras of one size builds them once and passes them to each run.
+    Yields (algebra, start, columns) for each block of consecutive
+    assignments of each algebra: columns[s] lists the values of slot s at
+    assignments start, start + 1, ...  A block fixes the leading variables
+    and runs the trailing ones, as many as fit in _BLOCK assignments,
+    through all their values, so a caller that stops at the first block it
+    needs evaluates no later one.  The columns of the trailing variables
+    are built once per call.
+
+    The step code is `program.code`, built once per program.  With
+    `reuse`, and when the program runs in one block, a step's column is
+    computed again only when a table or constant that its subterm reads
+    differs from the previous algebra's; otherwise the previous column is
+    kept, since it is a function of those tables.  The columns yielded are
+    the same either way, and they stay valid only until the next one is
+    requested.
     """
-    inner = len(program.names)
-    while inner and n ** inner > _BLOCK:
-        inner -= 1
-    return tuple(zip(*itertools.product(range(n), repeat=inner)))
-
-
-def run_program(a: FiniteAlgebra, program: Program, trailing=None):
-    """Evaluate the program under every assignment of elements of a to its
-    variables, in itertools.product order (the first variable varies
-    slowest), column-wise: one list per slot, filled by one comprehension
-    over the operation table per step.
-
-    Yields (start, columns) for each block of consecutive assignments:
-    columns[i] lists the values of the i-th compiled term at assignments
-    start, start + 1, ...  A block fixes the leading variables and runs the
-    trailing ones through all their values, so a caller that stops at the
-    first block it needs evaluates no later one.  `trailing` is
-    assignment_columns(program, a.n); it is built here when not given.
-    """
-    n = a.n
-    if trailing is None:
-        trailing = assignment_columns(program, n)
-    inner = len(trailing)
-    size = n ** inner
-    code = []
-    for op, *args in program.steps:
-        if op in ("zero", "one"):
-            code.append((0, a.zero if op == "zero" else a.one, 0, 0))
-        elif op not in a.ops:
+    operands, code = program.code
+    needed = set(operands) - {"zero", "one"}
+    cols = previous = None
+    for a in algebras:
+        if not needed.issubset(a.ops):
+            op = min(needed - a.ops.keys())
             raise AlgebraError(f"operation {op} not in algebra")
-        else:
-            code.append((len(args), a.ops[op], args[0], args[-1]))
-    start = 0
-    for lead in itertools.product(range(n), repeat=len(program.names) - inner):
-        cols = [[v] * size for v in lead]
-        cols += map(list, trailing)  # lists for the caller; shared tuples kept
-        for arity, table, x, y in code:
-            if arity == 2:
-                cols.append([table[i][j] for i, j in zip(cols[x], cols[y])])
-            elif arity == 1:
-                cols.append([table[i] for i in cols[x]])
-            else:
-                cols.append([table] * size)
+        if cols is None:
+            n = a.n
+            inner = len(program.names)
+            while inner and n ** inner > _BLOCK:
+                inner -= 1
+            size = n ** inner
+            leads = list(itertools.product(
+                range(n), repeat=len(program.names) - inner))
+            reuse = reuse and len(leads) == 1
+            cols = [None] * len(leads[0])
+            cols += map(list, zip(*itertools.product(range(n), repeat=inner)))
+            cols += [None] * len(code)
+        tables = [a.zero if op == "zero" else a.one if op == "one"
+                  else a.ops[op] for op in operands]
+        changed = -1  # every step
+        if reuse and previous is not None:
+            changed = 0
+            for k, (t, u) in enumerate(zip(tables, previous)):
+                if t != u:
+                    changed |= 1 << k
+        previous = tables
+        for block, lead in enumerate(leads):
+            cols[:len(lead)] = [[v] * size for v in lead]
+            for slot, arity, k, x, y, mask in code:
+                if not mask & changed:
+                    continue
+                t = tables[k]
+                if arity == 2:
+                    cols[slot] = [t[i][j] for i, j in zip(cols[x], cols[y])]
+                elif arity == 1:
+                    cols[slot] = [t[i] for i in cols[x]]
+                else:
+                    cols[slot] = [t] * size
+            yield a, block * size, cols
+
+
+def run_program(a: FiniteAlgebra, program: Program):
+    """Evaluate the program on a under every assignment of its elements to
+    the variables, block by block (see _run_blocks).  Yields (start,
+    columns): columns[i] lists the values of the i-th compiled term at
+    assignments start, start + 1, ..."""
+    for _, start, cols in _run_blocks((a,), program):
         yield start, [cols[s] for s in program.outputs]
-        start += size
 
 
 def compile_equations(equations) -> Program:
@@ -323,18 +364,37 @@ def compile_equations(equations) -> Program:
                          sorted(names))
 
 
-def failing_indices(a: FiniteAlgebra, program: Program, trailing=None):
+def _failures(blocks, program: Program):
+    """(algebra, index) of each assignment, in the order of the blocks from
+    _run_blocks, under which every equation of a compile_equations program
+    but the last holds and the last fails."""
+    *premises, lhs, rhs = program.outputs
+    premises = tuple(zip(premises[::2], premises[1::2]))
+    for a, start, cols in blocks:
+        left, right = cols[lhs], cols[rhs]
+        if left == right:
+            continue
+        for i, (u, w) in enumerate(zip(left, right)):
+            if u != w and all(cols[p][i] == cols[q][i] for p, q in premises):
+                yield a, start + i
+
+
+def failing_indices(a: FiniteAlgebra, program: Program):
     """For a program from compile_equations: the indices, in product order,
     of the assignments under which every equation but the last holds and
-    the last fails.  `trailing` is passed on to run_program."""
-    for start, cols in run_program(a, program, trailing):
-        lhs, rhs = cols[-2], cols[-1]
-        if lhs == rhs:
-            continue
-        premises = range(0, len(cols) - 2, 2)
-        for i, (u, w) in enumerate(zip(lhs, rhs)):
-            if u != w and all(cols[p][i] == cols[p + 1][i] for p in premises):
-                yield start + i
+    the last fails."""
+    for _, index in _failures(_run_blocks((a,), program), program):
+        yield index
+
+
+def first_failure(algebras, program: Program):
+    """The first (algebra, index), in the order of the algebras (all of one
+    carrier size) and then product order, at which failing_indices would
+    yield, or None.  One scan over all the algebras: the step code is
+    built once, and consecutive algebras share the columns of the steps
+    whose tables they share (the `reuse` of _run_blocks)."""
+    blocks = _run_blocks(algebras, program, reuse=True)
+    return next(_failures(blocks, program), None)
 
 
 def assignment_at(a: FiniteAlgebra, program: Program, index) -> dict:
@@ -804,7 +864,13 @@ def _relabeled_rows(tables, perm, inv):
 
 def canonical_key(a: FiniteAlgebra):
     """The lexicographically least relabeling of the algebra over all
-    carrier permutations.
+    carrier permutations (see _table_key)."""
+    return _table_key(a.n, a.ops, a.zero, a.one)
+
+
+def _table_key(n, ops, zero, one):
+    """canonical_key of the algebra on 0..n-1 with the tables `ops` (name
+    -> table) and constants zero, one, read from the raw tables.
 
     The encoding starts with (perm[zero], perm[one]), so the least one
     sends zero to 0 and, when one differs from zero, one to 1: only the
@@ -813,10 +879,9 @@ def canonical_key(a: FiniteAlgebra):
     dropped at its first row above the least so far.  The key is the same
     as from encoding all n! relabelings and taking the least.
     """
-    n = a.n
-    names = sorted(a.ops)
-    tables = [(op in UNARY_OPS, a.ops[op]) for op in names]
-    fixed = [a.zero] if a.zero == a.one else [a.zero, a.one]
+    names = sorted(ops)
+    tables = [(op in UNARY_OPS, ops[op]) for op in names]
+    fixed = [zero] if zero == one else [zero, one]
     free = [x for x in range(n) if x not in fixed]
     perm = [0] * n
     best = None  # the rows of the least relabeling so far
@@ -890,15 +955,69 @@ def _extend_for_family(base: FiniteAlgebra, family):
 MAX_ENUMERATION_SIZE = 5
 
 
+@functools.lru_cache(maxsize=MAX_ENUMERATION_SIZE)
+def _base_classes(size):
+    """The join/fusion bases on `size` elements, the first of each
+    isomorphism class: join table, then unit, then fusion table, then 0,
+    in the order of semilattice_orders and monoid_tables.
+
+    They do not depend on the variety, so every variety shares them.  The
+    key is read from the raw tables, and only the first base of a class
+    is built into a FiniteAlgebra.
+    """
+    seen = set()
+    names = _default_names(size)
+    bases = []
+    for jt, leq in semilattice_orders(size):
+        for unit in range(size):
+            for ft in monoid_tables(leq, unit, size, distributive=True):
+                ops = {"join": jt, "fus": ft}
+                for zero in range(size):
+                    key = _table_key(size, ops, zero, unit)
+                    if key not in seen:
+                        seen.add(key)
+                        bases.append(FiniteAlgebra(f"base{len(bases)}", names,
+                                                   ops, zero, unit))
+    return tuple(bases)
+
+
+@functools.lru_cache(maxsize=len(FAMILY_OPS) * MAX_ENUMERATION_SIZE)
+def _family_bases(family, size):
+    """The bases of _base_classes(size) that have the family's operations,
+    extended by them, in the same order."""
+    extended = (_extend_for_family(b, family) for b in _base_classes(size))
+    return tuple(a for a in extended if a is not None)
+
+
+def _renamed(a: FiniteAlgebra, name) -> FiniteAlgebra:
+    """A copy of a called name, with its own ops dict: the tables, already
+    validated, are shared and not checked again.
+
+    The attributes are set one by one, in the order __init__ sets them, so
+    that the copy keeps the attribute layout of a constructed instance: on
+    CPython 3.11, a copy whose __dict__ was filled with one update read its
+    attributes about three times slower, and the filter and completion
+    code reads them in its inner loops."""
+    copy = object.__new__(FiniteAlgebra)
+    for attr, value in vars(a).items():
+        setattr(copy, attr, value)
+    copy.name = name
+    copy.ops = dict(a.ops)
+    return copy
+
+
 def enumerate_algebras(v: VarietyId, size: int):
     """All members of the variety on a carrier of exactly `size` elements,
-    up to isomorphism (canonical-form pruning).  size <= 5.
+    up to isomorphism (canonical-form pruning), named enum0, enum1, ...
+    size <= 5.
 
     Duplicates are dropped on the join/fusion base, before the family's
     operations are derived: those operations and membership are invariant
-    under isomorphism, so the first base of each class decides the class,
-    and the same members come out in the same order as from a check of
-    the extended algebras.
+    under isomorphism, so the first base of each class decides the class.
+    The bases of a size are built once for every variety (`_base_classes`)
+    and extended once per family (`_family_bases`), both in lru_caches;
+    a variety only tests their membership.  The same members come out in
+    the same order as from a check of the extended algebras.
     """
     if size > MAX_ENUMERATION_SIZE:
         raise SizeTooLarge("enumeration is capped at carrier size "
@@ -906,24 +1025,11 @@ def enumerate_algebras(v: VarietyId, size: int):
     if size < 1:
         return
     in_variety = membership_test(v)
-    seen = set()
-    names = _default_names(size)
     count = 0
-    for jt, leq in semilattice_orders(size):
-        for unit in range(size):
-            for ft in monoid_tables(leq, unit, size, distributive=True):
-                for zero in range(size):
-                    base = FiniteAlgebra(f"enum{count}", names,
-                                         {"join": jt, "fus": ft}, zero, unit)
-                    key = canonical_key(base)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    full = _extend_for_family(base, v.family)
-                    if full is None or not in_variety(full):
-                        continue
-                    count += 1
-                    yield full
+    for full in _family_bases(v.family, size):
+        if in_variety(full):
+            yield _renamed(full, f"enum{count}")
+            count += 1
 
 
 def reduct(a: FiniteAlgebra, lang: Language) -> FiniteAlgebra:

@@ -26,9 +26,9 @@ from typing import Optional
 
 from .sequents import Sequent, tau_equation
 from .algebra import (FAMILY_OPS, FiniteAlgebra, VarietyId, assignment_at,
-                      assignment_columns, compile_equations,
-                      enumerate_algebras, failing_indices, holds,
-                      language_of_family, run_program, variety_program)
+                      compile_equations, enumerate_algebras, first_failure,
+                      holds, language_of_family, run_program,
+                      variety_program)
 
 
 @dataclass(frozen=True)
@@ -447,21 +447,25 @@ class NotFound:
 def _first_countermodel(equations, v: VarietyId, max_size: int):
     """The first (algebra, assignment), in enumeration and product order,
     under which every equation but the last holds and the last fails, or
-    None.  The equations are compiled once, their assignment columns are
-    built once per size, and the program is run on each enumerated member;
-    the one assignment returned is re-checked with `holds`."""
+    None.
+
+    The equations are compiled once, and each size's members are run
+    through the program in one scan (`first_failure`): members come in
+    pool order (join table, then unit, fusion, 0), so neighbours share
+    most tables, and a step is evaluated again only when a table it reads
+    changed.  The one assignment returned is re-checked with `holds`."""
     program = compile_equations(equations)
     *premises, goal = equations
     for size in range(1, max_size + 1):
-        trailing = assignment_columns(program, size)
-        for a in _enumerated(v, size):
-            for index in failing_indices(a, program, trailing):
-                assignment = assignment_at(a, program, index)
-                if holds(a, goal, assignment) or \
-                        not all(holds(a, p, assignment) for p in premises):
-                    raise RuntimeError("compiled evaluation disagrees with "
-                                       "eval_term")
-                return a, {k: a.elements[i] for k, i in assignment.items()}
+        found = first_failure(_enumerated(v, size), program)
+        if found is not None:
+            a, index = found
+            assignment = assignment_at(a, program, index)
+            if holds(a, goal, assignment) or \
+                    not all(holds(a, p, assignment) for p in premises):
+                raise RuntimeError("compiled evaluation disagrees with "
+                                   "eval_term")
+            return a, {k: a.elements[i] for k, i in assignment.items()}
     return None
 
 

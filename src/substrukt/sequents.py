@@ -47,15 +47,6 @@ def equation_variables(e: Equation) -> frozenset:
     return variables_of(e.lhs) | variables_of(e.rhs)
 
 
-def sequent_variables(s: Sequent) -> frozenset:
-    out = frozenset()
-    for f in s.antecedent:
-        out |= variables_of(f)
-    if s.succedent is not None:
-        out |= variables_of(s.succedent)
-    return out
-
-
 def check_sequent_language(s: Sequent, lang: Language):
     for f in s.antecedent:
         check_language(f, lang)

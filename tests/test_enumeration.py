@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from substrukt import algebra, bridge
 from substrukt.algebra import (UNARY_OPS, FiniteAlgebra, VarietyId,
                                _extend_for_family, _join_table_from_leq,
                                canonical_key, enumerate_algebras,
@@ -270,3 +271,30 @@ def test_decide_varieties_at_4(pinned):
 def test_enumeration_output_is_pinned(pinned):
     digest, _ = pinned
     assert digest == DIGEST
+
+
+# -- the shared caches -------------------------------------------------------
+
+def _clear_caches():
+    for module in (algebra, bridge):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+def _decide_enumerations(varieties):
+    return {(v, n): [(a.name, to_json_dict(a))
+                     for a in enumerate_algebras(v, n)]
+            for v in varieties for n in range(1, 5)}
+
+
+def test_enumeration_does_not_depend_on_the_cache_order():
+    # the base classes are shared by all varieties and their extensions by
+    # the varieties of a family: a cache keyed too coarsely (on the family
+    # without sigma, say) would hand one variety another's members
+    _clear_caches()
+    forward = _decide_enumerations(DECIDE_VARIETIES)
+    _clear_caches()
+    backward = _decide_enumerations(DECIDE_VARIETIES[::-1])
+    _clear_caches()
+    assert forward == backward

@@ -29,8 +29,8 @@ from substrukt.bridge import (Found, NoCountermodelUpTo, NotFound, SemRefuted,
 from substrukt.corpus import (random_msl, random_pomonoid, random_semilattice,
                              random_sequent)
 from substrukt.sequents import (Equation, Sequent, equation_variables, ineq,
-                                tau_equation)
-from substrukt.syntax import Bin, Const, Language, Neg, fus, join, var
+                                parse_sequent, tau_equation)
+from substrukt.syntax import Bin, Const, Language, Neg, fus, join, meet, var
 
 ALL_SIGMAS = [frozenset(c) for k in range(5)
               for c in itertools.combinations(("e", "wl", "wr", "c"), k)]
@@ -240,6 +240,104 @@ def test_entails_semantically_matches_oracle_on_a_seeded_corpus():
             assert expected is None, (hyps, goal)
             kinds["no countermodel"] += 1
     assert all(kinds.values())
+
+
+# The scan over a size's members keeps the column of a step whose tables
+# equal the previous member's.  The cases below put that reuse to work:
+# Msl and Ml pools at size 4, where members that differ only in 0 are
+# neighbours; premises; and a program too large for one block, where the
+# scan runs without reuse.
+
+def _lattice_corpus(seed, count, max_hyps):
+    """Msl and Ml goals under the decide benchmark's sigmas, each with up
+    to max_hyps hypotheses."""
+    rng = random.Random(seed)
+    cases = []
+    for k in range(count):
+        preset, family = (("core", "Msl"), ("core-meet", "Ml"))[k % 2]
+        lang = Language.preset(preset)
+        sigma = rng.choice((frozenset(), frozenset({"e"}), frozenset({"wl"})))
+        goal = random_sequent(rng, depth=2, lang=lang)
+        hyps = [random_sequent(rng, depth=2, lang=lang)
+                for _ in range(rng.randint(1, max_hyps))]
+        cases.append((goal, hyps, VarietyId(family, sigma)))
+    return cases
+
+
+# Ml goals whose first countermodel has four elements
+REFUTED_AT_4 = ("0 => (1 /\\ 0) * (r \\/ 0) \\/ 1",
+                "(q /\\ p \\/ q * q) /\\ 1 => q \\/ p /\\ (0 \\/ 0)")
+
+
+def test_countermodel_matches_oracle_at_size_4():
+    kinds = {"found at 4": 0, "found below 4": 0, "not found": 0}
+    lang = Language.preset("core-meet")
+    cases = [(goal, v) for goal, _, v in _lattice_corpus(13, 120, 1)]
+    cases += [(parse_sequent(text, lang), VarietyId("Ml"))
+              for text in REFUTED_AT_4]
+    for goal, v in cases:
+        result = countermodel(goal, v, 4)
+        expected = oracle_first_countermodel([], tau_equation(goal), v, 4)
+        if isinstance(result, Found):
+            assert _same(result, expected), goal
+            kinds["found at 4" if result.algebra.n == 4
+                  else "found below 4"] += 1
+        else:
+            assert result == NotFound(4) and expected is None, goal
+            kinds["not found"] += 1
+    assert all(kinds.values()), kinds
+
+
+def test_entails_semantically_with_hypotheses_matches_oracle_at_size_4():
+    kinds = {"refuted": 0, "no countermodel": 0, "two hypotheses": 0}
+    for goal, hyps, v in _lattice_corpus(14, 60, 2):
+        result = entails_semantically(hyps, goal, v, 4)
+        hyp_eqs = [tau_equation(h) for h in sorted(hyps, key=str)]
+        expected = oracle_first_countermodel(hyp_eqs, tau_equation(goal), v, 4)
+        if isinstance(result, SemRefuted):
+            assert _same(result, expected), (hyps, goal)
+            kinds["refuted"] += 1
+        else:
+            assert isinstance(result, NoCountermodelUpTo), (hyps, goal)
+            assert expected is None, (hyps, goal)
+            kinds["no countermodel"] += 1
+        kinds["two hypotheses"] += len(hyps) == 2
+    assert all(kinds.values()), kinds
+
+
+def _padded(s: Sequent) -> Sequent:
+    """s with three more variables and the same meaning in every lattice:
+    the succedent d becomes d /\\ (d \\/ (s \\/ (t \\/ u))) (absorption)."""
+    d = s.succedent
+    extra = join(var("s"), join(var("t"), var("u")))
+    return Sequent(s.antecedent, meet(d, join(d, extra)))
+
+
+def test_countermodel_matches_oracle_on_multi_block_programs():
+    # a six-variable goal runs on a member of size 4 in 4 blocks of
+    # 4 ** 5 = 1024 assignments, led by p; Ml[wl,wr] has 9 such members
+    # and Ml[wl,wr,c] 2
+    lang = Language.preset("core-meet")
+    refuted = _padded(parse_sequent(
+        "q * q * (r \\/ 1) /\\ r, 0 /\\ 0 \\/ (p \\/ q) * (p /\\ r) "
+        "=> (p /\\ r) * (1 * q) * ((0 \\/ r) * 1)", lang))
+    valid = _padded(parse_sequent("p, q, r => p /\\ q /\\ r", lang))
+    cases = ((refuted, VarietyId("Ml", frozenset({"wl", "wr"}))),
+             (valid, VarietyId("Ml", frozenset({"wl", "wr", "c"}))))
+    for goal, v in cases:
+        program = compile_equations([tau_equation(goal)])
+        assert len(program.names) == 6
+        a = _enumerated(v, 4)[0]
+        assert [start for start, _ in run_program(a, program)] == \
+            [0, 1024, 2048, 3072]
+    (refuted, v), (valid, w) = cases
+    found = countermodel(refuted, v, 4)
+    assert isinstance(found, Found) and found.algebra.n == 4
+    assert found.assignment["p"] != "e0"  # not in the first block
+    assert _same(found, oracle_first_countermodel(
+        [], tau_equation(refuted), v, 4))
+    assert countermodel(valid, w, 4) == NotFound(4)
+    assert oracle_first_countermodel([], tau_equation(valid), w, 4) is None
 
 
 # -- compiled programs against eval_term ------------------------------------
