@@ -280,7 +280,7 @@ def compile_terms(terms, names) -> Program:
 _BLOCK = 1024
 
 
-def _run_blocks(algebras, program: Program, reuse=False):
+def _run_blocks(algebras, program: Program):
     """Evaluate the program on each of the algebras, all of one carrier
     size, in turn, under every assignment in itertools.product order (the
     first variable varies slowest), column-wise: one list per slot, filled
@@ -294,13 +294,12 @@ def _run_blocks(algebras, program: Program, reuse=False):
     needs evaluates no later one.  The columns of the trailing variables
     are built once per call.
 
-    The step code is `program.code`, built once per program.  With
-    `reuse`, and when the program runs in one block, a step's column is
-    computed again only when a table or constant that its subterm reads
-    differs from the previous algebra's; otherwise the previous column is
-    kept, since it is a function of those tables.  The columns yielded are
-    the same either way, and they stay valid only until the next one is
-    requested.
+    The step code is `program.code`, built once per program.  When the
+    program runs in one block, a step's column is computed again only when
+    a table or constant that its subterm reads differs from the previous
+    algebra's; otherwise the previous column is kept, since it is a
+    function of those tables.  The columns yielded stay valid only until
+    the next one is requested.
     """
     operands, code = program.code
     needed = set(operands) - {"zero", "one"}
@@ -317,7 +316,7 @@ def _run_blocks(algebras, program: Program, reuse=False):
             size = n ** inner
             leads = list(itertools.product(
                 range(n), repeat=len(program.names) - inner))
-            reuse = reuse and len(leads) == 1
+            reuse = len(leads) == 1
             cols = [None] * len(leads[0])
             cols += map(list, zip(*itertools.product(range(n), repeat=inner)))
             cols += [None] * len(code)
@@ -392,9 +391,8 @@ def first_failure(algebras, program: Program):
     carrier size) and then product order, at which failing_indices would
     yield, or None.  One scan over all the algebras: the step code is
     built once, and consecutive algebras share the columns of the steps
-    whose tables they share (the `reuse` of _run_blocks)."""
-    blocks = _run_blocks(algebras, program, reuse=True)
-    return next(_failures(blocks, program), None)
+    whose tables they share (see _run_blocks)."""
+    return next(_failures(_run_blocks(algebras, program), program), None)
 
 
 def assignment_at(a: FiniteAlgebra, program: Program, index) -> dict:
