@@ -611,6 +611,45 @@ def check_variety(a: FiniteAlgebra, v: VarietyId) -> VarietyReport:
 # Derived operations, opposites
 # ---------------------------------------------------------------------------
 
+def _residual_tables(a: FiniteAlgebra, ops) -> dict:
+    """The tables that a's order and fusion define for those of rimp and
+    rneg that are in `ops`: rimp and limp (x\\y = max{z : x*z <= y}, y/x
+    mirrored) and rneg and lneg (the residuals into 0).  Raises NoMaximum
+    where a residual set has no maximum."""
+    tables = {}
+    if "rimp" in ops:
+        rt, lt = [], []
+        for x in range(a.n):
+            r_row, l_row = [], []
+            for y in range(a.n):
+                r = a.right_residual(x, y)
+                if r is None:
+                    raise NoMaximum("rimp", (a.elements[x], a.elements[y]))
+                l = a.left_residual(x, y)
+                if l is None:
+                    raise NoMaximum("limp", (a.elements[x], a.elements[y]))
+                r_row.append(r)
+                l_row.append(l)
+            rt.append(tuple(r_row))
+            lt.append(tuple(l_row))
+        tables["rimp"] = tuple(rt)
+        tables["limp"] = tuple(lt)
+    if "rneg" in ops:
+        rn, ln = [], []
+        for x in range(a.n):
+            r = a.right_residual(x, a.zero)
+            if r is None:
+                raise NoMaximum("rneg", (a.elements[x],))
+            l = a.left_residual(x, a.zero)
+            if l is None:
+                raise NoMaximum("lneg", (a.elements[x],))
+            rn.append(r)
+            ln.append(l)
+        tables["rneg"] = tuple(rn)
+        tables["lneg"] = tuple(ln)
+    return tables
+
+
 def derive_residuals(a: FiniteAlgebra) -> FiniteAlgebra:
     """Extend with rimp/limp where every residual set has a maximum.
 
@@ -618,23 +657,8 @@ def derive_residuals(a: FiniteAlgebra) -> FiniteAlgebra:
     """
     if "fus" not in a.ops:
         raise AlgebraError("fus table required to derive residuals")
-    rt, lt = [], []
-    for x in range(a.n):
-        r_row, l_row = [], []
-        for y in range(a.n):
-            r = a.right_residual(x, y)
-            if r is None:
-                raise NoMaximum("rimp", (a.elements[x], a.elements[y]))
-            l = a.left_residual(x, y)
-            if l is None:
-                raise NoMaximum("limp", (a.elements[x], a.elements[y]))
-            r_row.append(r)
-            l_row.append(l)
-        rt.append(tuple(r_row))
-        lt.append(tuple(l_row))
     ops = dict(a.ops)
-    ops["rimp"] = tuple(rt)
-    ops["limp"] = tuple(lt)
+    ops.update(_residual_tables(a, ("rimp",)))
     return FiniteAlgebra(a.name + "+res", a.elements, ops, a.zero, a.one)
 
 
@@ -642,19 +666,8 @@ def derive_pseudocomplements(a: FiniteAlgebra) -> FiniteAlgebra:
     """Extend with rneg/lneg: rneg(x) = max{z : x*z <= 0}, lneg(x) mirrored."""
     if "fus" not in a.ops:
         raise AlgebraError("fus table required to derive pseudocomplements")
-    rn, ln = [], []
-    for x in range(a.n):
-        r = a.right_residual(x, a.zero)
-        if r is None:
-            raise NoMaximum("rneg", (a.elements[x],))
-        l = a.left_residual(x, a.zero)
-        if l is None:
-            raise NoMaximum("lneg", (a.elements[x],))
-        rn.append(r)
-        ln.append(l)
     ops = dict(a.ops)
-    ops["rneg"] = tuple(rn)
-    ops["lneg"] = tuple(ln)
+    ops.update(_residual_tables(a, ("rneg",)))
     return FiniteAlgebra(a.name + "+pc", a.elements, ops, a.zero, a.one)
 
 
@@ -937,14 +950,7 @@ def _extend_for_family(base: FiniteAlgebra, family):
             return None
         ops["meet"] = mt
     try:
-        if "rimp" in need:
-            with_res = derive_residuals(base)
-            ops["rimp"] = with_res.ops["rimp"]
-            ops["limp"] = with_res.ops["limp"]
-        if "rneg" in need:
-            with_pc = derive_pseudocomplements(base)
-            ops["rneg"] = with_pc.ops["rneg"]
-            ops["lneg"] = with_pc.ops["lneg"]
+        ops.update(_residual_tables(base, need))
     except NoMaximum:
         return None
     return FiniteAlgebra(base.name, base.elements, ops, base.zero, base.one)
@@ -1075,9 +1081,3 @@ def from_json_dict(d: dict, name="algebra") -> FiniteAlgebra:
 def load_algebra(path) -> FiniteAlgebra:
     with open(path) as fh:
         return from_json_dict(json.load(fh), name=str(path))
-
-
-def dump_algebra(a: FiniteAlgebra, path):
-    with open(path, "w") as fh:
-        json.dump(to_json_dict(a), fh, indent=2)
-        fh.write("\n")

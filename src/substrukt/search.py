@@ -10,45 +10,31 @@ Which sigma `prove` decides:
   contraction absorbed into the rules (G3 style; Troelstra and
   Schwichtenberg, Basic Proof Theory, ch. 3).  Its proofs are rebuilt as
   FL_sigma trees with explicit weakening, contraction and exchange steps.
-- every other sigma with c: an FL_sigma proof is also an FL_sigma' proof
-  when sigma is a subset of sigma' (the FL_sigma'-algebras form a
-  subvariety of the FL_sigma-algebras), so a goal that fails in
-  FL_{sigma + e + wl} fails in FL_sigma, and such a goal is refuted
-  plainly.  So is a goal that fails in a member of FL_sigma's variety
-  (the paper's equivalent algebraic semantics, in which FL_sigma is
-  sound) of at most COUNTERMODEL_SIZE elements: `bridge.countermodel`
-  finds it, `check_variety` re-checks it, and the Refuted carries it.
-  The rest go to a depth-bounded, loop-checked search, and what it does
-  not prove to the decided FL_{sigma - c}, whose proofs are FL_sigma
-  proofs.  When the bounded search's space closes under the loop check
-  it yields Refuted only together with left-weakening, and with a
-  caveat.  FL_c itself is undecidable (Chvalovsky and Horcik, JSL 2016),
-  so neither search nor countermodels settle every goal.
+- every other sigma with c: a goal that fails in FL_{sigma + e + wl}
+  fails in FL_sigma (whose proofs are FL_sigma' proofs for sigma within
+  sigma'), and is refuted plainly; so is one that fails in a member of
+  FL_sigma's variety (the paper's equivalent algebraic semantics) of at
+  most COUNTERMODEL_SIZE elements, found by `bridge.countermodel` and
+  re-checked.  The rest go to a depth-bounded, loop-checked search, then
+  to the decided FL_{sigma - c}.  When the bounded search's space closes
+  under the loop check it refutes only with left-weakening, and with a
+  caveat.  FL_c itself is undecidable (Chvalovsky and Horcik, JSL 2016).
+  The depth bound matters only to this case.
 
-The depth bound matters only to this last case.
+Every search is one AND-OR search, `_AndOr.solve`, on an explicit stack,
+which owns the memos, the node count and (with `_deepening`) deepening;
+`_Search` expands sequences and multisets, `_SetSearch` sets.  Proofs
+are rebuilt on explicit stacks too, so no goal is too deep.
 
-With exchange in sigma, goals are normalized to multisets (sorted
-antecedents) and two-premise splits range over sub-multisets; the returned
-proof is rebuilt on sequences with explicit exchange steps so that it
-passes check_proof.
-
-Cut-free proofs have the subformula property, so each call compiles the
-goal (and the hypotheses) once into a `SubformulaTable` and searches on
-table sequents: a tuple of formula numbers and a number for the succedent,
--1 when it is empty.  Numbers sort as formulas do under `formula_key`, so
-sorting a table antecedent sorts the multiset in the same order as sorting
-the formulas.  In every sigma but {c} cut admissibility makes the rules
-or-l, fus-l, and-r, rimp-r, limp-r, rneg-r, lneg-r, zero-r and one-l
-invertible, so a goal commits to its first invertible instance in
-`_PRIORITY` order, built alone (`_Search.invertible`), as
-`_SetSearch._steps` builds its first invertible step; only a goal without
-one enumerates and sorts all its instances.  The memos keep, for each
-proved goal, the instance that proved it; the ProofTree is decoded from
-them once, at the end.  Under deepening each goal is expanded once: its
-committed instance list and its loop-check key are kept across the
-iterations.  A failure the loop check caused is kept while the ancestor
-that cut it is searched; one that hit the depth bound, only within its
-iteration.
+Goals are table sequents of one `SubformulaTable`: a tuple of formula
+numbers and a succedent number, -1 when empty.  Numbers sort as formulas
+do under `formula_key`, so with exchange a sorted antecedent is the
+multiset normal form; proofs get explicit exchange steps.  In every
+sigma but {c} cut admissibility makes or-l, fus-l, and-r, rimp-r,
+limp-r, rneg-r, lneg-r, zero-r and one-l invertible, so a goal commits
+to its first invertible instance in `_PRIORITY` order.  A
+failure the loop check caused is kept while the ancestor that cut it is
+searched; one that hit the depth bound, only within its iteration.
 """
 
 from __future__ import annotations
@@ -69,11 +55,15 @@ DEFAULT_BOUND = 12
 SUBMULTISET_CAP = 10
 # the largest algebra searched for a countermodel in the bounded regime
 COUNTERMODEL_SIZE = 3
+# a bound at least this large is searched in one pass with no depth limit
+_UNBOUNDED = 10 ** 6
+_INFINITE = float("inf")
 
 # Flags of a failed search below a goal.  A failure is bounded when one of
 # the limits cut it; the bits name the limits, so Unknown can say which.
-# The bits from _CUT on are the depths of the goals above whose loop check
-# cut the failure: it holds only while the deepest of them is searched.
+# The bits from _CUT on are the depths of the goals above whose repetition
+# check cut the failure: it holds only while the deepest of them is
+# searched.
 _DEPTH = 1
 _SPLIT_CAP = 2
 _ANTECEDENT_CAP = 4
@@ -128,16 +118,9 @@ _PRIORITY = {
 
 _RIGHT_UNARY = {"rimp": RuleId.RIMP_R, "limp": RuleId.LIMP_R,
                 "rneg": RuleId.RNEG_R, "lneg": RuleId.LNEG_R}
-
-
-def _priority(rec):
-    return _PRIORITY[rec[0]]
-
-
-def _remove_once(ant, f):
-    out = list(ant)
-    out.remove(f)
-    return tuple(out)
+_LEFT_INVERTIBLE = ("fus", "meet", "one", "join")
+_LEFT_IMPLICATION = {"rimp": RuleId.RIMP_L, "limp": RuleId.LIMP_L}
+_LEFT_NEGATION = {"rneg": RuleId.RNEG_L, "lneg": RuleId.LNEG_L}
 
 
 def _sub_multisets(ant):
@@ -177,18 +160,182 @@ def exchange_chain(tree: ProofTree, target_ant) -> ProofTree:
     return tree
 
 
-class _Search:
-    """One search over the table sequents of one SubformulaTable.
+class _AndOr:
+    """The AND-OR search of both provers, on an explicit stack.
 
-    A proved goal's memo is a proof record (rule, data, conclusion, goal
-    antecedent, premises): the instance that proved it, with the concrete
-    conclusion, and for each premise its concrete antecedent and the record
-    that proved its canonical form.  Records refer to records, so a goal
-    proved again later (search by height has no loop check) does not change
-    the proofs already built on it."""
+    A subclass expands goals: `_leaf(goal)` is the memo entry of a goal a
+    leaf rule closes, or None; `_expand(goal)` is (steps, limit flags), the
+    steps in order, each a tuple ending in its premises, each premise
+    (concrete, canonical goal); `_entry(goal, step, entries)` is the memo
+    entry of a goal a step proved; with `loop_check`, `_loop_key(goal)` is
+    (key, runs), and a goal repeats a goal being searched with the same
+    key when it has at least as many copies in every run.
+
+    `success` maps proved goals to entries, and `abs_fail` holds the goals
+    that fail whatever the budget and the goals being searched;
+    `bounded_fail` and `cut_failed` map a goal to the (budget, flags) of a
+    failure that a limit or a repetition cut, and `frames` lists for each
+    goal being searched the failures that hold only while it is.  The
+    kept `expansions` map goals to (loop key, steps, flags).  Goals visited
+    after `node_cap` (None: no cap) of them fail.  With `weakening`, goals
+    are (antecedent bit set, succedent): `weaker` maps a succedent to the
+    maximal antecedents that failed absolutely, and a goal that is a subset
+    of one stops."""
+
+    loop_check = weakening = False
+
+    def __init__(self, keep_expansions):
+        self.success, self.abs_fail = {}, set()
+        self.bounded_fail, self.cut_failed, self.frames = {}, {}, []
+        self.expansions = {} if keep_expansions else None
+        self.weaker = {} if self.weakening else None
+        self.nodes, self.node_cap = 0, None
+
+    def solve(self, start, budget):
+        """(memo entry of start, 0) when start is proved within `budget`
+        steps (`_INFINITE`: no limit), else (None, flags)."""
+        success, abs_fail, weaker = self.success, self.abs_fail, self.weaker
+        bounded_fail, cut_failed = self.bounded_fail, self.cut_failed
+        frames, expansions = self.frames, self.expansions
+        loop_check, leaf, make_entry = self.loop_check, self._leaf, self._entry
+        cap = _INFINITE if self.node_cap is None else self.node_cap
+        nodes = self.nodes
+        ancestors = {}  # loop key -> [(runs, depth)] of the goals searched
+        # `goal` is expanded with its budget, steps, the index, step and
+        # premises being tried, the entries of those proved, the flags of
+        # the failed steps and its list in `ancestors`; `stack` holds the
+        # same of the goals above it
+        stack = []
+        goal = above = None
+        visit = start
+        while True:
+            # answer `visit` from the memos, or expand it
+            entry, fl = None, 0
+            nodes += 1
+            expansion = expansions and expansions.get(visit)
+            if nodes > cap:
+                fl = _NODE_CAP
+            elif loop_check:
+                key, runs = loop_key = (expansion[0] if expansion
+                                        else self._loop_key(visit))
+                for prior, depth in ancestors.get(key, ()):
+                    if all(n >= m for n, m in zip(runs, prior)):
+                        fl = 1 << depth + _CUT
+                        break
+            if fl or (entry := success.get(visit)) is not None \
+                    or visit in abs_fail:
+                pass
+            elif ((failed := bounded_fail.get(visit)) is not None
+                  and budget <= failed[0]):
+                fl = failed[1]
+            elif ((failed := cut_failed.get(visit)) is not None
+                  and budget <= failed[0]):
+                fl = failed[1]
+            elif (entry := leaf(visit)) is not None:
+                success[visit] = entry
+            elif budget <= 0:
+                fl = _DEPTH
+            else:
+                if goal is not None:
+                    stack.append((goal, budget_of, steps, i, step, premises,
+                                  subs, flags, above))
+                if not expansion:
+                    steps, flags = self._expand(visit)
+                    if expansions is not None:
+                        expansions[visit] = (loop_key if loop_check else None,
+                                             steps, flags)
+                else:
+                    _, steps, flags = expansion
+                goal, budget_of, i = visit, budget, -1
+                if loop_check:
+                    above = ancestors.setdefault(key, [])
+                    above.append((runs, len(frames)))
+                    frames.append([])
+            # hand answers up until a goal needs its next premise
+            while goal is not None:
+                if entry is not None:
+                    subs.append(entry)
+                    if len(subs) < len(premises):
+                        visit = premises[len(subs)][1]
+                        break
+                    entry = success[goal] = make_entry(goal, step, subs)
+                else:
+                    flags |= fl
+                    i += 1
+                    if i < len(steps) and not (
+                            fl == 0 < i and weaker is not None
+                            and _weakens(weaker, goal)):
+                        step = steps[i]
+                        premises, subs = step[-1], []
+                        visit = premises[0][1]
+                        break
+                    # the steps ran out, or a weakening failed absolutely
+                    fl = flags if i >= len(steps) else 0
+                if loop_check:
+                    above.pop()
+                    for g in frames.pop():
+                        cut_failed.pop(g, None)
+                    fl &= ~(1 << len(frames) + _CUT)
+                if entry is not None:
+                    fl = 0
+                elif fl == 0:
+                    abs_fail.add(goal)
+                    if weaker is not None and not _weakens(weaker, goal):
+                        s, d = goal
+                        weaker[d] = [f for f in weaker.get(d, ()) if f & ~s]
+                        weaker[d].append(s)
+                elif fl >> _CUT:
+                    cut_failed[goal] = (budget_of, fl)
+                    frames[(fl >> _CUT).bit_length() - 1].append(goal)
+                elif budget_of > bounded_fail.get(goal, (-1,))[0]:
+                    bounded_fail[goal] = (budget_of, fl)
+                (goal, budget_of, steps, i, step, premises, subs, flags,
+                 above) = stack.pop() if stack else (None,) * 9
+            else:
+                self.nodes = nodes
+                return entry, fl
+            budget = budget_of - 1
+
+
+def _weakens(weaker, goal):
+    """Whether the antecedent of a set goal is a subset of one that failed
+    absolutely with its succedent."""
+    return any(not goal[0] & ~f for f in weaker.get(goal[1], ()))
+
+
+def _deepening(search: _AndOr, start, bound):
+    """Iterative deepening: shallow proofs are found before deep failures
+    are explored.  It stops when the space closes below the bound or the
+    node cap fires; a bound of at least _UNBOUNDED is one unlimited pass."""
+    if bound >= _UNBOUNDED:
+        return search.solve(start, _INFINITE)
+    entry, flags = None, 0
+    for budget in range(1, bound + 1):
+        if search.loop_check:
+            # under other ancestors the loop check may cut what hit the
+            # budget; kept, such failures keep later iterations from closing
+            search.bounded_fail.clear()
+        entry, flags = search.solve(start, budget)
+        if entry is not None or not flags & _BOUNDED or flags & _NODE_CAP:
+            break
+    return entry, flags
+
+
+class _Search(_AndOr):
+    """The expansion of the table sequents of one SubformulaTable, as
+    sequences, or as multisets with e in sigma.  A proved goal's memo is a
+    proof record (rule, data, concrete conclusion, goal antecedent,
+    ((concrete premise antecedent, record), ...)); records refer to
+    records, so a goal proved again later does not change the proofs
+    already built on it."""
 
     def __init__(self, cal: CalculusId, table, hyps=(), cut_formulas=None,
                  max_antecedent=None, by_height=False):
+        # no loop check by height ("provable within height b" is a pure
+        # function of (goal, b)) or without c (every step shrinks the goal);
+        # expansions are kept for deepening, as one pass meets most once
+        self.loop_check = "c" in cal.sigma and not by_height
+        super().__init__(keep_expansions=by_height or self.loop_check)
         self.table = table
         self.rules = rules_of(cal)
         self.multiset = "e" in cal.sigma
@@ -196,32 +343,12 @@ class _Search:
         self.commit = cal.sigma != frozenset({"c"})
         self.cut_formulas = cut_formulas  # None: cut-free
         self.max_antecedent = max_antecedent
-        # no loop check when searching by height ("provable within height
-        # b" is a pure function of (goal, b), so failures memoize soundly by
-        # budget) or without c (every backward step shrinks the goal, and no
-        # goal can repeat an ancestor)
-        self.loop_check = "c" in cal.sigma and not by_height
         # exact canonical matching: the duplicate-collapsed key is only for
         # the ancestor loop check, never for hypothesis closure; of two
         # hypotheses with one canonical form, the first in sorted order wins
         self.hyp_by_key = {}
         for h in sorted(hyps):
             self.hyp_by_key.setdefault(self.canon(h), h)
-        self.success = {}
-        self.abs_fail = set()
-        self.bounded_fail = {}   # goal -> (budget, limit flags)
-        # failures the loop check cut: goal -> (budget, flags); frames lists,
-        # for each goal being searched, by depth, the failures that hold
-        # only while it is searched
-        self.cut_failed = {}
-        self.frames = []
-        # Under deepening a goal is met again on every iteration, so its
-        # expansion is kept: goal -> (loop-check key, committed instances,
-        # limit flags).  A single pass meets most goals once; there the
-        # memo only costs memory and collector work.
-        self.expansions = {} if by_height or self.loop_check else None
-        self.nodes = 0
-        self.node_cap = None  # deterministic effort cap; None = unlimited
 
     def canon(self, s):
         if self.multiset:
@@ -238,6 +365,16 @@ class _Search:
             key += (f,) * min(n, 2)
             runs.append(n)
         return (tuple(key), s[1]), tuple(runs)
+
+    def _expand(self, goal):
+        # commit to the first invertible instance, built alone
+        rec = self.invertible(goal) if self.commit else None
+        return ([rec], 0) if rec is not None else self.instances(goal)
+
+    def _entry(self, goal, rec, subs):
+        rule, data, concl, prems = rec
+        return (rule, data, concl, goal[0],
+                tuple([(p[0][0], sub) for p, sub in zip(prems, subs)]))
 
     # -- instance enumeration -------------------------------------------
 
@@ -263,7 +400,7 @@ class _Search:
             if len(kept) != len(inst):
                 flags |= _ANTECEDENT_CAP
             inst = kept
-        inst.sort(key=_priority)
+        inst.sort(key=lambda rec: _PRIORITY[rec[0]])
         return inst, flags
 
     def invertible(self, goal):
@@ -281,11 +418,10 @@ class _Search:
 
     def _invertible_steps(self, goal):
         """(rule, data, concrete conclusion, premises) of each invertible
-        rule at its first position in a canonical goal, in the order
-        `instances` sorts them.  The instances of one rule all have premises
-        of the same lengths, so the first decides whether max_antecedent
-        keeps any.  A left rule on a multiset moves its principal formula
-        to the end, as `_multiset_instances` does."""
+        rule at its first position in a canonical goal, in `instances`
+        order.  A rule's instances all have premises of the same lengths,
+        so the first decides whether max_antecedent keeps any.  A left rule
+        on a multiset moves its principal formula to the end."""
         a, d = goal
         op, left, right = self.table.op, self.table.left, self.table.right
         ops = [op[f] for f in a]
@@ -353,7 +489,7 @@ class _Search:
 
         split_ok = len(a) <= SUBMULTISET_CAP
         for f in sorted(set(a)):
-            rest = _remove_once(a, f)
+            rest = _multiset_minus(a, (f,))
             tail = (rest + (f,), d)
             o = op[f]
             if o == "join" and RuleId.OR_L in rules:
@@ -367,19 +503,12 @@ class _Search:
             elif o == "fus" and RuleId.FUS_L in rules:
                 emit(RuleId.FUS_L, (len(rest),), tail,
                      (rest + (left[f], right[f]), d))
-            elif o == "rimp" and RuleId.RIMP_L in rules:
+            elif o in _LEFT_IMPLICATION and _LEFT_IMPLICATION[o] in rules:
                 if split_ok:
                     for x in _sub_multisets(rest):
                         y = _multiset_minus(rest, x)
-                        emit(RuleId.RIMP_L, (len(y),), (y + x + (f,), d),
-                             (x, left[f]), (y + (right[f],), d))
-                else:
-                    flags |= _SPLIT_CAP
-            elif o == "limp" and RuleId.LIMP_L in rules:
-                if split_ok:
-                    for x in _sub_multisets(rest):
-                        y = _multiset_minus(rest, x)
-                        emit(RuleId.LIMP_L, (len(y),), (y + (f,) + x, d),
+                        concl = y + x + (f,) if o == "rimp" else y + (f,) + x
+                        emit(_LEFT_IMPLICATION[o], (len(y),), (concl, d),
                              (x, left[f]), (y + (right[f],), d))
                 else:
                     flags |= _SPLIT_CAP
@@ -389,11 +518,9 @@ class _Search:
                 emit(RuleId.WEAK_L, (len(rest), f), tail, (rest, d))
             if RuleId.CONTR_L in rules:
                 emit(RuleId.CONTR_L, (len(rest),), tail, (rest + (f, f), d))
-            if d < 0:
-                if o == "rneg" and RuleId.RNEG_L in rules:
-                    emit(RuleId.RNEG_L, (), tail, (rest, left[f]))
-                if o == "lneg" and RuleId.LNEG_L in rules:
-                    emit(RuleId.LNEG_L, (), ((f,) + rest, d), (rest, left[f]))
+            if d < 0 and o in _LEFT_NEGATION and _LEFT_NEGATION[o] in rules:
+                concl = tail if o == "rneg" else ((f,) + rest, d)
+                emit(_LEFT_NEGATION[o], (), concl, (rest, left[f]))
 
         if d >= 0:
             o = op[d]
@@ -410,14 +537,10 @@ class _Search:
                              (x, left[d]), (y, right[d]))
                 else:
                     flags |= _SPLIT_CAP
-            elif o == "rimp" and RuleId.RIMP_R in rules:
-                emit(RuleId.RIMP_R, (), goal, ((left[d],) + a, right[d]))
-            elif o == "limp" and RuleId.LIMP_R in rules:
-                emit(RuleId.LIMP_R, (), goal, (a + (left[d],), right[d]))
-            elif o == "rneg" and RuleId.RNEG_R in rules:
-                emit(RuleId.RNEG_R, (), goal, ((left[d],) + a, -1))
-            elif o == "lneg" and RuleId.LNEG_R in rules:
-                emit(RuleId.LNEG_R, (), goal, (a + (left[d],), -1))
+            elif o in _RIGHT_UNARY and _RIGHT_UNARY[o] in rules:
+                ant = (left[d],) + a if o[0] == "r" else a + (left[d],)
+                emit(_RIGHT_UNARY[o], (), goal,
+                     (ant, right[d] if o.endswith("imp") else -1))
             elif o == "zero":
                 emit(RuleId.ZERO_R, (), goal, (a, -1))
             if RuleId.WEAK_R in rules:
@@ -433,100 +556,6 @@ class _Search:
             else:
                 flags |= _SPLIT_CAP
         return out, flags
-
-    # -- the search proper ----------------------------------------------
-
-    def solve(self, goal, ancestors, budget):
-        """goal must be canonical; ancestors maps the loop-check keys of
-        the goals above to their (run lengths, depth) (unused without
-        the loop check).  Returns (proof record of goal or None,
-        flags), flags the limit and cut bits over the subtree."""
-        if self.node_cap is not None:
-            self.nodes += 1
-            if self.nodes > self.node_cap:
-                return None, _NODE_CAP
-        expansion = (self.expansions.get(goal)
-                     if self.expansions is not None else None)
-        if self.loop_check:
-            key, runs = (expansion[0] if expansion is not None
-                         else self._loop_key(goal))
-            # a goal repeats an ancestor when it has at least as many
-            # copies in every run; one with fewer copies may still be
-            # provable (weakening removed some) and is not cut
-            for prior, depth in ancestors.get(key, ()):
-                if all(n >= m for n, m in zip(runs, prior)):
-                    return None, 1 << depth + _CUT
-        memo = self.success.get(goal)
-        if memo is not None:
-            return memo, 0
-        if goal in self.abs_fail:
-            return None, 0
-        bounded = self.bounded_fail.get(goal)
-        if bounded is not None and budget <= bounded[0]:
-            return None, bounded[1]
-        cut_failed = self.cut_failed.get(goal)
-        if cut_failed is not None and budget <= cut_failed[0]:
-            return None, cut_failed[1]
-
-        leaf = self._leaf(goal)
-        if leaf is not None:
-            self.success[goal] = leaf
-            return leaf, 0
-
-        if budget <= 0:
-            return None, _DEPTH
-
-        if expansion is None:
-            # commit to the first invertible instance, built alone; only a
-            # goal without one enumerates its instances
-            rec = self.invertible(goal) if self.commit else None
-            if rec is not None:
-                instances, flags = [rec], 0
-            else:
-                instances, flags = self.instances(goal)
-            expansion = ((key, runs) if self.loop_check else None,
-                         instances, flags)
-            if self.expansions is not None:
-                self.expansions[goal] = expansion
-        _, instances, flags = expansion
-        if self.loop_check:
-            frames = self.frames
-            depth = len(frames)
-            frames.append([])
-            above = ancestors.setdefault(key, [])
-            above.append((runs, depth))
-        record = None
-        for rule, data, concl, prems in instances:
-            subs = []
-            for concrete, canonical in prems:
-                sub, sub_flags = self.solve(canonical, ancestors, budget - 1)
-                if sub is None:
-                    flags |= sub_flags
-                    break
-                subs.append((concrete[0], sub))
-            else:
-                record = (rule, data, concl, goal[0], tuple(subs))
-                self.success[goal] = record
-                break
-        if self.loop_check:
-            above.pop()
-            for g in frames.pop():
-                self.cut_failed.pop(g, None)
-            flags &= ~(1 << depth + _CUT)
-        if record is not None:
-            return record, 0
-        cut = flags >> _CUT
-        if flags == 0:
-            # exhausted without ever hitting the budget: absolute failure
-            self.abs_fail.add(goal)
-        elif cut:
-            self.cut_failed[goal] = (budget, flags)
-            frames[cut.bit_length() - 1].append(goal)
-        else:
-            prev = self.bounded_fail.get(goal)
-            if prev is None or budget > prev[0]:
-                self.bounded_fail[goal] = (budget, flags)
-        return None, flags
 
     def _leaf(self, goal):
         a, d = goal
@@ -546,25 +575,28 @@ class _Search:
 
 def _proof_tree(table, record, target_ant) -> ProofTree:
     """The ProofTree of a proof record (see `_Search`), its antecedent
-    permuted into the table antecedent `target_ant`.  A record used twice
-    gives one shared subtree."""
+    permuted into the table antecedent `target_ant`.  Records are built
+    after their premises, on a stack; a record used twice gives one shared
+    subtree."""
     built = {}
-    return _arrange(table, _build(table, record, built), record[3],
-                    target_ant)
-
-
-def _build(table, record, built):
-    tree = built.get(id(record))
-    if tree is None:
-        rule, data, concl, goal_ant, premises = record
-        subtrees = tuple(_arrange(table, _build(table, sub, built), sub[3],
-                                  ant)
-                         for ant, sub in premises)
-        tree = ProofTree(decode_sequent(table, concl), rule, subtrees,
+    stack = [record]
+    while stack:
+        rec = stack[-1]
+        if id(rec) in built:
+            stack.pop()
+            continue
+        rule, data, concl, goal_ant, premises = rec
+        missing = [sub for _, sub in premises if id(sub) not in built]
+        if missing:
+            stack += missing
+            continue
+        stack.pop()
+        tree = ProofTree(decode_sequent(table, concl), rule,
+                         tuple([_arrange(table, built[id(sub)], sub[3], ant)
+                                for ant, sub in premises]),
                          decode_data(table, rule, data))
-        tree = _arrange(table, tree, concl[0], goal_ant)
-        built[id(record)] = tree
-    return tree
+        built[id(rec)] = _arrange(table, tree, concl[0], goal_ant)
+    return _arrange(table, built[id(record)], record[3], target_ant)
 
 
 def _arrange(table, tree, ant, target_ant):
@@ -576,6 +608,26 @@ def _arrange(table, tree, ant, target_ant):
     return exchange_chain(tree, [formulas[i] for i in target_ant])
 
 
+def _walk(memo, key, make):
+    """memo[key], computed on an explicit stack when missing: `make(key)`
+    is a generator that yields the keys it needs, is sent their values and
+    returns the value of key."""
+    value = memo.get(key)
+    stack = [] if value is not None else [(key, make(key))]
+    while stack:
+        k, gen = stack[-1]
+        try:
+            need = gen.send(value)
+        except StopIteration as done:
+            value = memo[k] = done.value
+            stack.pop()
+            continue
+        value = memo.get(need)
+        if value is None:
+            stack.append((need, make(need)))
+    return value
+
+
 def _members(s):
     """The numbers in the bit set s, in increasing order."""
     while s:
@@ -584,11 +636,7 @@ def _members(s):
         s ^= low
 
 
-_LEFT_IMPLICATION = {"rimp": RuleId.RIMP_L, "limp": RuleId.LIMP_L}
-_LEFT_NEGATION = {"rneg": RuleId.RNEG_L, "lneg": RuleId.LNEG_L}
-
-
-class _SetSearch:
+class _SetSearch(_AndOr):
     """The decision procedure for FL_sigma with e, wl and c in sigma, over
     the set sequents of one SubformulaTable: (antecedent, succedent), the
     antecedent a bit set of formula numbers, the succedent a number or -1.
@@ -606,72 +654,35 @@ class _SetSearch:
     one of its ancestors fails (a shortest proof never repeats a sequent
     on a branch).
 
-    `proofs` maps each proved set sequent to its step (rule, principal
-    formula or succedent, premises); for the meet rule the rule is AND_L1.
-    `record` rebuilds an FL_sigma proof record for a concrete antecedent,
-    adding weakening, contraction and exchange steps only where the
-    premises' proofs need them."""
+    `success` maps each proved set sequent to (rule, principal formula or
+    succedent, premises); for the meet rule the rule is AND_L1.  `record`
+    rebuilds an FL_sigma proof record for a concrete antecedent, with
+    weakening, contraction and exchange steps only where proofs need them.
+    """
+
+    loop_check = weakening = True
 
     def __init__(self, table, weak_right):
-        self.table = table
-        self.weak_right = weak_right
+        super().__init__(keep_expansions=False)
+        self.table, self.weak_right = table, weak_right
         self.zero = table.op.index("zero") if "zero" in table.op else -1
-        self.proofs = {}
-        self.failed = set()
-        # the repetition check: the goals being searched, by depth; a frame
-        # lists the failures that hold only while it is searched
-        self.frames = []
-        self.depth = {}
-        self.cut_failed = {}
-        self.used = {}
-        self.needs = {}
-        self.records = {}
+        # bit sets of the formulas with an invertible left rule, of the
+        # implications, and of the implications and negations
+        of = {}
+        for f, o in enumerate(table.op):
+            of[o] = of.get(o, 0) | 1 << f
+        self.left_invertible = sum(of.get(o, 0) for o in _LEFT_INVERTIBLE)
+        self.left_implications = of.get("rimp", 0) | of.get("limp", 0)
+        self.left_other = (self.left_implications | of.get("rneg", 0)
+                           | of.get("lneg", 0))
+        self.needs, self.records = {}, {}
 
-    def solve(self, goal):
-        """(goal proved, cut), cut the bit set of the depths of the goals
-        being searched whose repetition failed it (0: the failure holds
-        whatever is being searched).  A failure that depends on them is
-        kept while the deepest of them is searched: below it, every goal
-        it depends on is still an ancestor."""
-        if goal in self.proofs:
-            return True, 0
-        if goal in self.failed:
-            return False, 0
-        depth = self.depth.get(goal)
-        if depth is not None:
-            return False, 1 << depth
-        cut = self.cut_failed.get(goal)
-        if cut is not None:
-            return False, cut
-        leaf = self._leaf(goal)
-        if leaf is not None:
-            self.proofs[goal] = leaf
-            return True, 0
-        frames = self.frames
-        depth = self.depth[goal] = len(frames)
-        frames.append([])
-        cut = 0
-        for step in self._steps(goal):
-            for premise in step[2]:
-                proved, premise_cut = self.solve(premise)
-                if not proved:
-                    cut |= premise_cut
-                    break
-            else:
-                self.proofs[goal] = step
-                break
-        for g in frames.pop():
-            del self.cut_failed[g]
-        del self.depth[goal]
-        cut &= ~(1 << depth)
-        if goal in self.proofs:
-            return True, 0
-        if cut:
-            self.cut_failed[goal] = cut
-            frames[cut.bit_length() - 1].append(goal)
-        else:
-            self.failed.add(goal)
-        return False, cut
+    def _loop_key(self, goal):
+        return goal, ()
+
+    def _entry(self, goal, step, subs):
+        rule, f, premises = step
+        return rule, f, tuple([p for p, _ in premises])
 
     def _leaf(self, goal):
         s, d = goal
@@ -684,91 +695,92 @@ class _SetSearch:
             return (RuleId.ZERO_L, self.zero, ())
         return None
 
-    def _steps(self, goal):
-        """The steps to try on a goal: the first invertible one alone, or
-        else every non-invertible one."""
+    def _expand(self, goal):
+        """The steps to try on a goal, and no limit flags: the first
+        invertible one alone, or else every non-invertible one."""
         s, d = goal
         op, left, right = self.table.op, self.table.left, self.table.right
         joins = []
-        for f in _members(s):
+        for f in _members(s & self.left_invertible):
             o = op[f]
             rest = s & ~(1 << f)
             if o == "fus" or o == "meet":
                 rule = RuleId.FUS_L if o == "fus" else RuleId.AND_L1
-                return [(rule, f, ((rest | 1 << left[f] | 1 << right[f], d),))]
+                return [_step(rule, f, (rest | 1 << left[f] | 1 << right[f],
+                                        d))], 0
             if o == "one":
-                return [(RuleId.ONE_L, f, ((rest, d),))]
+                return [_step(RuleId.ONE_L, f, (rest, d))], 0
             if o == "join":
                 joins.append(f)
         o = op[d] if d >= 0 else None
         if o in _RIGHT_UNARY:
             succ = right[d] if o == "rimp" or o == "limp" else -1
-            return [(_RIGHT_UNARY[o], d, ((s | 1 << left[d], succ),))]
+            return [_step(_RIGHT_UNARY[o], d, (s | 1 << left[d], succ))], 0
         if o == "zero":
-            return [(RuleId.ZERO_R, d, ((s, -1),))]
+            return [_step(RuleId.ZERO_R, d, (s, -1))], 0
         if joins:
             f = joins[0]
             rest = s & ~(1 << f)
-            return [(RuleId.OR_L, f, ((rest | 1 << left[f], d),
-                                      (rest | 1 << right[f], d)))]
+            return [_step(RuleId.OR_L, f, (rest | 1 << left[f], d),
+                          (rest | 1 << right[f], d))], 0
         if o == "meet" or o == "fus":
             rule = RuleId.AND_R if o == "meet" else RuleId.FUS_R
-            return [(rule, d, ((s, left[d]), (s, right[d])))]
+            return [_step(rule, d, (s, left[d]), (s, right[d]))], 0
         steps = []
         if o == "join":
-            steps.append((RuleId.OR_R1, d, ((s, left[d]),)))
-            steps.append((RuleId.OR_R2, d, ((s, right[d]),)))
-        for f in _members(s):
-            o = op[f]
+            steps.append(_step(RuleId.OR_R1, d, (s, left[d])))
+            steps.append(_step(RuleId.OR_R2, d, (s, right[d])))
+        # the left rules of the negations need an empty succedent
+        for f in _members(s & (self.left_other if d < 0
+                               else self.left_implications)):
+            o, p = op[f], (s, left[f])
             if o in _LEFT_IMPLICATION:
-                steps.append((_LEFT_IMPLICATION[o], f, (
-                    (s, left[f]), (s & ~(1 << f) | 1 << right[f], d))))
-            elif o in _LEFT_NEGATION and d < 0:
-                steps.append((_LEFT_NEGATION[o], f, ((s, left[f]),)))
+                q = (s & ~(1 << f) | 1 << right[f], d)
+                steps.append((_LEFT_IMPLICATION[o], f, ((p, p), (q, q))))
+            else:
+                steps.append((_LEFT_NEGATION[o], f, ((p, p),)))
         if self.weak_right and d >= 0:
-            steps.append((RuleId.WEAK_R, d, ((s, -1),)))
-        return steps
+            steps.append(_step(RuleId.WEAK_R, d, (s, -1)))
+        return steps, 0
 
     # -- rebuilding FL_sigma proofs -------------------------------------
 
     def _skip(self, goal):
         """The premise of a proved goal whose proof proves the goal's own
         antecedent with the same succedent (it uses nothing the rule
-        added), or None."""
+        added), or None.  The premises' needs must be known."""
         s, d = goal
-        rule, _, premises = self.proofs[goal]
+        rule, _, premises = self.success[goal]
         if rule in (RuleId.ONE_L, RuleId.FUS_L, RuleId.AND_L1, RuleId.OR_L,
                     RuleId.RIMP_L, RuleId.LIMP_L):
             for premise in premises:
-                if premise[1] == d and not self._used(premise) & ~s:
+                if premise[1] == d and not self.needs[premise][1] & ~s:
                     return premise
         return None
 
-    def _used(self, goal):
-        """The bit set of the antecedent formulas of a proved goal that its
-        rebuilt proof uses."""
-        u = self.used.get(goal)
-        if u is None:
-            u = 0
-            for f in self._need(goal):
-                u |= 1 << f
-            self.used[goal] = u
-        return u
-
-    def _need(self, goal):
-        """The antecedent of the rule that the rebuilt proof of a proved
-        goal ends with, as a sorted tuple: the formulas the rule's premises
-        use, each as often as they use it."""
-        need = self.needs.get(goal)
-        if need is not None:
-            return need
-        skip = self._skip(goal)
-        if skip is not None:
-            need = self._need(skip)
-        else:
-            rule, f, premises = self.proofs[goal]
-            left, right = self.table.left, self.table.right
-            used = [self._used(p) for p in premises]
+    def _needs(self, goal):
+        """(need, used) of a proved goal.  need is the antecedent of the
+        rule that the rebuilt proof ends with, as a sorted tuple: the
+        formulas the rule's premises use, each as often as they use it;
+        used is its bit set.  Premises are done first, on a stack."""
+        needs, left, right = self.needs, self.table.left, self.table.right
+        todo = [] if goal in needs else [goal]
+        while todo:
+            g = todo[-1]
+            if g in needs:
+                todo.pop()
+                continue
+            rule, f, premises = self.success[g]
+            missing = [p for p in premises if p not in needs]
+            if missing:
+                todo += missing
+                continue
+            todo.pop()
+            skip = self._skip(g)
+            if skip is not None:
+                needs[g] = needs[skip]
+                continue
+            used = [needs[p][1] for p in premises]
             if rule is RuleId.AXIOM or rule is RuleId.ZERO_L:
                 parts = [1 << f]
             elif rule in _RIGHT_UNARY.values():
@@ -778,7 +790,7 @@ class _SetSearch:
             elif rule is RuleId.FUS_L:
                 parts = [1 << f, used[0] & ~(1 << left[f] | 1 << right[f])]
             elif rule is RuleId.AND_L1:
-                parts = [1 << f, used[0] & goal[0]]
+                parts = [1 << f, used[0] & g[0]]
             elif rule is RuleId.OR_L:
                 parts = [1 << f, used[0] & ~(1 << left[f])
                          | used[1] & ~(1 << right[f])]
@@ -788,9 +800,9 @@ class _SetSearch:
                 parts = [1 << f, used[0]]
             else:   # ONE_R, OR_R1, OR_R2, ZERO_R, WEAK_R, FUS_R
                 parts = used
-            need = tuple(sorted(f for part in parts for f in _members(part)))
-        self.needs[goal] = need
-        return need
+            need = tuple(sorted(x for part in parts for x in _members(part)))
+            needs[g] = need, sum(1 << x for x in set(need))
+        return needs[goal]
 
     def record(self, goal, ant):
         """A proof record (see `_Search`) of the table antecedent `ant`, in
@@ -798,15 +810,15 @@ class _SetSearch:
         proof uses occurs in `ant`.  Weakening drops the formulas the proof
         does not use, contraction doubles those it uses more often than
         `ant` has them, both in place."""
-        key = (goal, ant)
-        rec = self.records.get(key)
-        if rec is not None:
-            return rec
+        return _walk(self.records, (goal, ant), self._record_of)
+
+    def _record_of(self, key):
+        """The record of (goal, ant), for `_walk`."""
+        goal, ant = key
+        need = self._needs(goal)[0]
         skip = self._skip(goal)
         if skip is not None:
-            rec = self.records[key] = self.record(skip, ant)
-            return rec
-        need = self._need(goal)
+            return (yield skip, ant)
         cur, steps = ant, []
         for g in sorted(set(ant)):
             have, want = cur.count(g), need.count(g)
@@ -818,21 +830,21 @@ class _SetSearch:
                 i = cur.index(g)
                 steps.append((RuleId.CONTR_L, (i,), cur))
                 cur = cur[:i + 1] + cur[i:]
-        rec = self._rule_record(goal, cur)
+        rec = yield from self._rule_record(goal, cur)
         d = goal[1]
         for rule, data, concl in reversed(steps):
             rec = (rule, data, (concl, d), concl, ((rec[3], rec),))
-        self.records[key] = rec
         return rec
 
     def _rule_record(self, goal, cur):
         """The record of the goal's rule with the antecedent `cur` (the
-        goal's `_need`, in some order); left rules act in place, and a rule
-        that splits its antecedent deals it out in order."""
+        goal's need from `_needs`, in some order); left rules act in place,
+        and a rule that splits its antecedent deals it out in order.  A
+        generator for `_walk`: it yields the (premise, antecedent) records
+        it needs."""
         d = goal[1]
-        rule, f, premises = self.proofs[goal]
+        rule, f, premises = self.success[goal]
         left, right = self.table.left, self.table.right
-        sub = self.record
         if rule in (RuleId.AXIOM, RuleId.ZERO_L, RuleId.ONE_R):
             return (rule, (), (cur, d), cur, ())
         if rule in _RIGHT_UNARY.values():
@@ -840,67 +852,73 @@ class _SetSearch:
             a = left[f]
             pa = ((a,) + cur if rule in (RuleId.RIMP_R, RuleId.RNEG_R)
                   else cur + (a,))
-            return (rule, (), (cur, d), cur, ((pa, sub(p, pa)),))
+            return (rule, (), (cur, d), cur, ((pa, (yield p, pa)),))
         if rule in (RuleId.OR_R1, RuleId.OR_R2, RuleId.ZERO_R,
-                    RuleId.WEAK_R):
-            (p,) = premises
+                    RuleId.WEAK_R, RuleId.AND_R):
             data = {RuleId.OR_R1: (right[d],), RuleId.OR_R2: (left[d],),
                     RuleId.WEAK_R: (d,)}.get(rule, ())
-            return (rule, data, (cur, d), cur, ((cur, sub(p, cur)),))
-        if rule is RuleId.AND_R:
-            return (rule, (), (cur, d), cur,
-                    tuple((cur, sub(p, cur)) for p in premises))
+            subs = []
+            for p in premises:
+                subs.append((cur, (yield p, cur)))
+            return (rule, data, (cur, d), cur, tuple(subs))
         if rule is RuleId.FUS_R:
-            x, y = _deal(cur, [self._used(p) for p in premises])
+            x, y = _deal(cur, [self._needs(p)[1] for p in premises])
             return (rule, (), (x + y, d), cur,
-                    ((x, sub(premises[0], x)), (y, sub(premises[1], y))))
+                    ((x, (yield premises[0], x)), (y, (yield premises[1], y))))
         if rule is RuleId.AND_L1:
-            return self._meet_record(goal, cur)
+            return (yield from self._meet_record(goal, cur))
         if rule is RuleId.FUS_L or rule is RuleId.OR_L:
             i = cur.index(f)
             parts = (((left[f], right[f]),) if rule is RuleId.FUS_L
                      else ((left[f],), (right[f],)))
-            ants = [cur[:i] + part + cur[i + 1:] for part in parts]
-            return (rule, (i,), (cur, d), cur,
-                    tuple((pa, sub(p, pa)) for pa, p in zip(ants, premises)))
+            subs = []
+            for part, p in zip(parts, premises):
+                pa = cur[:i] + part + cur[i + 1:]
+                subs.append((pa, (yield p, pa)))
+            return (rule, (i,), (cur, d), cur, tuple(subs))
         if rule in (RuleId.RIMP_L, RuleId.LIMP_L):
             b = right[f]
-            _, x, y = _deal(cur, [1 << f, self._used(premises[0]),
-                                  self._used(premises[1]) & ~(1 << b)])
+            _, x, y = _deal(cur, [1 << f, self._needs(premises[0])[1],
+                                  self._needs(premises[1])[1] & ~(1 << b)])
             concl = y + x + (f,) if rule is RuleId.RIMP_L else y + (f,) + x
             return (rule, (len(y),), (concl, d), cur,
-                    ((x, sub(premises[0], x)),
-                     (y + (b,), sub(premises[1], y + (b,)))))
+                    ((x, (yield premises[0], x)),
+                     (y + (b,), (yield premises[1], y + (b,)))))
         # RNEG_L, LNEG_L
         (p,) = premises
-        _, x = _deal(cur, [1 << f, self._used(p)])
+        _, x = _deal(cur, [1 << f, self._needs(p)[1]])
         concl = x + (f,) if rule is RuleId.RNEG_L else (f,) + x
-        return (rule, (), (concl, d), cur, ((x, sub(p, x)),))
+        return (rule, (), (concl, d), cur, ((x, (yield p, x)),))
 
     def _meet_record(self, goal, cur):
         """The meet rule in place in `cur`: and-l1 or and-l2 for the
         conjunct the premise's proof uses that the goal lacks, or, when it
         uses both, a contraction and then both."""
         s, d = goal
-        _, f, (p,) = self.proofs[goal]
+        _, f, (p,) = self.success[goal]
         a, b = self.table.left[f], self.table.right[f]
         i = cur.index(f)
-        used = self._used(p)
+        used = self._needs(p)[1]
         wanted = [g for g in (a, b) if used >> g & 1 and not s >> g & 1]
         if len(wanted) == 1 or a == b:
             g = wanted[0]
             rule, side = ((RuleId.AND_L1, b) if g == a
                           else (RuleId.AND_L2, a))
             pg = cur[:i] + (g,) + cur[i + 1:]
-            return (rule, (i, side), (cur, d), cur,
-                    ((pg, self.record(p, pg)),))
+            return (rule, (i, side), (cur, d), cur, ((pg, (yield p, pg)),))
         pab = cur[:i] + (a, b) + cur[i + 1:]
         paf = cur[:i] + (a, f) + cur[i + 1:]
         pff = cur[:i] + (f, f) + cur[i + 1:]
         rec = (RuleId.AND_L2, (i + 1, a), (paf, d), paf,
-               ((pab, self.record(p, pab)),))
+               ((pab, (yield p, pab)),))
         rec = (RuleId.AND_L1, (i, b), (pff, d), pff, ((paf, rec),))
         return (RuleId.CONTR_L, (i,), (cur, d), cur, ((pff, rec),))
+
+
+def _step(rule, f, *goals):
+    """A set search step: its rule, its principal formula or succedent,
+    and its premises, each (goal, goal) as `_AndOr` takes them."""
+    return rule, f, tuple([(g, g) for g in goals])
 
 
 def _deal(ant, parts):
@@ -917,31 +935,8 @@ def _deal(ant, parts):
     return [tuple(dealt) for dealt in out]
 
 
-def _deepening(search: _Search, start, bound):
-    """Iterative deepening: shallow proofs are found before deep failures
-    are explored; stops early when the space closes below the bound."""
-    if bound >= 10 ** 6:
-        return search.solve(start, {}, bound)
-    flags = 0
-    for budget in range(1, bound + 1):
-        # a goal that hit the budget under some ancestors may close under
-        # others, whose loop check cuts what hit it; kept across iterations
-        # such failures would keep every later iteration from closing
-        search.bounded_fail.clear()
-        record, flags = search.solve(start, {}, budget)
-        if record is not None:
-            return record, 0
-        if not flags & _BOUNDED:
-            return None, flags
-    return None, flags
-
-
 def _set_goal(encoded):
-    ant, succ = encoded
-    s = 0
-    for f in ant:
-        s |= 1 << f
-    return s, succ
+    return sum(1 << f for f in set(encoded[0])), encoded[1]
 
 
 def regime(sigma) -> str:
@@ -972,8 +967,7 @@ def prove(goal: Sequent, cal: CalculusId, bound=None):
     if kind != "shrinking":
         decider = _SetSearch(table, "wr" in sigma)
         start = _set_goal(encoded)
-        proved, _ = decider.solve(start)
-        if not proved:
+        if _deepening(decider, start, _UNBOUNDED)[0] is None:
             return Refuted()
         if kind == "sets":
             return Proved(_proof_tree(table, decider.record(start, encoded[0]),
@@ -983,13 +977,13 @@ def prove(goal: Sequent, cal: CalculusId, bound=None):
             return Refuted(countermodel=found)
     contraction = kind == "bounded"
     if bound is None:
-        bound = DEFAULT_BOUND if contraction else 10 ** 9
+        bound = DEFAULT_BOUND if contraction else _UNBOUNDED
     search = _Search(cal, table)
     record, flags = _deepening(search, search.canon(encoded), bound)
     if record is None and contraction:
         # FL_{sigma - c} is decided, and its proofs are FL_sigma proofs
         lower = _Search(CalculusId(sigma - {"c"}, cal.lang), table)
-        record, _ = _deepening(lower, lower.canon(encoded), 10 ** 9)
+        record, _ = _deepening(lower, lower.canon(encoded), _UNBOUNDED)
     if record is not None:
         return Proved(_proof_tree(table, record, encoded[0]))
     if flags & _BOUNDED:
@@ -1042,12 +1036,7 @@ def prove_with_hyps(goal: Sequent, hyps, cal: CalculusId, bound=DEFAULT_BOUND,
                      cut_formulas=tuple(range(len(table))),
                      max_antecedent=max_antecedent, by_height=True)
     search.node_cap = node_cap
-    start = search.canon(encoded[0])
-    record, flags = None, 0
-    for budget in range(1, bound + 1):
-        record, flags = search.solve(start, None, budget)
-        if record is not None or search.nodes > (node_cap or 0) > 0:
-            break
+    record, flags = _deepening(search, search.canon(encoded[0]), bound)
     if record is not None:
         return Proved(_proof_tree(table, record, encoded[0][0]))
     if flags & _BOUNDED:
@@ -1074,4 +1063,3 @@ def external_entails(premises, conclusion, cal: CalculusId,
     if isinstance(sem, bridge.SemRefuted):
         return Refuted()
     return Unknown()
-

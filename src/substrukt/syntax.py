@@ -301,6 +301,10 @@ class SubformulaTable:
     by (connective, child numbers), and each node's sort key is built from
     its children's keys, so that no formula is hashed, compared or keyed
     recursively; equal subformulas that are distinct objects get one number.
+    A sort key is `formula_key` flattened in preorder, (tag, op, left's key
+    items..., right's key items...): the tag fixes the arity, so no key is
+    a proper prefix of another, and flat keys compare as the nested ones do,
+    without recursing in the comparison.
     """
 
     __slots__ = ("op", "left", "right", "formulas", "roots")
@@ -340,9 +344,9 @@ class SubformulaTable:
                 if k is None:
                     k = intern[name] = len(keys)
                     if r >= 0:
-                        keys.append((3, op, keys[l], keys[r]))
+                        keys.append((3, op) + keys[l] + keys[r])
                     elif l >= 0:
-                        keys.append((2, op, keys[l]))
+                        keys.append((2, op) + keys[l])
                     else:
                         keys.append(formula_key(f))
                     nodes.append((f, op, l, r))

@@ -16,7 +16,6 @@ from substrukt.algebra import (VarietyId, check_property_equivalences,
                                check_variety, enumerate_algebras, eval_term,
                                language_of_family, opposite, reduct)
 from substrukt.bridge import (Found, NotFound, canonical_filter, countermodel,
-                              filter_closed_expanded,
                               filter_congruence_correspondence)
 from substrukt.completion import (bits, completion_needs_empty_set,
                                   ideal_completion, ideal_generated, mask_of,
@@ -28,6 +27,7 @@ from substrukt.hilbert import (axioms_to_sequents, hilbert_system,
                                matching_calculus, preset_hfl, preset_hfle,
                                preset_van_alten_raftery, rules_to_sequents)
 from substrukt import fixtures
+from filter_oracle import filter_closed_expanded
 
 SIGMA_CODES = ("e", "wl", "wr", "c")
 ALL_SIGMAS = [frozenset(c) for k in range(5)

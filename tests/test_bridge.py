@@ -15,12 +15,12 @@ from substrukt.bridge import (Congruence, CorrespondenceReport, FilterSlices,
                               Found, NoCountermodelUpTo, NotACongruence,
                               NotFound, SemRefuted, all_congruences,
                               all_filters, canonical_filter, countermodel,
-                              entails_semantically, filter_closed_expanded,
-                              filter_closure, filter_congruence_correspondence,
-                              filter_member, is_filter, k_congruences,
-                              leibniz_congruence)
+                              entails_semantically, filter_closure,
+                              filter_congruence_correspondence, is_filter,
+                              k_congruences, leibniz_congruence)
 from substrukt.corpus import random_semilattice
 from substrukt import bridge, fixtures
+from filter_oracle import filter_closed_expanded, filter_member
 
 CORE = Language.preset("core")
 NOSIGMA = frozenset()

@@ -7,11 +7,17 @@ from pathlib import Path
 import pytest
 
 import substrukt
-from substrukt.algebra import (VarietyId, check_variety, dump_algebra,
-                               from_json_dict, holds)
+from substrukt.algebra import (VarietyId, check_variety, from_json_dict,
+                               holds, to_json_dict)
 from substrukt.cli import main
 from substrukt.sequents import parse_sequent, tau_equation
 from substrukt import fixtures
+
+
+def dump_algebra(a, path):
+    with open(path, "w") as fh:
+        json.dump(to_json_dict(a), fh, indent=2)
+        fh.write("\n")
 
 
 def run(capsys, *argv):
