@@ -4,16 +4,21 @@ proof trees, proof checking, and backward rule-instance enumeration.
 A ProofTree node stores enough instance data (position indices, side
 formulas) to recompute its conclusion from its premises deterministically;
 `derive_conclusion` is the single source of truth for what each rule does.
+Backward, `table_instances_backward` states each rule's premises once, on
+sequence and multiset goals alike, in the order the search tries the
+rules; `rule_instances_backward` and the data inference of
+`parse_proof_sexp` read it too.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .syntax import (Bin, Language, FULL, ZERO, ONE, check_language,
+from .syntax import (Language, FULL, ZERO, ONE, check_language,
                      format_formula, fus, join, limp, lneg, meet,
                      mirror_formula, rimp, rneg)
 from .sequents import (Sequent, decode_sequent, encode_sequents, fuse,
@@ -306,6 +311,238 @@ RULE_ARITY = {
 }
 
 
+# ---------------------------------------------------------------------------
+# Backward rule instances
+# ---------------------------------------------------------------------------
+
+# The longest multiset antecedent whose sub-multiset splits are enumerated.
+SUBMULTISET_CAP = 10
+
+# The rules that cut admissibility makes invertible in every sigma but {c}.
+INVERTIBLE_RULES = frozenset({
+    RuleId.OR_L, RuleId.FUS_L, RuleId.AND_R, RuleId.RIMP_R, RuleId.LIMP_R,
+    RuleId.RNEG_R, RuleId.LNEG_R, RuleId.ZERO_R, RuleId.ONE_L})
+
+
+def table_instances_backward(table, goal, rules, multiset=False,
+                             cut_formulas=(), commit=False):
+    """(instances, skipped): the instances of the non-leaf rules in `rules`
+    that conclude the table sequent `goal` (see
+    `sequents.encode_sequents`), and whether sub-multiset splits were
+    skipped.  An instance is (rule, data, conclusion, premises), all table
+    sequents and table numbers (see `decode_data`), and a sequence-level
+    instance by `derive_conclusion`.
+
+    Instances come one rule at a time, in the order the search tries them:
+    the invertible rules or-l, fus-l, and-r, rimp-r, limp-r, rneg-r,
+    lneg-r, zero-r and one-l; then or-r1, or-r2, and-l1, and-l2, fus-r,
+    rimp-l, limp-l, rneg-l, lneg-l, weak-r, weak-l and contr-l; then exch-l
+    and cut, on the formulas in `cut_formulas` only.  Within a rule they
+    come by the position of the principal formula, then by split.  With
+    `commit`, the list ends after the invertible rules if they have any.
+
+    On a sequence the principal formula sits at each position in turn, the
+    conclusion is the goal, and splits are contiguous.  On a multiset
+    (`multiset`, the goal's antecedent sorted) each distinct formula is
+    moved to the end of the conclusion, or for lneg-l to the front; splits
+    deal out sub-multisets, and only while the goal has at most
+    SUBMULTISET_CAP formulas; exch-l has no instance.  As each distinct
+    formula and each sub-multiset is taken once, no two instances of a
+    rule have the same data and premises up to order."""
+    op, left, right = table.op, table.left, table.right
+    a, d = goal
+    n = len(a)
+    # the positions of the principal formulas of each connective but var;
+    # on a multiset the first copy of each formula
+    at = {}
+    for k, f in enumerate(a):
+        c = op[f]
+        if c != "var" and not (multiset and k and a[k - 1] == f):
+            if c in at:
+                at[c].append(k)
+            else:
+                at[c] = [k]
+
+    # each rule is looked up only when its connective occurs: on CPython
+    # 3.11 an attribute of an Enum class is a slow lookup
+    out = []
+    add = out.append
+    o = op[d] if d >= 0 else None
+    if "join" in at and RuleId.OR_L in rules:
+        for f, pre, post, concl in _sites(goal, at["join"], multiset):
+            add((RuleId.OR_L, (len(pre),), concl,
+                 ((pre + (left[f],) + post, d),
+                  (pre + (right[f],) + post, d))))
+    if "fus" in at and RuleId.FUS_L in rules:
+        for f, pre, post, concl in _sites(goal, at["fus"], multiset):
+            add((RuleId.FUS_L, (len(pre),), concl,
+                 ((pre + (left[f], right[f]) + post, d),)))
+    if o == "meet" and RuleId.AND_R in rules:
+        add((RuleId.AND_R, (), goal, ((a, left[d]), (a, right[d]))))
+    elif o == "rimp" and RuleId.RIMP_R in rules:
+        add((RuleId.RIMP_R, (), goal, (((left[d],) + a, right[d]),)))
+    elif o == "limp" and RuleId.LIMP_R in rules:
+        add((RuleId.LIMP_R, (), goal, ((a + (left[d],), right[d]),)))
+    elif o == "rneg" and RuleId.RNEG_R in rules:
+        add((RuleId.RNEG_R, (), goal, (((left[d],) + a, -1),)))
+    elif o == "lneg" and RuleId.LNEG_R in rules:
+        add((RuleId.LNEG_R, (), goal, ((a + (left[d],), -1),)))
+    elif o == "zero" and RuleId.ZERO_R in rules:
+        add((RuleId.ZERO_R, (), goal, ((a, -1),)))
+    if "one" in at and RuleId.ONE_L in rules:
+        for f, pre, post, concl in _sites(goal, at["one"], multiset):
+            add((RuleId.ONE_L, (len(pre),), concl, ((pre + post, d),)))
+    if commit and out:
+        return out, False
+
+    skipped = False
+    split = not multiset or n <= SUBMULTISET_CAP
+    if o == "join" and RuleId.OR_R1 in rules:
+        add((RuleId.OR_R1, (right[d],), goal, ((a, left[d]),)))
+    if o == "join" and RuleId.OR_R2 in rules:
+        add((RuleId.OR_R2, (left[d],), goal, ((a, right[d]),)))
+    meets = _sites(goal, at["meet"], multiset) if "meet" in at else ()
+    if meets and RuleId.AND_L1 in rules:
+        for f, pre, post, concl in meets:
+            add((RuleId.AND_L1, (len(pre), right[f]), concl,
+                 ((pre + (left[f],) + post, d),)))
+    if meets and RuleId.AND_L2 in rules:
+        for f, pre, post, concl in meets:
+            add((RuleId.AND_L2, (len(pre), left[f]), concl,
+                 ((pre + (right[f],) + post, d),)))
+    if o == "fus" and RuleId.FUS_R in rules:
+        if split:
+            for sigma, gamma, pi in _segments(a, (0,), range(n + 1), multiset):
+                add((RuleId.FUS_R, (), (gamma + sigma + pi, d),
+                     ((gamma, left[d]), (sigma + pi, right[d]))))
+        else:
+            skipped = True
+    for c in ("rimp", "limp"):
+        if c not in at:
+            continue
+        rule = RuleId.RIMP_L if c == "rimp" else RuleId.LIMP_L
+        if rule not in rules:
+            continue
+        if not split:
+            skipped = True
+            continue
+        for f, pre, post, _ in _sites(goal, at[c], multiset):
+            # gamma proves f's antecedent: it stands just before f (rimp)
+            # or just after it (limp) in the conclusion
+            ctx, i = pre + post, len(pre)
+            if c == "rimp":
+                parts = _segments(ctx, range(i + 1), (i,), multiset)
+            else:
+                parts = _segments(ctx, (i,), range(i, len(ctx) + 1),
+                                  multiset)
+            for sigma, gamma, pi in parts:
+                concl = (sigma + gamma + (f,) + pi if c == "rimp"
+                         else sigma + (f,) + gamma + pi)
+                add((rule, (len(sigma),), (concl, d),
+                     ((gamma, left[f]), (sigma + (right[f],) + pi, d))))
+    if d < 0 and "rneg" in at and RuleId.RNEG_L in rules:
+        for f, pre, post, concl in _sites(goal, at["rneg"], multiset):
+            if not post:
+                add((RuleId.RNEG_L, (), concl, ((pre, left[f]),)))
+    if d < 0 and "lneg" in at and RuleId.LNEG_L in rules:
+        for f, pre, post, concl in _sites(goal, at["lneg"], multiset,
+                                          front=True):
+            if not pre:
+                add((RuleId.LNEG_L, (), concl, ((post, left[f]),)))
+    if d >= 0 and RuleId.WEAK_R in rules:
+        add((RuleId.WEAK_R, (d,), goal, ((a, -1),)))
+    weak, contr = RuleId.WEAK_L in rules, RuleId.CONTR_L in rules
+    if weak or contr:
+        everywhere = _sites(goal, [k for k in range(n) if not (
+            multiset and k and a[k - 1] == a[k])], multiset)
+    if weak:
+        for f, pre, post, concl in everywhere:
+            add((RuleId.WEAK_L, (len(pre), f), concl, ((pre + post, d),)))
+    if contr:
+        for f, pre, post, concl in everywhere:
+            add((RuleId.CONTR_L, (len(pre),), concl,
+                 ((pre + (f, f) + post, d),)))
+    if not multiset and n > 1 and RuleId.EXCH_L in rules:
+        for i in range(n - 1):
+            add((RuleId.EXCH_L, (i,), goal,
+                 ((a[:i] + (a[i + 1], a[i]) + a[i + 2:], d),)))
+    if cut_formulas and RuleId.CUT in rules:
+        if split:
+            parts = _segments(a, range(n + 1), range(n + 1), multiset)
+            for chi in cut_formulas:
+                for sigma, gamma, pi in parts:
+                    add((RuleId.CUT, (len(sigma),), (sigma + gamma + pi, d),
+                         ((gamma, chi), (sigma + (chi,) + pi, d))))
+        else:
+            skipped = True
+    return out, skipped
+
+
+def _sites(goal, ks, multiset, front=False):
+    """(f, pre, post, conclusion) for the formula f at each position in ks
+    of the goal's antecedent: a rule's premises put its parts between pre
+    and post.  On a multiset f moves to the end, or with `front` to the
+    front."""
+    a, d = goal
+    if not multiset:
+        return [(a[k], a[:k], a[k + 1:], goal) for k in ks]
+    out = []
+    for k in ks:
+        f, rest = a[k], a[:k] + a[k + 1:]
+        out.append((f, (), rest, ((f,) + rest, d)) if front
+                   else (f, rest, (), (rest + (f,), d)))
+    return out
+
+
+def _segments(ant, starts, stops, multiset):
+    """(sigma, gamma, pi) with gamma taken out of ant: on a sequence
+    ant[:i], ant[i:j], ant[j:] for i in starts and then j >= i in stops; on
+    a multiset each sub-multiset gamma, sigma the rest and pi empty."""
+    if multiset:
+        return [(_multiset_minus(ant, x), x, ()) for x in _sub_multisets(ant)]
+    return [(ant[:i], ant[i:j], ant[j:])
+            for i in starts for j in stops if j >= i]
+
+
+def _sub_multisets(ant):
+    """Distinct sub-multisets of a sorted tuple, as sorted tuples."""
+    groups = [(f, len(list(g))) for f, g in itertools.groupby(ant)]
+    counts = [range(c + 1) for _, c in groups]
+    for pick in itertools.product(*counts):
+        chosen = []
+        for (f, _), k in zip(groups, pick):
+            chosen.extend([f] * k)
+        yield tuple(chosen)
+
+
+def _multiset_minus(whole, part):
+    out = list(whole)
+    for f in part:
+        out.remove(f)
+    return tuple(out)
+
+
+def rule_instances_backward(goal: Sequent, cal: CalculusId):
+    """All (rule, data, premises) triples whose instance concludes `goal`,
+    cut excepted: the leaf rules first, then `table_instances_backward` on
+    the goal as a sequence, decoded.  Every antecedent split, deletion,
+    duplication and adjacent transposition is included."""
+    table, (encoded,) = encode_sequents((goal,))
+    a, d = encoded
+    op = table.op
+    out = []
+    if len(a) == 1 and d == a[0]:
+        out.append((RuleId.AXIOM, (), ()))
+    if not a and d >= 0 and op[d] == "one":
+        out.append((RuleId.ONE_R, (), ()))
+    if len(a) == 1 and d < 0 and op[a[0]] == "zero":
+        out.append((RuleId.ZERO_L, (), ()))
+    instances, _ = table_instances_backward(table, encoded, rules_of(cal))
+    return out + [(rule, decode_data(table, rule, data),
+                   tuple([decode_sequent(table, p) for p in premises]))
+                  for rule, data, _, premises in instances]
+
+
 def check_leaf(rule: RuleId, conclusion: Sequent, hyps) -> Optional[str]:
     """Validate a 0-premise node; returns an error string or None."""
     a, d = conclusion.antecedent, conclusion.succedent
@@ -394,113 +631,6 @@ def check_proof(tree: ProofTree, cal: CalculusId, hyps=frozenset()) -> CheckResu
         for k, prem in enumerate(reversed(node.premises)):
             stack.append((prem, path + (len(node.premises) - 1 - k,)))
     return CheckResult(True)
-
-
-# ---------------------------------------------------------------------------
-# Backward rule-instance enumeration (sequence-level; Cut excluded)
-# ---------------------------------------------------------------------------
-
-def rule_instances_backward(goal: Sequent, cal: CalculusId,
-                            include_exchange=True):
-    """All (rule, data, premises) triples whose instance concludes `goal`.
-
-    Cut is excluded (cut-free search).  Every antecedent split, deletion,
-    duplication and adjacent transposition is enumerated; exchange instances
-    can be suppressed for multiset-normalized search.  The goal is compiled
-    into a subformula table, enumerated by `table_instances_backward` and
-    decoded.
-    """
-    table, (encoded,) = encode_sequents((goal,))
-    return [(rule, decode_data(table, rule, data),
-             tuple(decode_sequent(table, p) for p in premises))
-            for rule, data, premises in table_instances_backward(
-                table, encoded, rules_of(cal), include_exchange)]
-
-
-def table_instances_backward(table, goal, rules, include_exchange=True):
-    """`rule_instances_backward` on a table sequent (see
-    `sequents.encode_sequents`): the premises are table sequents, the
-    formulas in the data are table numbers (see `decode_data`), and `rules`
-    is the rule set of the calculus."""
-    op, left, right = table.op, table.left, table.right
-    a, d = goal
-    out = []
-
-    def emit(rule, data, *premises):
-        if rule in rules:
-            out.append((rule, data, premises))
-
-    if len(a) == 1 and d == a[0]:
-        emit(RuleId.AXIOM, ())
-    if not a and d >= 0 and op[d] == "one":
-        emit(RuleId.ONE_R, ())
-    if len(a) == 1 and d < 0 and op[a[0]] == "zero":
-        emit(RuleId.ZERO_L, ())
-
-    for i, f in enumerate(a):
-        rest_l, rest_r = a[:i], a[i + 1:]
-        o = op[f]
-        if o == "join":
-            emit(RuleId.OR_L, (i,), (rest_l + (left[f],) + rest_r, d),
-                 (rest_l + (right[f],) + rest_r, d))
-        elif o == "meet":
-            emit(RuleId.AND_L1, (i, right[f]),
-                 (rest_l + (left[f],) + rest_r, d))
-            emit(RuleId.AND_L2, (i, left[f]),
-                 (rest_l + (right[f],) + rest_r, d))
-        elif o == "fus":
-            emit(RuleId.FUS_L, (i,),
-                 (rest_l + (left[f], right[f]) + rest_r, d))
-        elif o == "rimp":
-            # conclusion Sigma, Gamma, phi\psi, Pi => Delta
-            for j in range(i + 1):
-                emit(RuleId.RIMP_L, (j,), (a[j:i], left[f]),
-                     (a[:j] + (right[f],) + rest_r, d))
-        elif o == "limp":
-            # conclusion Sigma, psi/phi, Gamma, Pi => Delta
-            for k in range(i + 1, len(a) + 1):
-                emit(RuleId.LIMP_L, (i,), (a[i + 1:k], left[f]),
-                     (rest_l + (right[f],) + a[k:], d))
-        elif o == "one":
-            emit(RuleId.ONE_L, (i,), (rest_l + rest_r, d))
-        if RuleId.WEAK_L in rules:
-            emit(RuleId.WEAK_L, (i, f), (rest_l + rest_r, d))
-        if RuleId.CONTR_L in rules:
-            emit(RuleId.CONTR_L, (i,), (a[:i + 1] + (f,) + a[i + 1:], d))
-
-    if d >= 0:
-        o = op[d]
-        if o == "join":
-            emit(RuleId.OR_R1, (right[d],), (a, left[d]))
-            emit(RuleId.OR_R2, (left[d],), (a, right[d]))
-        elif o == "meet":
-            emit(RuleId.AND_R, (), (a, left[d]), (a, right[d]))
-        elif o == "fus":
-            for k in range(len(a) + 1):
-                emit(RuleId.FUS_R, (), (a[:k], left[d]), (a[k:], right[d]))
-        elif o == "rimp":
-            emit(RuleId.RIMP_R, (), ((left[d],) + a, right[d]))
-        elif o == "limp":
-            emit(RuleId.LIMP_R, (), (a + (left[d],), right[d]))
-        elif o == "rneg":
-            emit(RuleId.RNEG_R, (), ((left[d],) + a, -1))
-        elif o == "lneg":
-            emit(RuleId.LNEG_R, (), (a + (left[d],), -1))
-        elif o == "zero":
-            emit(RuleId.ZERO_R, (), (a, -1))
-        if RuleId.WEAK_R in rules:
-            emit(RuleId.WEAK_R, (d,), (a, -1))
-    elif a:
-        if op[a[-1]] == "rneg":
-            emit(RuleId.RNEG_L, (), (a[:-1], left[a[-1]]))
-        if op[a[0]] == "lneg":
-            emit(RuleId.LNEG_L, (), (a[1:], left[a[0]]))
-
-    if include_exchange and RuleId.EXCH_L in rules:
-        for i in range(len(a) - 1):
-            emit(RuleId.EXCH_L, (i,),
-                 (a[:i] + (a[i + 1], a[i]) + a[i + 2:], d))
-    return out
 
 
 # The position of the side formula in the data of the rules that have one;
@@ -791,37 +921,18 @@ def parse_proof_sexp(text, lang=FULL) -> ProofTree:
 
 
 def _infer_data(rule, conclusion, premise_seqs):
-    """Find instance data making (rule, data, premises) conclude conclusion."""
+    """The data of the first instance of `rule` that `table_instances_backward`
+    gives for `conclusion` with exactly these premises; the formula of a cut
+    is its first premise's succedent."""
     if RULE_ARITY[rule] == 0:
         return ()
-    for data in _candidate_data(rule, conclusion, premise_seqs):
-        try:
-            if derive_conclusion(rule, data, premise_seqs) == conclusion:
-                return data
-        except InstanceError:
-            continue
+    if len(premise_seqs) == RULE_ARITY[rule]:
+        table, (goal, *premises) = encode_sequents(
+            (conclusion,) + premise_seqs)
+        cuts = (premises[0][1],) if rule is RuleId.CUT else ()
+        instances, _ = table_instances_backward(table, goal, (rule,),
+                                                cut_formulas=cuts)
+        for _, data, _, found in instances:
+            if list(found) == premises:
+                return decode_data(table, rule, data)
     raise ValueError(f"no {rule.label} instance matches the given premises")
-
-
-def _candidate_data(rule, conclusion, premise_seqs):
-    a = conclusion.antecedent
-    if rule in (RuleId.OR_L, RuleId.FUS_L, RuleId.ONE_L, RuleId.EXCH_L,
-                RuleId.CONTR_L):
-        return [(i,) for i in range(len(a) + 1)]
-    if rule in (RuleId.CUT, RuleId.RIMP_L, RuleId.LIMP_L):
-        return [(j,) for j in range(len(premise_seqs[1].antecedent))]
-    if rule is RuleId.OR_R1 and isinstance(conclusion.succedent, Bin):
-        return [(conclusion.succedent.right,)]
-    if rule is RuleId.OR_R2 and isinstance(conclusion.succedent, Bin):
-        return [(conclusion.succedent.left,)]
-    if rule in (RuleId.AND_L1, RuleId.AND_L2):
-        out = []
-        for i, f in enumerate(a):
-            if isinstance(f, Bin) and f.op == "meet":
-                out.append((i, f.right if rule is RuleId.AND_L1 else f.left))
-        return out
-    if rule is RuleId.WEAK_L:
-        return [(i, a[i]) for i in range(len(a))]
-    if rule is RuleId.WEAK_R and conclusion.succedent is not None:
-        return [(conclusion.succedent,)]
-    return [()]

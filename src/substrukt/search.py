@@ -29,12 +29,14 @@ are rebuilt on explicit stacks too, so no goal is too deep.
 Goals are table sequents of one `SubformulaTable`: a tuple of formula
 numbers and a succedent number, -1 when empty.  Numbers sort as formulas
 do under `formula_key`, so with exchange a sorted antecedent is the
-multiset normal form; proofs get explicit exchange steps.  In every
-sigma but {c} cut admissibility makes or-l, fus-l, and-r, rimp-r,
-limp-r, rneg-r, lneg-r, zero-r and one-l invertible, so a goal commits
-to its first invertible instance in `_PRIORITY` order.  A
-failure the loop check caused is kept while the ancestor that cut it is
-searched; one that hit the depth bound, only within its iteration.
+multiset normal form; proofs get explicit exchange steps.  A goal's
+rule instances come from `calculus.table_instances_backward`, in the
+order the search tries them.  In every sigma but {c} cut admissibility
+makes or-l, fus-l, and-r, rimp-r, limp-r, rneg-r, lneg-r, zero-r and one-l
+invertible, and the enumerator gives them first, so a goal commits to its
+first invertible instance and the rest are not built.  A failure the loop
+check caused is kept while the ancestor that cut it is searched; one that
+hit the depth bound, only within its iteration.
 """
 
 from __future__ import annotations
@@ -46,13 +48,12 @@ from typing import Optional
 from . import bridge
 from .sequents import (Sequent, check_sequent_language, decode_sequent,
                        encode_sequents, rho_prime)
-from .calculus import (CalculusId, ProofTree, RuleId, decode_data, rules_of,
-                       table_instances_backward)
+from .calculus import (INVERTIBLE_RULES, CalculusId, ProofTree, RuleId,
+                       decode_data, rules_of, table_instances_backward)
 from .algebra import (AlgebraError, VarietyId, check_variety,
                       family_of_language)
 
 DEFAULT_BOUND = 12
-SUBMULTISET_CAP = 10
 # the largest algebra searched for a countermodel in the bounded regime
 COUNTERMODEL_SIZE = 3
 # a bound at least this large is searched in one pass with no depth limit
@@ -99,46 +100,17 @@ class Refuted:
 class Unknown:
     """No verdict.  When a limit cut the search, the reason names each
     limit that fired: depth-exhausted (the depth bound),
-    submultiset-cap (an antecedent longer than SUBMULTISET_CAP, whose
-    sub-multiset splits were not enumerated), antecedent-cap or node-cap
-    (prove_with_hyps)."""
+    submultiset-cap (an antecedent longer than calculus.SUBMULTISET_CAP,
+    whose sub-multiset splits were not enumerated), antecedent-cap or
+    node-cap (prove_with_hyps)."""
     reason: str = "depth-exhausted"
 
-
-_PRIORITY = {
-    RuleId.OR_L: 1, RuleId.FUS_L: 2, RuleId.AND_R: 3, RuleId.RIMP_R: 4,
-    RuleId.LIMP_R: 5, RuleId.RNEG_R: 6, RuleId.LNEG_R: 7, RuleId.ZERO_R: 8,
-    RuleId.ONE_L: 9,
-    RuleId.OR_R1: 10, RuleId.OR_R2: 11, RuleId.AND_L1: 12, RuleId.AND_L2: 13,
-    RuleId.FUS_R: 14, RuleId.RIMP_L: 15, RuleId.LIMP_L: 16, RuleId.RNEG_L: 17,
-    RuleId.LNEG_L: 18,
-    RuleId.WEAK_R: 19, RuleId.WEAK_L: 20, RuleId.CONTR_L: 21,
-    RuleId.EXCH_L: 22, RuleId.CUT: 23,
-}
 
 _RIGHT_UNARY = {"rimp": RuleId.RIMP_R, "limp": RuleId.LIMP_R,
                 "rneg": RuleId.RNEG_R, "lneg": RuleId.LNEG_R}
 _LEFT_INVERTIBLE = ("fus", "meet", "one", "join")
 _LEFT_IMPLICATION = {"rimp": RuleId.RIMP_L, "limp": RuleId.LIMP_L}
 _LEFT_NEGATION = {"rneg": RuleId.RNEG_L, "lneg": RuleId.LNEG_L}
-
-
-def _sub_multisets(ant):
-    """Distinct sub-multisets of a sorted tuple, as sorted tuples."""
-    groups = [(f, len(list(g))) for f, g in itertools.groupby(ant)]
-    counts = [range(c + 1) for _, c in groups]
-    for pick in itertools.product(*counts):
-        chosen = []
-        for (f, _), k in zip(groups, pick):
-            chosen.extend([f] * k)
-        yield tuple(chosen)
-
-
-def _multiset_minus(whole, part):
-    out = list(whole)
-    for f in part:
-        out.remove(f)
-    return tuple(out)
 
 
 def exchange_chain(tree: ProofTree, target_ant) -> ProofTree:
@@ -341,7 +313,7 @@ class _Search(_AndOr):
         self.multiset = "e" in cal.sigma
         # invertibility relies on cut admissibility, which FL_{c} alone lacks
         self.commit = cal.sigma != frozenset({"c"})
-        self.cut_formulas = cut_formulas  # None: cut-free
+        self.cut_formulas = cut_formulas or ()  # (): cut-free
         self.max_antecedent = max_antecedent
         # exact canonical matching: the duplicate-collapsed key is only for
         # the ancestor loop check, never for hypothesis closure; of two
@@ -367,195 +339,37 @@ class _Search(_AndOr):
         return (tuple(key), s[1]), tuple(runs)
 
     def _expand(self, goal):
-        # commit to the first invertible instance, built alone
-        rec = self.invertible(goal) if self.commit else None
-        return ([rec], 0) if rec is not None else self.instances(goal)
+        """The steps of a canonical goal and the limits that left steps out.
+        A step is (rule, data, concrete conclusion, ((concrete premise,
+        canonical premise), ...)); the concrete parts form a sequence-level
+        rule instance.  A committing search takes the first invertible
+        instance whose premises fit max_antecedent, alone; otherwise every
+        instance that fits."""
+        cap, canon = self.max_antecedent, self.canon
+        found, skipped = table_instances_backward(
+            self.table, goal, self.rules, self.multiset, self.cut_formulas,
+            self.commit)
+        if self.commit and found and found[0][0] in INVERTIBLE_RULES:
+            for rule, data, concl, prems in found:
+                if cap is None or all(len(p[0]) <= cap for p in prems):
+                    return [(rule, data, concl,
+                             tuple([(p, canon(p)) for p in prems]))], 0
+            found, skipped = table_instances_backward(
+                self.table, goal, self.rules, self.multiset,
+                self.cut_formulas)
+        steps, flags = [], _SPLIT_CAP if skipped else 0
+        for rule, data, concl, prems in found:
+            if cap is not None and any(len(p[0]) > cap for p in prems):
+                flags |= _ANTECEDENT_CAP
+            else:
+                steps.append((rule, data, concl,
+                              tuple([(p, canon(p)) for p in prems])))
+        return steps, flags
 
     def _entry(self, goal, rec, subs):
         rule, data, concl, prems = rec
         return (rule, data, concl, goal[0],
                 tuple([(p[0][0], sub) for p, sub in zip(prems, subs)]))
-
-    # -- instance enumeration -------------------------------------------
-
-    def instances(self, goal):
-        """(instances, limit flags) for a canonical goal, sorted by
-        _PRIORITY.  An instance is (rule, data, concrete conclusion,
-        ((concrete premise, canonical premise), ...)); the concrete parts
-        form a genuine sequence-level rule instance.  The flags name the
-        limits that left instances out.  A committing search calls it only
-        on goals that `invertible` finds no instance for."""
-        if not self.multiset:
-            inst = [(rule, data, goal, tuple([(p, p) for p in prems]))
-                    for rule, data, prems in table_instances_backward(
-                        self.table, goal, self.rules)]
-            inst.extend(self._cut_instances_seq(goal))
-            flags = 0
-        else:
-            inst, flags = self._multiset_instances(goal)
-        if self.max_antecedent is not None:
-            kept = [rec for rec in inst
-                    if all(len(p[0]) <= self.max_antecedent
-                           for p, _ in rec[3])]
-            if len(kept) != len(inst):
-                flags |= _ANTECEDENT_CAP
-            inst = kept
-        inst.sort(key=lambda rec: _PRIORITY[rec[0]])
-        return inst, flags
-
-    def invertible(self, goal):
-        """The first invertible instance of `instances(goal)`, or None,
-        built without the others: the first invertible rule in _PRIORITY
-        order at its first position in the antecedent whose premises fit
-        max_antecedent.  Cut is never invertible."""
-        cap = self.max_antecedent
-        for rule, data, concl, prems in self._invertible_steps(goal):
-            if rule in self.rules and (cap is None or all(
-                    len(p[0]) <= cap for p in prems)):
-                return (rule, data, concl,
-                        tuple([(p, self.canon(p)) for p in prems]))
-        return None
-
-    def _invertible_steps(self, goal):
-        """(rule, data, concrete conclusion, premises) of each invertible
-        rule at its first position in a canonical goal, in `instances`
-        order.  A rule's instances all have premises of the same lengths,
-        so the first decides whether max_antecedent keeps any.  A left rule
-        on a multiset moves its principal formula to the end."""
-        a, d = goal
-        op, left, right = self.table.op, self.table.left, self.table.right
-        ops = [op[f] for f in a]
-
-        def at(o):
-            i = ops.index(o)
-            if self.multiset:
-                rest = a[:i] + a[i + 1:]
-                return a[i], rest, (), (rest + (a[i],), d), (len(rest),)
-            return a[i], a[:i], a[i + 1:], goal, (i,)
-
-        if "join" in ops:
-            f, pre, post, concl, data = at("join")
-            yield (RuleId.OR_L, data, concl,
-                   ((pre + (left[f],) + post, d),
-                    (pre + (right[f],) + post, d)))
-        if "fus" in ops:
-            f, pre, post, concl, data = at("fus")
-            yield (RuleId.FUS_L, data, concl,
-                   ((pre + (left[f], right[f]) + post, d),))
-        o = op[d] if d >= 0 else None
-        if o == "meet":
-            yield RuleId.AND_R, (), goal, ((a, left[d]), (a, right[d]))
-        elif o in _RIGHT_UNARY:
-            # the r-rules add the part in front, the l-rules behind; the
-            # negations leave the succedent empty
-            ant = (left[d],) + a if o[0] == "r" else a + (left[d],)
-            succ = right[d] if o.endswith("imp") else -1
-            yield _RIGHT_UNARY[o], (), goal, ((ant, succ),)
-        elif o == "zero":
-            yield RuleId.ZERO_R, (), goal, ((a, -1),)
-        if "one" in ops:
-            _, pre, post, concl, data = at("one")
-            yield RuleId.ONE_L, data, concl, ((pre + post, d),)
-
-    def _cut_instances_seq(self, goal):
-        if self.cut_formulas is None or RuleId.CUT not in self.rules:
-            return []
-        a, d = goal
-        out = []
-        for chi in self.cut_formulas:
-            for i in range(len(a) + 1):
-                for j in range(i, len(a) + 1):
-                    p1 = (a[i:j], chi)
-                    p2 = (a[:i] + (chi,) + a[j:], d)
-                    out.append((RuleId.CUT, (i,),
-                                goal, ((p1, p1), (p2, p2))))
-        return out
-
-    def _multiset_instances(self, goal):
-        a, d = goal
-        op, left, right = self.table.op, self.table.left, self.table.right
-        rules = self.rules
-        out = []
-        flags = 0
-        seen = set()
-
-        def emit(rule, data, concl, *prems):
-            canonical = tuple([(tuple(sorted(p[0])), p[1]) for p in prems])
-            rec = (rule, data, canonical)
-            if rec in seen:
-                return
-            seen.add(rec)
-            out.append((rule, data, concl, tuple(zip(prems, canonical))))
-
-        split_ok = len(a) <= SUBMULTISET_CAP
-        for f in sorted(set(a)):
-            rest = _multiset_minus(a, (f,))
-            tail = (rest + (f,), d)
-            o = op[f]
-            if o == "join" and RuleId.OR_L in rules:
-                emit(RuleId.OR_L, (len(rest),), tail,
-                     (rest + (left[f],), d), (rest + (right[f],), d))
-            elif o == "meet" and RuleId.AND_L1 in rules:
-                emit(RuleId.AND_L1, (len(rest), right[f]), tail,
-                     (rest + (left[f],), d))
-                emit(RuleId.AND_L2, (len(rest), left[f]), tail,
-                     (rest + (right[f],), d))
-            elif o == "fus" and RuleId.FUS_L in rules:
-                emit(RuleId.FUS_L, (len(rest),), tail,
-                     (rest + (left[f], right[f]), d))
-            elif o in _LEFT_IMPLICATION and _LEFT_IMPLICATION[o] in rules:
-                if split_ok:
-                    for x in _sub_multisets(rest):
-                        y = _multiset_minus(rest, x)
-                        concl = y + x + (f,) if o == "rimp" else y + (f,) + x
-                        emit(_LEFT_IMPLICATION[o], (len(y),), (concl, d),
-                             (x, left[f]), (y + (right[f],), d))
-                else:
-                    flags |= _SPLIT_CAP
-            elif o == "one":
-                emit(RuleId.ONE_L, (len(rest),), tail, (rest, d))
-            if RuleId.WEAK_L in rules:
-                emit(RuleId.WEAK_L, (len(rest), f), tail, (rest, d))
-            if RuleId.CONTR_L in rules:
-                emit(RuleId.CONTR_L, (len(rest),), tail, (rest + (f, f), d))
-            if d < 0 and o in _LEFT_NEGATION and _LEFT_NEGATION[o] in rules:
-                concl = tail if o == "rneg" else ((f,) + rest, d)
-                emit(_LEFT_NEGATION[o], (), concl, (rest, left[f]))
-
-        if d >= 0:
-            o = op[d]
-            if o == "join" and RuleId.OR_R1 in rules:
-                emit(RuleId.OR_R1, (right[d],), goal, (a, left[d]))
-                emit(RuleId.OR_R2, (left[d],), goal, (a, right[d]))
-            elif o == "meet" and RuleId.AND_R in rules:
-                emit(RuleId.AND_R, (), goal, (a, left[d]), (a, right[d]))
-            elif o == "fus" and RuleId.FUS_R in rules:
-                if split_ok:
-                    for x in _sub_multisets(a):
-                        y = _multiset_minus(a, x)
-                        emit(RuleId.FUS_R, (), (x + y, d),
-                             (x, left[d]), (y, right[d]))
-                else:
-                    flags |= _SPLIT_CAP
-            elif o in _RIGHT_UNARY and _RIGHT_UNARY[o] in rules:
-                ant = (left[d],) + a if o[0] == "r" else a + (left[d],)
-                emit(_RIGHT_UNARY[o], (), goal,
-                     (ant, right[d] if o.endswith("imp") else -1))
-            elif o == "zero":
-                emit(RuleId.ZERO_R, (), goal, (a, -1))
-            if RuleId.WEAK_R in rules:
-                emit(RuleId.WEAK_R, (d,), goal, (a, -1))
-
-        if self.cut_formulas is not None and RuleId.CUT in rules:
-            if split_ok:
-                for chi in self.cut_formulas:
-                    for x in _sub_multisets(a):
-                        y = _multiset_minus(a, x)
-                        emit(RuleId.CUT, (len(y),), (y + x, d),
-                             (x, chi), (y + (chi,), d))
-            else:
-                flags |= _SPLIT_CAP
-        return out, flags
 
     def _leaf(self, goal):
         a, d = goal

@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from substrukt.syntax import Language, var
+from substrukt.syntax import Language, format_formula, var
 from substrukt.sequents import (mirror_sequent, parse_sequent, rho,
                                 rho_prime, seq, tau)
-from substrukt.calculus import calculus, check_proof, format_proof_sexp
+from substrukt.calculus import (calculus, check_proof, format_proof_sexp,
+                                lemma12_roundtrip, parse_proof_sexp)
 from substrukt.search import (Proved, Refuted, Unknown, exchange_chain,
                               external_entails, prove, prove_with_hyps)
 from substrukt.corpus import random_derivation, random_sequent
@@ -303,6 +304,60 @@ def _proof_digest():
 def test_proofs_are_pinned():
     assert len(_proof_corpus()) == 400
     assert _proof_digest() == PROOF_DIGEST
+
+
+# The sha256 of (rule, data) at every node of the proofs above, of
+# lemma12_roundtrip proofs (which contain cut) and of random derivations
+# under every sigma, each printed and read back by `parse_proof_sexp`, as
+# it inferred the data before it read them off the backward enumerator.
+PARSED_DATA_DIGEST = ("cf7c2b03c99cd971aaf275e9dffd2e2f"
+                      "838616ca2585dabd2555b49a8f07cb71")
+
+SIGMAS = ["".join(c) for k in range(5)
+          for c in itertools.combinations(("e,", "wl,", "wr,", "c,"), k)]
+
+
+def _node_data(tree):
+    """(rule, data) of every node of a proof in preorder, one line each."""
+    lines, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        data = [x if isinstance(x, int) else format_formula(x)
+                for x in node.data]
+        lines.append(f"{node.rule.label}\t{data}\n")
+        stack.extend(reversed(node.premises))
+    return lines
+
+
+def test_parsed_proof_data_is_pinned():
+    trees = []
+    for goal, cal in _proof_corpus():
+        res = prove(goal, cal)
+        if isinstance(res, Proved):
+            trees.append(res.tree)
+    rng = random.Random(20261019)
+    sequents = [parse_sequent(text) for text in
+                ("p, q => r", "p =>", "=>", "=> p \\/ q", "p, p, q =>")]
+    sequents += [random_sequent(rng, depth=2, max_antecedent=3)
+                 for _ in range(20)]
+    for s in sequents:
+        forward, backward = lemma12_roundtrip(s)
+        trees += forward + [backward]
+    for sigma in SIGMAS:
+        cal = calculus(sigma)
+        trees += [random_derivation(rng, cal, height=4) for _ in range(4)]
+    for text in ("p => p * p", "p * q => (p * q) * (p * q)"):
+        for sigma in ("c", "e,wl,c"):
+            trees.append(P(text, calculus(sigma)).tree)
+    digest, rules = hashlib.sha256(), set()
+    for tree in trees:
+        back = parse_proof_sexp(format_proof_sexp(tree))
+        assert back.conclusion == tree.conclusion
+        for line in _node_data(back):
+            rules.add(line.split("\t")[0])
+            digest.update(line.encode())
+    assert {"cut", "exch-l", "weak-l", "contr-l"} <= rules
+    assert digest.hexdigest() == PARSED_DATA_DIGEST
 
 
 # ---------------------------------------------------------------------------

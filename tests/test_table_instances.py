@@ -1,10 +1,12 @@
-"""The table enumerators of backward search against Sequent-level oracles.
+"""The backward rule enumerator of the search against Sequent-level oracles.
 
 The search enumerates rule instances on table sequents (tuples of
-subformula numbers).  The oracles below enumerate on `Sequent`s and
-`Formula`s directly, as the search did before it was compiled: decoded, the
-table instances must be the same, in the same order, and each must be a
-genuine rule instance by `derive_conclusion`.
+subformula numbers), with `calculus.table_instances_backward`.  The oracles
+below enumerate on `Sequent`s and `Formula`s directly, as the search did
+before it was compiled: decoded, the table instances must be the same, in
+the same order once the oracle's list is stably sorted into the order in
+which the search tries rules, and each must be a genuine rule instance by
+`derive_conclusion`.
 """
 
 import itertools
@@ -14,12 +16,12 @@ from substrukt.syntax import Bin, Language, Neg, ONE, ZERO, formula_key, fus
 from substrukt.syntax import join, subformulas, var
 from substrukt.sequents import (Sequent, decode_sequent, encode_sequents,
                                 parse_sequent)
-from substrukt.calculus import (RuleId, calculus, check_leaf, decode_data,
-                                derive_conclusion, format_proof_sexp,
-                                rule_instances_backward, rules_of)
+from substrukt.calculus import (SUBMULTISET_CAP, RuleId, calculus,
+                                check_leaf, decode_data, derive_conclusion,
+                                format_proof_sexp, rule_instances_backward,
+                                rules_of, table_instances_backward)
 from substrukt.corpus import random_sequent
-from substrukt.search import (SUBMULTISET_CAP, Proved, Refuted, Unknown,
-                              _Search, prove)
+from substrukt.search import Proved, Refuted, Unknown, _Search, prove
 
 SIGMAS = ["".join(c) for k in range(5)
           for c in itertools.combinations(("e,", "wl,", "wr,", "c,"), k)]
@@ -287,7 +289,11 @@ def oracle_cut_instances_seq(goal, cut_formulas):
 def corpus():
     """At least 500 seeded goals over core and full: random ones with up to
     four antecedent formulas over two variables (so that repeats occur),
-    and antecedents beyond SUBMULTISET_CAP."""
+    antecedents beyond SUBMULTISET_CAP, and antecedents of exactly
+    SUBMULTISET_CAP and SUBMULTISET_CAP + 1 formulas whose rules split
+    them: a left implication, a fusion succedent and, at the positions that
+    `test_multiset_instances_match_the_oracle` runs with cut formulas
+    (505 and 510), a cut."""
     rng = random.Random(20261018)
     goals = []
     for lang in ("core", "full"):
@@ -302,6 +308,23 @@ def corpus():
     goals.append(("full", parse_sequent(
         ", ".join(["p \\ q"] * SUBMULTISET_CAP + ["p", "q / p"]) + " => q")))
     goals.append(("full", parse_sequent("rn(p), ln(q), 0, 1 =>")))
+    cap = SUBMULTISET_CAP
+
+    def at(k, succedent, *others):
+        """A goal of k antecedent formulas: `others`, then copies of p."""
+        ant = list(others) + ["p"] * (k - len(others))
+        return parse_sequent(", ".join(ant) + " => " + succedent)
+
+    # exactly SUBMULTISET_CAP formulas and one more; the multiset test runs
+    # the goals at 505 and 510 with cut formulas
+    goals += [("full", at(cap, "p", "q", "q \\ p")),
+              ("full", at(cap + 1, "p", "q", "q \\ p")),
+              ("core", at(cap, "p * q", "q")),
+              ("core", at(cap, "q * p", "p \\/ q")),
+              ("core", at(cap + 1, "q * p", "p \\/ q")),
+              ("full", at(cap, "p", "p / q", "q")),
+              ("full", at(cap + 1, "p", "p / q", "q")),
+              ("core", at(cap + 1, "p * q", "q"))]
     return goals
 
 
@@ -314,6 +337,23 @@ def decoded(table, instance):
             decode_sequent(table, concl),
             tuple((decode_sequent(table, c), decode_sequent(table, k))
                   for c, k in prems))
+
+
+# The order in which the search tries rules; `rule_instances_backward`
+# gives the leaf rules first.
+ORDER = (RuleId.AXIOM, RuleId.ONE_R, RuleId.ZERO_L,
+         RuleId.OR_L, RuleId.FUS_L, RuleId.AND_R, RuleId.RIMP_R,
+         RuleId.LIMP_R, RuleId.RNEG_R, RuleId.LNEG_R, RuleId.ZERO_R,
+         RuleId.ONE_L,
+         RuleId.OR_R1, RuleId.OR_R2, RuleId.AND_L1, RuleId.AND_L2,
+         RuleId.FUS_R, RuleId.RIMP_L, RuleId.LIMP_L, RuleId.RNEG_L,
+         RuleId.LNEG_L, RuleId.WEAK_R, RuleId.WEAK_L, RuleId.CONTR_L,
+         RuleId.EXCH_L, RuleId.CUT)
+
+
+def in_search_order(instances):
+    """An oracle's list, stably sorted into the search's rule order."""
+    return sorted(instances, key=lambda instance: ORDER.index(instance[0]))
 
 
 def check_instance(rule, data, conclusion, premises):
@@ -334,21 +374,22 @@ def test_sequence_instances_match_the_oracle():
         for sigma in SIGMAS:
             cal = calculus(sigma, Language.preset(lang))
             rules = rules_of(cal)
-            for exchange in (True, False):
-                found = rule_instances_backward(goal, cal, exchange)
-                assert found == oracle_rule_instances_backward(
-                    goal, rules, exchange), (lang, sigma, str(goal))
-                for rule, data, premises in found:
-                    check_instance(rule, data, goal, premises)
+            found = rule_instances_backward(goal, cal)
+            assert found == in_search_order(oracle_rule_instances_backward(
+                goal, rules)), (lang, sigma, str(goal))
+            for rule, data, premises in found:
+                check_instance(rule, data, goal, premises)
 
 
 def _search(sigma, lang, goal, with_cut):
+    """A search that expands a goal into every instance, as under {c}."""
     cal = calculus(sigma, Language.preset(lang))
     table, (encoded,) = encode_sequents((goal,))
     cuts = None
     if with_cut:
         cuts = tuple(range(len(table)))
     search = _Search(cal, table, cut_formulas=cuts)
+    search.commit = False
     return cal, table, search, search.canon(encoded)
 
 
@@ -367,12 +408,13 @@ def test_multiset_instances_match_the_oracle():
             if not sigma.startswith("e"):
                 continue
             cal, table, search, start = _search(sigma, lang, goal, with_cut)
-            found, flags = search._multiset_instances(start)
+            found, flags = search._expand(start)
             canonical = _canon(goal)
             assert decode_sequent(table, start) == canonical
             expected, complete = oracle_multiset_instances(
                 canonical, rules_of(cal),
                 _cut_formulas(goal) if with_cut else None)
+            expected = in_search_order(expected)
             assert [decoded(table, i) for i in found] == expected, \
                 (lang, sigma, str(goal))
             assert (flags == 0) == complete
@@ -388,8 +430,10 @@ def test_sequence_cut_instances_match_the_oracle():
     for lang, goal in CORPUS[::10]:
         for sigma in ("", "wl", "c"):
             cal, table, search, start = _search(sigma, lang, goal, True)
-            found = search._cut_instances_seq(start)
-            expected = oracle_cut_instances_seq(goal, _cut_formulas(goal))
+            steps, _ = search._expand(start)
+            found = [step for step in steps if step[0] is RuleId.CUT]
+            expected = in_search_order(
+                oracle_cut_instances_seq(goal, _cut_formulas(goal)))
             assert [decoded(table, i) for i in found] == expected
             for rule, data, concl, prems in expected:
                 check_instance(rule, data, concl, tuple(c for c, _ in prems))
@@ -402,11 +446,11 @@ INVERTIBLE = {RuleId.OR_L, RuleId.FUS_L, RuleId.AND_R, RuleId.RIMP_R,
 
 
 def test_commit_is_the_first_invertible_instance():
-    """`invertible` builds the one instance that the search commits to; it
-    must be the first invertible record of the sorted `instances` list, and
-    None exactly when that list has none.  With cut formulas, the goal
-    also runs under antecedent caps around its own length, as in
-    `prove_with_hyps`, so that the cap removes some rules' instances."""
+    """A committing search expands a goal into one step: the first
+    invertible step of the goal's expansion without commit, or, when that
+    has none, the same expansion.  With cut formulas, the goal also runs
+    under antecedent caps around its own length, as in `prove_with_hyps`,
+    so that the cap removes some rules' instances."""
     committed = 0
     for n, (lang, goal) in enumerate(CORPUS):
         language = Language.preset(lang)
@@ -425,13 +469,34 @@ def test_commit_is_the_first_invertible_instance():
                 start = search.canon(encoded)
                 if search._leaf(start) is not None:
                     continue   # solve expands no leaf
-                found, _ = search.instances(start)
+                steps = search._expand(start)
+                search.commit = False
+                found, flags = search._expand(start)
                 first = next((rec for rec in found if rec[0] in INVERTIBLE),
                              None)
-                assert search.invertible(start) == first, \
+                assert steps == (([first], 0) if first is not None
+                                 else (found, flags)), \
                     (lang, sigma, str(goal), setup)
                 committed += first is not None
     assert committed > 1000
+
+
+def test_commit_ends_the_list_after_the_invertible_rules():
+    """The enumerator gives the invertible rules' instances first; with
+    `commit` it returns them alone, or, when there are none, everything."""
+    for lang, goal in CORPUS[::3]:
+        table, (encoded,) = encode_sequents((goal,))
+        for sigma in SIGMAS:
+            cal = calculus(sigma, Language.preset(lang))
+            multiset = "e" in cal.sigma
+            start = ((tuple(sorted(encoded[0])), encoded[1]) if multiset
+                     else encoded)
+            args = (table, start, rules_of(cal), multiset)
+            everything = table_instances_backward(*args)
+            block = [i for i in everything[0] if i[0] in INVERTIBLE]
+            assert everything[0][:len(block)] == block
+            assert table_instances_backward(*args, commit=True) == (
+                (block, False) if block else everything)
 
 
 # ---------------------------------------------------------------------------
