@@ -1,6 +1,12 @@
 """Rule schemata of the full Lambek calculus and its structural extensions,
 proof trees, proof checking, and backward rule-instance enumeration.
 
+Each `RuleId` member declares the facts about its rule once: its label,
+arity, what puts it in a calculus, whether it is invertible, the layout of
+its data and its mirror partner.  `rules_of`, `check_proof`,
+`decode_data`, `mirror_proof`, the sexp reader and the search read them
+there.
+
 A ProofTree node stores enough instance data (position indices, side
 formulas) to recompute its conclusion from its premises deterministically;
 `derive_conclusion` is the single source of truth for what each rule does.
@@ -47,61 +53,85 @@ def format_sigma(sigma) -> str:
     return ",".join(s for s in SIGMA_LETTERS if s in sigma) or "(none)"
 
 
+# The kinds of a rule's data slots; see RuleId.
+POS = "pos"
+PAIR = "pair"
+RIGHT_POS = "right-pos"
+SIDE = "side"
+
+
 class RuleId(enum.Enum):
-    AXIOM = "axiom"
-    CUT = "cut"
-    OR_L = "or-l"
-    OR_R1 = "or-r1"
-    OR_R2 = "or-r2"
-    AND_L1 = "and-l1"
-    AND_L2 = "and-l2"
-    AND_R = "and-r"
-    FUS_L = "fus-l"
-    FUS_R = "fus-r"
-    RIMP_L = "rimp-l"
-    RIMP_R = "rimp-r"
-    LIMP_L = "limp-l"
-    LIMP_R = "limp-r"
-    RNEG_L = "rneg-l"
-    RNEG_R = "rneg-r"
-    LNEG_L = "lneg-l"
-    LNEG_R = "lneg-r"
-    ONE_L = "one-l"
-    ONE_R = "one-r"
-    ZERO_L = "zero-l"
-    ZERO_R = "zero-r"
-    EXCH_L = "exch-l"
-    WEAK_L = "weak-l"
-    WEAK_R = "weak-r"
-    CONTR_L = "contr-l"
-    HYPOTHESIS = "hypothesis"
+    """A rule of FL_sigma[Psi], or the Hypothesis leaf, with the facts about
+    it declared once, in its member's row:
+
+    - `label`, the member's value: its name in printed proofs;
+    - `arity`, its number of premises;
+    - `source`, what puts it in FL_sigma[Psi]: a connective of Psi, a code
+      of sigma, or None for the rules of every calculus.  Hypothesis, which
+      closes a branch with a declared hypothesis, is in no calculus, and
+      `rules_of` leaves it out;
+    - `invertible`: one of the nine rules that cut admissibility makes
+      invertible in every sigma but {c}, which a committing search applies
+      first and alone;
+    - `layout`, one kind per slot of a node's data: POS, a position in the
+      conclusion's antecedent (of the principal, inserted or contracted
+      formula); PAIR, the first position of an adjacent pair in the
+      conclusion's antecedent; RIGHT_POS, a position in the second
+      premise's antecedent; SIDE, a side formula (a table number in table
+      instances, see `decode_data`);
+    - `mirror`, the partner rule that the mirror image of an instance is an
+      instance of; a rule without one given is its own partner.
+
+    `derive_conclusion` states what each rule does."""
+
+    #            label         arity source  invertible layout       mirror
+    AXIOM      = "axiom",      0,    None,   False, ()
+    CUT        = "cut",        2,    None,   False, (RIGHT_POS,)
+    OR_L       = "or-l",       2,    "join", True,  (POS,)
+    OR_R1      = "or-r1",      1,    "join", False, (SIDE,)
+    OR_R2      = "or-r2",      1,    "join", False, (SIDE,)
+    AND_L1     = "and-l1",     1,    "meet", False, (POS, SIDE)
+    AND_L2     = "and-l2",     1,    "meet", False, (POS, SIDE)
+    AND_R      = "and-r",      2,    "meet", True,  ()
+    FUS_L      = "fus-l",      1,    "fus",  True,  (POS,)
+    FUS_R      = "fus-r",      2,    "fus",  False, ()
+    RIMP_L     = "rimp-l",     2,    "rimp", False, (RIGHT_POS,), "LIMP_L"
+    RIMP_R     = "rimp-r",     1,    "rimp", True,  (),           "LIMP_R"
+    LIMP_L     = "limp-l",     2,    "limp", False, (RIGHT_POS,), "RIMP_L"
+    LIMP_R     = "limp-r",     1,    "limp", True,  (),           "RIMP_R"
+    RNEG_L     = "rneg-l",     1,    "rneg", False, (),           "LNEG_L"
+    RNEG_R     = "rneg-r",     1,    "rneg", True,  (),           "LNEG_R"
+    LNEG_L     = "lneg-l",     1,    "lneg", False, (),           "RNEG_L"
+    LNEG_R     = "lneg-r",     1,    "lneg", True,  (),           "RNEG_R"
+    ONE_L      = "one-l",      1,    "one",  True,  (POS,)
+    ONE_R      = "one-r",      0,    "one",  False, ()
+    ZERO_L     = "zero-l",     0,    "zero", False, ()
+    ZERO_R     = "zero-r",     1,    "zero", True,  ()
+    EXCH_L     = "exch-l",     1,    "e",    False, (PAIR,)
+    WEAK_L     = "weak-l",     1,    "wl",   False, (POS, SIDE)
+    WEAK_R     = "weak-r",     1,    "wr",   False, (SIDE,)
+    CONTR_L    = "contr-l",    1,    "c",    False, (POS,)
+    HYPOTHESIS = "hypothesis", 0,    None,   False, ()
+
+    def __new__(cls, label, arity, source, invertible, layout, mirror=None):
+        rule = object.__new__(cls)
+        rule._value_ = rule.label = label
+        rule.arity, rule.source, rule.invertible = arity, source, invertible
+        rule.layout, rule.mirror = layout, mirror
+        return rule
 
     # Members are singletons compared by identity; Enum's own hash hashes
     # the member's name at Python level, on every set and dict lookup.
     __hash__ = object.__hash__
 
-    @property
-    def label(self):
-        return self.value
 
+for _rule in RuleId:
+    _rule.mirror = RuleId[_rule.mirror] if _rule.mirror else _rule
 
-_RULES_BY_LABEL = {r.value: r for r in RuleId}
-
-_STRUCTURAL_CORE = frozenset({RuleId.AXIOM, RuleId.CUT, RuleId.ONE_L,
-                              RuleId.ONE_R, RuleId.ZERO_L, RuleId.ZERO_R})
-
-_INTRO_RULES = {
-    "join": (RuleId.OR_L, RuleId.OR_R1, RuleId.OR_R2),
-    "meet": (RuleId.AND_L1, RuleId.AND_L2, RuleId.AND_R),
-    "fus": (RuleId.FUS_L, RuleId.FUS_R),
-    "rimp": (RuleId.RIMP_L, RuleId.RIMP_R),
-    "limp": (RuleId.LIMP_L, RuleId.LIMP_R),
-    "rneg": (RuleId.RNEG_L, RuleId.RNEG_R),
-    "lneg": (RuleId.LNEG_L, RuleId.LNEG_R),
-}
-
-_SIGMA_RULES = {"e": RuleId.EXCH_L, "wl": RuleId.WEAK_L,
-                "wr": RuleId.WEAK_R, "c": RuleId.CONTR_L}
+# (source, rule) for the rules of the calculi: iterating a tuple is cheaper
+# than iterating the Enum class, and rules_of runs on every search and check
+_SOURCES = tuple((rule.source, rule) for rule in RuleId
+                 if rule is not RuleId.HYPOTHESIS)
 
 
 @dataclass(frozen=True)
@@ -128,13 +158,9 @@ def calculus(sigma="", lang=FULL) -> CalculusId:
 
 def rules_of(cal: CalculusId) -> frozenset:
     """All rules of FL_sigma[Psi]; (=>0) is kept even when wr subsumes it."""
-    rules = set(_STRUCTURAL_CORE)
-    for connective, intro in _INTRO_RULES.items():
-        if connective in cal.lang:
-            rules.update(intro)
-    for code in cal.sigma:
-        rules.add(_SIGMA_RULES[code])
-    return frozenset(rules)
+    lang, sigma = cal.lang.connectives, cal.sigma
+    return frozenset([rule for source, rule in _SOURCES if source is None
+                      or source in lang or source in sigma])
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +222,7 @@ def derive_conclusion(rule: RuleId, data: tuple, premises: tuple) -> Sequent:
     Raises InstanceError when the premises do not fit the schema.  Leaf rules
     (Axiom, =>1, 0=>, Hypothesis) are validated by `check_leaf` instead.
     """
-    arity = RULE_ARITY[rule]
+    arity = rule.arity
     _need(len(premises) == arity, f"{rule.label} takes {arity} premises")
     if arity >= 1:
         a, d = premises[0].antecedent, premises[0].succedent
@@ -299,30 +325,12 @@ def derive_conclusion(rule: RuleId, data: tuple, premises: tuple) -> Sequent:
     raise InstanceError(f"{rule.label} is a leaf rule")
 
 
-RULE_ARITY = {
-    RuleId.AXIOM: 0, RuleId.ONE_R: 0, RuleId.ZERO_L: 0, RuleId.HYPOTHESIS: 0,
-    RuleId.CUT: 2, RuleId.OR_L: 2, RuleId.AND_R: 2, RuleId.FUS_R: 2,
-    RuleId.RIMP_L: 2, RuleId.LIMP_L: 2,
-    RuleId.OR_R1: 1, RuleId.OR_R2: 1, RuleId.AND_L1: 1, RuleId.AND_L2: 1,
-    RuleId.FUS_L: 1, RuleId.RIMP_R: 1, RuleId.LIMP_R: 1, RuleId.RNEG_L: 1,
-    RuleId.RNEG_R: 1, RuleId.LNEG_L: 1, RuleId.LNEG_R: 1, RuleId.ONE_L: 1,
-    RuleId.ZERO_R: 1, RuleId.EXCH_L: 1, RuleId.WEAK_L: 1, RuleId.WEAK_R: 1,
-    RuleId.CONTR_L: 1,
-}
-
-
 # ---------------------------------------------------------------------------
 # Backward rule instances
 # ---------------------------------------------------------------------------
 
 # The longest multiset antecedent whose sub-multiset splits are enumerated.
 SUBMULTISET_CAP = 10
-
-# The rules that cut admissibility makes invertible in every sigma but {c}.
-INVERTIBLE_RULES = frozenset({
-    RuleId.OR_L, RuleId.FUS_L, RuleId.AND_R, RuleId.RIMP_R, RuleId.LIMP_R,
-    RuleId.RNEG_R, RuleId.LNEG_R, RuleId.ZERO_R, RuleId.ONE_L})
-
 
 def table_instances_backward(table, goal, rules, multiset=False,
                              cut_formulas=(), commit=False):
@@ -611,10 +619,10 @@ def check_proof(tree: ProofTree, cal: CalculusId, hyps=frozenset()) -> CheckResu
         except Exception as exc:
             return CheckResult(False, f"conclusion outside language: {exc}",
                                path, node.conclusion)
-        if RULE_ARITY[rule] != len(node.premises):
+        if rule.arity != len(node.premises):
             return CheckResult(False, f"arity mismatch for {rule.label}",
                                path, node.conclusion)
-        if RULE_ARITY[rule] == 0:
+        if rule.arity == 0:
             err = check_leaf(rule, node.conclusion, hyps)
             if err:
                 return CheckResult(False, err, path, node.conclusion)
@@ -633,31 +641,17 @@ def check_proof(tree: ProofTree, cal: CalculusId, hyps=frozenset()) -> CheckResu
     return CheckResult(True)
 
 
-# The position of the side formula in the data of the rules that have one;
-# in table instances it holds a table number.
-_FORMULA_SLOT = {RuleId.AND_L1: 1, RuleId.AND_L2: 1, RuleId.WEAK_L: 1,
-                 RuleId.OR_R1: 0, RuleId.OR_R2: 0, RuleId.WEAK_R: 0}
-
-
 def decode_data(table, rule: RuleId, data: tuple) -> tuple:
     """The data of a table instance with its side formula decoded."""
-    slot = _FORMULA_SLOT.get(rule)
-    if slot is None:
+    if SIDE not in rule.layout:
         return data
+    slot = rule.layout.index(SIDE)
     return data[:slot] + (table.formulas[data[slot]],) + data[slot + 1:]
 
 
 # ---------------------------------------------------------------------------
 # Mirror images of proofs
 # ---------------------------------------------------------------------------
-
-_MIRROR_RULE = {
-    RuleId.RIMP_L: RuleId.LIMP_L, RuleId.LIMP_L: RuleId.RIMP_L,
-    RuleId.RIMP_R: RuleId.LIMP_R, RuleId.LIMP_R: RuleId.RIMP_R,
-    RuleId.RNEG_L: RuleId.LNEG_L, RuleId.LNEG_L: RuleId.RNEG_L,
-    RuleId.RNEG_R: RuleId.LNEG_R, RuleId.LNEG_R: RuleId.RNEG_R,
-}
-
 
 def mirror_proof(tree: ProofTree) -> ProofTree:
     """The node-by-node mirror image of a proof; each instance maps to an
@@ -682,39 +676,20 @@ def mirror_proof(tree: ProofTree) -> ProofTree:
 
 
 def _mirror_node(tree: ProofTree, prems) -> ProofTree:
-    """The mirror image of one proof node, given its mirrored premises."""
-    rule = tree.rule
-    concl = mirror_sequent(tree.conclusion)
-    n = len(tree.conclusion.antecedent)
-    data = tree.data
-    new_rule = _MIRROR_RULE.get(rule, rule)
-    if rule in (RuleId.CUT, RuleId.RIMP_L, RuleId.LIMP_L):
-        (j,) = data
-        data = (len(tree.premises[1].conclusion.antecedent) - 1 - j,)
-    elif rule in (RuleId.OR_L, RuleId.CONTR_L):
-        (i,) = data
-        data = (n - 1 - i,)
-    elif rule is RuleId.FUS_L:
-        (i,) = data
-        data = (n - 1 - i,)
-    elif rule is RuleId.EXCH_L:
-        (i,) = data
-        data = (n - 2 - i,)
-    elif rule is RuleId.ONE_L:
-        (i,) = data
-        data = (n - 1 - i,)
-    elif rule in (RuleId.AND_L1, RuleId.AND_L2):
-        i, side = data
-        data = (n - 1 - i, mirror_formula(side))
-    elif rule in (RuleId.OR_R1, RuleId.OR_R2, RuleId.WEAK_R):
-        (side,) = data
-        data = (mirror_formula(side),)
-    elif rule is RuleId.WEAK_L:
-        i, side = data
-        data = (n - 1 - i, mirror_formula(side))
-    elif rule is RuleId.FUS_R:
+    """The mirror image of one proof node, given its mirrored premises: an
+    instance of the partner rule, each data slot remapped by its layout
+    kind.  Fusion reverses, so fus-r also swaps its premises."""
+    rule, data = tree.rule, tree.data
+    if rule.layout:
+        n = len(tree.conclusion.antecedent)
+        data = tuple([mirror_formula(x) if kind == SIDE
+                      else n - 1 - x if kind == POS
+                      else n - 2 - x if kind == PAIR
+                      else len(tree.premises[1].conclusion.antecedent) - 1 - x
+                      for kind, x in zip(rule.layout, data)])
+    if rule is RuleId.FUS_R:
         prems = (prems[1], prems[0])
-    return ProofTree(concl, new_rule, prems, data)
+    return ProofTree(mirror_sequent(tree.conclusion), rule.mirror, prems, data)
 
 
 # ---------------------------------------------------------------------------
@@ -895,9 +870,10 @@ def parse_proof_sexp(text, lang=FULL) -> ProofTree:
     while True:
         if pos < len(tokens) and tokens[pos] == "(":
             label, quoted = (tokens[pos + 1:pos + 3] + ["", ""])[:2]
-            rule = _RULES_BY_LABEL.get(label)
-            if rule is None:
-                raise ValueError(f"unknown rule {label!r}")
+            try:
+                rule = RuleId(label)
+            except ValueError:
+                raise ValueError(f"unknown rule {label!r}") from None
             if not quoted.startswith('"'):
                 raise ValueError("expected a quoted sequent")
             concl = parse_sequent(quoted[1:-1], lang)
@@ -924,9 +900,9 @@ def _infer_data(rule, conclusion, premise_seqs):
     """The data of the first instance of `rule` that `table_instances_backward`
     gives for `conclusion` with exactly these premises; the formula of a cut
     is its first premise's succedent."""
-    if RULE_ARITY[rule] == 0:
+    if rule.arity == 0:
         return ()
-    if len(premise_seqs) == RULE_ARITY[rule]:
+    if len(premise_seqs) == rule.arity:
         table, (goal, *premises) = encode_sequents(
             (conclusion,) + premise_seqs)
         cuts = (premises[0][1],) if rule is RuleId.CUT else ()

@@ -48,8 +48,8 @@ from typing import Optional
 from . import bridge
 from .sequents import (Sequent, check_sequent_language, decode_sequent,
                        encode_sequents, rho_prime)
-from .calculus import (INVERTIBLE_RULES, CalculusId, ProofTree, RuleId,
-                       decode_data, rules_of, table_instances_backward)
+from .calculus import (CalculusId, ProofTree, RuleId, decode_data, rules_of,
+                       table_instances_backward)
 from .algebra import (AlgebraError, VarietyId, check_variety,
                       family_of_language)
 
@@ -349,7 +349,7 @@ class _Search(_AndOr):
         found, skipped = table_instances_backward(
             self.table, goal, self.rules, self.multiset, self.cut_formulas,
             self.commit)
-        if self.commit and found and found[0][0] in INVERTIBLE_RULES:
+        if self.commit and found and found[0][0].invertible:
             for rule, data, concl, prems in found:
                 if cap is None or all(len(p[0]) <= cap for p in prems):
                     return [(rule, data, concl,

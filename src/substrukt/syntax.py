@@ -216,23 +216,38 @@ def check_language(f, lang: Language):
 
 
 _MIRROR_NEG = {"rneg": "lneg", "lneg": "rneg"}
+# each binary connective's mirror, and whether its arguments swap; a\b is
+# rimp(a, b) and its mirror b/a is limp(a, b), denominator first in both
+_MIRROR_BIN = {"join": ("join", False), "meet": ("meet", False),
+               "fus": ("fus", True), "rimp": ("limp", False),
+               "limp": ("rimp", False)}
 
 
 def mirror_formula(f) -> Formula:
     """The mirror image: fusion reversed, the two implications and the two
-    negations swapped, variables and constants fixed."""
-    if isinstance(f, (Var, Const)):
-        return f
-    if isinstance(f, Neg):
-        return Neg(_MIRROR_NEG[f.op], mirror_formula(f.child))
-    left, right = mirror_formula(f.left), mirror_formula(f.right)
-    if f.op in ("join", "meet"):
-        return Bin(f.op, left, right)
-    if f.op == "fus":
-        return Bin("fus", right, left)
-    if f.op == "rimp":  # a\b  ->  b/a, i.e. limp with the same (denom, numer)
-        return Bin("limp", left, right)
-    return Bin("rimp", left, right)
+    negations swapped, variables and constants fixed.  The walk keeps an
+    explicit stack, so formula depth is not bounded by the interpreter's
+    recursion limit."""
+    out = []
+    stack = [(f, False)]
+    while stack:
+        node, ready = stack.pop()
+        if isinstance(node, (Var, Const)):
+            out.append(node)
+        elif not ready:
+            stack.append((node, True))
+            if isinstance(node, Neg):
+                stack.append((node.child, False))
+            else:
+                stack += ((node.right, False), (node.left, False))
+        elif isinstance(node, Neg):
+            out.append(Neg(_MIRROR_NEG[node.op], out.pop()))
+        else:
+            op, swap = _MIRROR_BIN[node.op]
+            right = out.pop()
+            left = out.pop()
+            out.append(Bin(op, right, left) if swap else Bin(op, left, right))
+    return out[0]
 
 
 def apply_subst(subst: Mapping[str, Formula], f) -> Formula:

@@ -87,13 +87,13 @@ def test_backward_includes_expected_instances():
 
 
 def test_backward_soundness():
-    from substrukt.calculus import RULE_ARITY, check_leaf
+    from substrukt.calculus import check_leaf
     rng = random.Random(5)
     for _ in range(60):
         tree = random_derivation(rng, FLE, height=4)
         goal = tree.conclusion
         for rule, data, prems in rule_instances_backward(goal, FLE):
-            if RULE_ARITY[rule] == 0:
+            if rule.arity == 0:
                 assert prems == () and check_leaf(rule, goal, set()) is None
             else:
                 assert derive_conclusion(rule, data, prems) == goal
