@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Compare prover verdicts with bounded countermodel search on a random
 sequent corpus, and name the regime in which `prove` treats the calculus:
-decided by the shrinking search (no c), decided on antecedent sets (e, wl
-and c), or bounded (the rest; a plain refutation comes from the decided
-calculus with e and wl added, or from a checked countermodel of at most
-search.COUNTERMODEL_SIZE elements).
+decided by the shrinking search (no c), decided on antecedent sets (wl and
+c; without e, exchange is derived with cut), or bounded (c without wl; a
+plain refutation comes from the decided calculus with e and wl added, or
+from a checked countermodel of at most search.COUNTERMODEL_SIZE
+elements).
 
 Set SUBSTRUKT_SEED to pin the corpus.
 """
@@ -35,7 +36,8 @@ def main():
     cal = calculus(sigma, lang)
     variety = VarietyId("Msl", sigma)
     label = {"shrinking": "decided (shrinking search)",
-             "sets": "decided (on antecedent sets)",
+             "sets": "decided (on antecedent sets)" if "e" in sigma else
+                     "decided (on antecedent sets; exchange derived by cut)",
              "bounded": "bounded (plain refutation from sigma + e + wl "
                         f"or a countermodel up to size {COUNTERMODEL_SIZE})"
              }[regime(sigma)]

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .syntax import (Language, FULL, ZERO, ONE, check_language,
                      format_formula, fus, join, limp, lneg, meet,
-                     mirror_formula, rimp, rneg)
+                     mirror_formula, rimp, rneg, same_formula)
 from .sequents import (Sequent, decode_sequent, encode_sequents, fuse,
                        mirror_sequent, parse_sequent)
 
@@ -555,7 +555,7 @@ def check_leaf(rule: RuleId, conclusion: Sequent, hyps) -> Optional[str]:
     """Validate a 0-premise node; returns an error string or None."""
     a, d = conclusion.antecedent, conclusion.succedent
     if rule is RuleId.AXIOM:
-        if len(a) == 1 and d == a[0]:
+        if len(a) == 1 and d is not None and same_formula(d, a[0]):
             return None
         return "axiom must be phi => phi"
     if rule is RuleId.ONE_R:

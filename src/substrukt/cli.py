@@ -154,11 +154,10 @@ def _cmd_prove(args):
                   f"proved\n{sexp}")
         return EXIT_PROVED
     if isinstance(result, Refuted):
-        note = f" ({result.caveat})" if result.caveat else ""
         witness = result.countermodel
-        payload = {"verdict": "refuted", "caveat": result.caveat,
-                   "countermodel": None}
-        text = f"refuted{note}"
+        # "caveat" stays in the schema; no refutation carries one
+        payload = {"verdict": "refuted", "caveat": None, "countermodel": None}
+        text = "refuted"
         if witness is not None:
             payload["countermodel"] = {
                 "algebra": to_json_dict(witness.algebra),
@@ -194,7 +193,7 @@ def _cmd_decide(args):
               "refuted\n" + json.dumps(payload["countermodel"]) +
               f"\nassignment: {witness.assignment}")
         return EXIT_REFUTED
-    if isinstance(result, Refuted) and not result.caveat:
+    if isinstance(result, Refuted):
         _emit(args, {"verdict": "refuted", "by": "decision procedure",
                      "model_bound": args.max_size},
               f"refuted (by the decision procedure; no countermodel up to "

@@ -292,7 +292,7 @@ class AxiomReport:
 def axioms_to_sequents(sys: HilbertSystem, cal: CalculusId,
                        bound=None) -> AxiomReport:
     """Instantiate every axiom schema with fresh object variables and run
-    the cut-free sequent prover on its theoremhood sequent."""
+    the sequent prover on its theoremhood sequent."""
     verdicts = []
     for name, schema in sys.axioms:
         goal = rho_prime(instantiate_schema(schema))

@@ -1,25 +1,30 @@
-"""Backward cut-free proof search and hypothesis-admitting bounded search.
+"""Backward proof search and hypothesis-admitting bounded search.
 
 Which sigma `prove` decides:
 
 - sigma without contraction: every backward step strictly shrinks the
   goal, so the search terminates and exhaustion refutes.
-- sigma containing e, wl and c: with exchange, weakening and contraction
-  the multiplicity of an antecedent formula does not matter, so
-  `_SetSearch` decides the goal on antecedent *sets* of subformulas, with
-  contraction absorbed into the rules (G3 style; Troelstra and
-  Schwichtenberg, Basic Proof Theory, ch. 3).  Its proofs are rebuilt as
-  FL_sigma trees with explicit weakening, contraction and exchange steps.
-- every other sigma with c: a goal that fails in FL_{sigma + e + wl}
-  fails in FL_sigma (whose proofs are FL_sigma' proofs for sigma within
-  sigma'), and is refuted plainly; so is one that fails in a member of
-  FL_sigma's variety (the paper's equivalent algebraic semantics) of at
-  most COUNTERMODEL_SIZE elements, found by `bridge.countermodel` and
-  re-checked.  The rest go to a depth-bounded, loop-checked search, then
-  to the decided FL_{sigma - c}.  When the bounded search's space closes
-  under the loop check it refutes only with left-weakening, and with a
-  caveat.  FL_c itself is undecidable (Chvalovsky and Horcik, JSL 2016).
-  The depth bound matters only to this case.
+- sigma containing wl and c: every FL_{wl,c}-algebra is commutative
+  (xy <= (xy)(xy) = x(yx)y <= yx), and syntactically exchange is a
+  derived rule of FL_{wl,c} with cut, so FL_sigma proves what
+  FL_{sigma + e} proves.  With exchange, weakening and contraction the
+  multiplicity of an antecedent formula does not matter, so `_SetSearch`
+  decides the goal on antecedent *sets* of subformulas, with contraction
+  absorbed into the rules (G3 style; Troelstra and Schwichtenberg, Basic
+  Proof Theory, ch. 3).  Its proofs are rebuilt as FL_sigma trees with
+  explicit weakening, contraction and exchange steps; without e each
+  exchange step becomes fus-l and two cuts (`_exchange_by_cut`), the only
+  cuts in the proofs of `prove`.
+- every other sigma with c (c without wl): a goal that fails in
+  FL_{sigma + e + wl} fails in FL_sigma (whose proofs are FL_sigma'
+  proofs for sigma within sigma'), and is refuted plainly; so is one that
+  fails in a member of FL_sigma's variety (the paper's equivalent
+  algebraic semantics) of at most COUNTERMODEL_SIZE elements, found by
+  `bridge.countermodel` and re-checked.  The rest go to a depth-bounded,
+  loop-checked search, then to the decided FL_{sigma - c}; when the
+  bounded search's space closes, the verdict is Unknown.  FL_c itself is
+  undecidable (Chvalovsky and Horcik, JSL 2016).  The depth bound matters
+  only to this case.
 
 Every search is one AND-OR search, `_AndOr.solve`, on an explicit stack,
 which owns the memos, the node count and (with `_deepening`) deepening;
@@ -48,8 +53,8 @@ from typing import Optional
 from . import bridge
 from .sequents import (Sequent, check_sequent_language, decode_sequent,
                        encode_sequents, rho_prime)
-from .calculus import (CalculusId, ProofTree, RuleId, decode_data, rules_of,
-                       table_instances_backward)
+from .calculus import (CalculusId, ProofTree, RuleId, _apply, _axiom, _cut,
+                       decode_data, rules_of, table_instances_backward)
 from .algebra import (AlgebraError, VarietyId, check_variety,
                       family_of_language)
 
@@ -92,7 +97,6 @@ class Proved:
 class Refuted:
     """A refutation: by a decision procedure, or by `countermodel`, a
     `bridge.Found` member of FL_sigma's variety in which tau(goal) fails."""
-    caveat: Optional[str] = None
     countermodel: Optional[bridge.Found] = field(default=None, repr=False)
 
 
@@ -755,25 +759,27 @@ def _set_goal(encoded):
 
 def regime(sigma) -> str:
     """How `prove` treats FL_sigma: "shrinking" (decided, no c),
-    "sets" (decided on antecedent sets, e, wl and c in sigma) or "bounded"
-    (the rest: a plain refutation when FL_{sigma + e + wl} refutes or a
-    checked countermodel of size at most COUNTERMODEL_SIZE exists, else a
-    depth-bounded search)."""
+    "sets" (decided on antecedent sets, wl and c in sigma; without e,
+    exchange is derived with cut) or "bounded" (c without wl: a plain
+    refutation when FL_{sigma + e + wl} refutes or a checked countermodel
+    of size at most COUNTERMODEL_SIZE exists, else a depth-bounded
+    search)."""
     if "c" not in sigma:
         return "shrinking"
-    return "sets" if {"e", "wl"} <= sigma else "bounded"
+    return "sets" if "wl" in sigma else "bounded"
 
 
 def prove(goal: Sequent, cal: CalculusId, bound=None):
-    """Cut-free backward search.  Decides derivability when c is not in
-    sigma, and when e, wl and c all are (on antecedent sets; `bound` has
-    no effect then).  With c but without e or wl, a goal unprovable in
-    FL_{sigma + e + wl} is refuted; so is one that fails in a member of
-    FL_sigma's variety of at most COUNTERMODEL_SIZE elements (the Refuted
-    carries it); the others go to a search bounded by `bound` (12 by
-    default), then, unproved, to the decided FL_{sigma - c}.  A Refuted
-    from the bounded search carries a caveat (or degrades to Unknown
-    without wl).  Unknown names the limits that cut the bounded search."""
+    """Backward search.  Decides derivability when c is not in sigma, and
+    when wl and c both are (on antecedent sets; `bound` has no effect
+    then).  The proofs are cut-free, but for those under wl and c without
+    e, whose exchange steps are replaced by cuts.  With c but without wl,
+    a goal unprovable in FL_{sigma + e + wl} is refuted; so is one that
+    fails in a member of FL_sigma's variety of at most COUNTERMODEL_SIZE
+    elements (the Refuted carries it); the others go to a search bounded
+    by `bound` (12 by default), then, unproved, to the decided
+    FL_{sigma - c}.  Unknown names the limits that cut the bounded search,
+    or says that its space closed."""
     check_sequent_language(goal, cal.lang)
     sigma = cal.sigma
     kind = regime(sigma)
@@ -784,8 +790,9 @@ def prove(goal: Sequent, cal: CalculusId, bound=None):
         if _deepening(decider, start, _UNBOUNDED)[0] is None:
             return Refuted()
         if kind == "sets":
-            return Proved(_proof_tree(table, decider.record(start, encoded[0]),
-                                      encoded[0]))
+            tree = _proof_tree(table, decider.record(start, encoded[0]),
+                               encoded[0])
+            return Proved(tree if "e" in sigma else _exchange_by_cut(tree))
         found = _countermodel(goal, cal)
         if found is not None:
             return Refuted(countermodel=found)
@@ -804,11 +811,60 @@ def prove(goal: Sequent, cal: CalculusId, bound=None):
         return Unknown(_limits(flags))
     if not contraction:
         return Refuted()
-    if "wl" in sigma:
-        return Refuted(caveat="search space closed under the loop check; "
-                              "refutation with contraction relies on it")
     return Unknown("search space closed under loop check; refutation is "
                    "not claimed for contraction without left-weakening")
+
+
+def _exchange_by_cut(tree: ProofTree) -> ProofTree:
+    """The tree with each exch-l step replaced by cuts, for FL_sigma with
+    wl and c but without e.  From the premise Gamma, psi, phi, Delta =>
+    chi, fus-l gives Gamma, psi * phi, Delta => chi; a cut with the proof
+    of phi * psi => psi * phi from `_swap_proofs` gives Gamma, phi * psi,
+    Delta => chi; and a cut with phi, psi => phi * psi gives the step's
+    conclusion.  Nodes are rebuilt after their premises, on a stack; a
+    shared subtree stays shared, and so do the proofs of one (phi, psi)."""
+    built, swaps = {}, {}
+    stack = [tree]
+    while stack:
+        node = stack[-1]
+        if id(node) in built:
+            stack.pop()
+            continue
+        missing = [p for p in node.premises if id(p) not in built]
+        if missing:
+            stack += missing
+            continue
+        stack.pop()
+        premises = tuple([built[id(p)] for p in node.premises])
+        if node.rule is RuleId.EXCH_L:
+            (i,) = node.data
+            psi, phi = premises[0].conclusion.antecedent[i:i + 2]
+            key = id(phi), id(psi)
+            if key not in swaps:
+                swaps[key] = _swap_proofs(phi, psi)
+            pair, swap = swaps[key]
+            fused = _apply(RuleId.FUS_L, (i,), *premises)
+            new = _cut(pair, _cut(swap, fused, i), i)
+        elif any(p is not q for p, q in zip(premises, node.premises)):
+            new = ProofTree(node.conclusion, node.rule, premises, node.data)
+        else:
+            new = node
+        built[id(node)] = new
+    return built[id(tree)]
+
+
+def _swap_proofs(phi, psi):
+    """(a proof of phi, psi => phi * psi, an FL_{wl,c} proof of phi * psi
+    => psi * phi).  The second contracts phi * psi, splits both copies and
+    proves psi * phi from phi, psi, phi, psi, each factor from its own
+    copy by weakening the other away; 8 nodes."""
+    pair = _apply(RuleId.FUS_R, (), _axiom(phi), _axiom(psi))
+    tree = _apply(RuleId.FUS_R, (),
+                  _apply(RuleId.WEAK_L, (0, phi), _axiom(psi)),
+                  _apply(RuleId.WEAK_L, (1, psi), _axiom(phi)))
+    for i in (2, 0):
+        tree = _apply(RuleId.FUS_L, (i,), tree)
+    return pair, _apply(RuleId.CONTR_L, (0,), tree)
 
 
 def _countermodel(goal: Sequent, cal: CalculusId):

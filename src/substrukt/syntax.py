@@ -250,6 +250,30 @@ def mirror_formula(f) -> Formula:
     return out[0]
 
 
+def same_formula(a, b) -> bool:
+    """Whether two formulas are equal, by a walk on an explicit stack, so
+    that formula depth is not bounded by the interpreter's recursion limit;
+    a pair of identical objects is equal without being walked."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, Bin):
+            if x.op != y.op:
+                return False
+            stack += ((x.left, y.left), (x.right, y.right))
+        elif isinstance(x, Neg):
+            if x.op != y.op:
+                return False
+            stack.append((x.child, y.child))
+        elif x != y:
+            return False
+    return True
+
+
 def apply_subst(subst: Mapping[str, Formula], f) -> Formula:
     """Homomorphic replacement of variables; identity outside the domain."""
     if isinstance(f, Var):

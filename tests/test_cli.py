@@ -231,6 +231,20 @@ def test_prove_reports_the_countermodel_in_json(capsys):
                                "countermodel": None}
 
 
+def test_wl_c_is_decided_with_exchange_by_cut(capsys):
+    # FL_{wl,c} proves what FL_{e,wl,c} proves: its proof of a swap of
+    # factors replaces exchange with cuts
+    args = ("--sigma", "wl,c", "--lang", "core")
+    code, out, _ = run(capsys, *args, "prove", "p * q => q * p")
+    assert code == 0 and out.startswith("proved") and "(cut " in out
+    code, out, _ = run(capsys, *args, "decide", "p * q => q * p")
+    assert code == 0 and out.startswith("proved")
+    code, out, _ = run(capsys, "--format", "json", *args, "prove", "p => q")
+    assert code == 1
+    assert json.loads(out) == {"verdict": "refuted", "caveat": None,
+                               "countermodel": None}
+
+
 def test_decide_reports_the_provers_countermodel(capsys):
     # the prover's countermodel has 3 elements: above --max-size, but found
     code, out, _ = run(capsys, "--sigma", "c", "--lang", "core",

@@ -273,6 +273,24 @@ def test_enumeration_output_is_pinned(pinned):
     assert digest == DIGEST
 
 
+def test_wl_c_varieties_are_commutative():
+    # xy <= (xy)(xy) = x(yx)y <= yx, by c and then by x, y <= 1 (wl): every
+    # member is commutative, so adding e to sigma keeps the same members
+    for sigma, counts in ((("wl", "c"), (1, 2, 3, 7)),
+                          (("wl", "wr", "c"), (1, 1, 1, 2))):
+        for family in FAMILIES:
+            for n, count in enumerate(counts, start=1):
+                without = _members(VarietyId(family, frozenset(sigma)), n)
+                with_e = _members(VarietyId(family, frozenset(sigma + ("e",))),
+                                  n)
+                assert len(without) == count, (family, sigma, n)
+                assert without == with_e, (family, sigma, n)
+
+
+def _members(v, n):
+    return [(a.name, to_json_dict(a)) for a in enumerate_algebras(v, n)]
+
+
 # -- the shared caches -------------------------------------------------------
 
 def _clear_caches():

@@ -156,11 +156,12 @@ def test_mirror_twice_is_the_identity_under_every_sigma():
                 assert mirror_proof(m) == tree
 
 
-def _chain(depth):
-    """A formula `depth` connectives deep, cycling through rn, *, \\, ln and
-    /, with the deep argument on the left of each binary connective."""
+def _chain(depth, f=None):
+    """A formula `depth` connectives deep above `f` (p by default), cycling
+    through rn, *, \\, ln and /, with the deep argument on the left of each
+    binary connective."""
     p, q, r = var("p"), var("q"), var("r")
-    f = p
+    f = p if f is None else f
     for k in range(depth):
         f = (Neg("rneg", f), Bin("fus", f, q), Bin("rimp", f, r),
              Neg("lneg", f), Bin("limp", f, p))[k % 5]
@@ -202,3 +203,24 @@ def test_mirror_of_a_deep_formula():
     (left,), right = tree.conclusion.antecedent, tree.conclusion.succedent
     assert _is_mirrored_chain(left, 3000) and _is_mirrored_chain(right, 3000)
     assert isinstance(mirror_formula(Const("zero")), Const)
+
+
+def test_check_proof_compares_deep_axiom_sides_without_recursion():
+    # the two sides of each axiom are equal but distinct objects, 3,000
+    # connectives deep: == on formulas recurses once per level
+    full = calculus("")
+    copies = ProofTree(seq([_chain(3000)], _chain(3000)), R.AXIOM)
+    assert check_proof(copies, full)
+    phi = _chain(3000)
+    mirrored = mirror_proof(ProofTree(seq([phi], phi), R.AXIOM))
+    (left,), right = mirrored.conclusion.antecedent, mirrored.conclusion.succedent
+    assert left is not right
+    assert check_proof(mirrored, full)
+    # pairs that differ only at the bottom: in a variable, in a binary
+    # connective, in a negation
+    p, q = var("p"), var("q")
+    for a, b in ((p, q), (Bin("fus", p, q), Bin("join", p, q)),
+                 (Neg("rneg", p), Neg("lneg", p))):
+        axiom = ProofTree(seq([_chain(3000, a)], _chain(3000, b)), R.AXIOM)
+        result = check_proof(axiom, full)
+        assert (result.ok, result.reason) == (False, "axiom must be phi => phi")

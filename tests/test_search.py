@@ -5,14 +5,15 @@ import random
 
 import pytest
 
-from substrukt.syntax import Language, format_formula, var
+from substrukt.syntax import Language, format_formula, fus, var
 from substrukt.sequents import (mirror_sequent, parse_sequent, rho,
                                 rho_prime, seq, tau)
-from substrukt.calculus import (calculus, check_proof, format_proof_sexp,
-                                lemma12_roundtrip, parse_proof_sexp)
+from substrukt.calculus import (RuleId, _apply, calculus, check_proof,
+                                format_proof_sexp, lemma12_roundtrip,
+                                parse_proof_sexp)
 from substrukt.search import (Proved, Refuted, Unknown, exchange_chain,
                               external_entails, prove, prove_with_hyps)
-from substrukt.corpus import random_derivation, random_sequent
+from substrukt.corpus import random_derivation, random_formula, random_sequent
 
 p, q, r = var("p"), var("q"), var("r")
 FL = calculus("")
@@ -53,15 +54,17 @@ def test_refuted_decision_without_contraction():
 
 def test_contraction_verdicts():
     # p => q fails in FL_{e,wl,c}, which is decided, so it fails in every
-    # FL_sigma with c: refuted without a caveat
+    # FL_sigma with c
     res = P("p => q", calculus("wl,c"))
     assert res == Refuted()
     res = P("p => q", calculus("c"))
     assert isinstance(res, Refuted)
-    # provable with e, so it reaches the bounded search, whose loop check
-    # closes the space: refutation carries the loop-check caveat
-    res = P("p * q => q * p", calculus("wl,c"))
-    assert isinstance(res, Refuted) and res.caveat
+    # FL_{wl,c} derives exchange with cut, so it proves what FL_{e,wl,c}
+    # proves; the bounded search refuted this goal wrongly
+    for sigma in ("wl,c", "wl,wr,c"):
+        cal = calculus(sigma)
+        res = P("p * q => q * p", cal)
+        assert isinstance(res, Proved) and check_proof(res.tree, cal)
     # contraction proofs are still found
     assert isinstance(P("p => p * p", calculus("c")), Proved)
     assert isinstance(P("p => p * p", calculus("e,wl,wr,c")), Proved)
@@ -209,16 +212,84 @@ def test_contraction_proofs_check():
                 assert check_proof(res.tree, cal), (goal, sigma)
 
 
+def _assert_monotone(goal, verdicts):
+    """No goal is Proved under sigma and Refuted under a sigma' above it:
+    an FL_sigma proof is an FL_sigma' proof."""
+    for sigma, res in verdicts.items():
+        if not isinstance(res, Refuted):
+            continue
+        for smaller in ALL_SIGMAS:
+            if smaller <= sigma:
+                assert not isinstance(verdicts[smaller], Proved), \
+                    (goal, sorted(smaller), sorted(sigma))
+
+
 def test_verdicts_are_monotone_in_sigma():
-    # an FL_sigma' proof is an FL_sigma proof for sigma' below sigma
     for goal, verdicts in _contraction_verdicts().values():
-        for sigma, res in verdicts.items():
-            if not isinstance(res, Refuted):
-                continue
-            for smaller in ALL_SIGMAS:
-                if smaller <= sigma:
-                    assert not isinstance(verdicts[smaller], Proved), \
-                        (goal, sorted(smaller), sorted(sigma))
+        _assert_monotone(goal, verdicts)
+
+
+def _contracted_fusion(tree):
+    """From an FL_c derivation of Gamma => delta, Gamma two formulas or
+    more, one of prod Gamma => delta * delta: fus-r on two copies, fus-l
+    down to two copies of prod Gamma, then contr-l on that fusion."""
+    m = len(tree.conclusion.antecedent)
+    tree = _apply(RuleId.FUS_R, (), tree, tree)
+    for i in (0, 1):
+        for _ in range(m - 1):
+            tree = _apply(RuleId.FUS_L, (i,), tree)
+    return _apply(RuleId.CONTR_L, (0,), tree)
+
+
+def _cross_sigma_goals():
+    """Goals whose proofs contract a fused formula before splitting it:
+    phi => phi * phi, phi * psi => psi * phi, and the conclusions of FL_c
+    derivations that contract a fusion of their antecedent."""
+    core = Language.preset("core")
+    rng = random.Random(15)
+    phis = [random_formula(rng, 2, lang=core) for _ in range(12)]
+    goals = [seq([phi], fus(phi, phi)) for phi in phis]
+    goals += [seq([fus(phi, psi)], fus(psi, phi))
+              for phi, psi in zip(phis, phis[1:])]
+    fl_c = calculus("c", core)
+    while len(goals) < 35:
+        tree = random_derivation(rng, fl_c, height=3)
+        s = tree.conclusion
+        if len(s.antecedent) >= 2 and s.succedent is not None:
+            tree = _contracted_fusion(tree)
+            assert check_proof(tree, fl_c)
+            goals.append(tree.conclusion)
+    return goals
+
+
+def test_no_goal_is_proved_below_a_sigma_that_refutes_it():
+    # when the bounded search decided wl,c, it refuted four of the FL_c
+    # derivations under wl,c and wl,wr,c, which c proves
+    core = Language.preset("core")
+    for goal in _cross_sigma_goals():
+        verdicts = {}
+        for sigma in ALL_SIGMAS:
+            cal = calculus(sigma, core)
+            res = verdicts[sigma] = prove(goal, cal)
+            if isinstance(res, Proved):
+                assert check_proof(res.tree, cal), (goal, sorted(sigma))
+        _assert_monotone(goal, verdicts)
+        # FL_{wl,c} proves what FL_{e,wl,c} proves
+        for sigma in (DECIDED, DECIDED | {"wr"}):
+            assert type(verdicts[sigma]) is type(verdicts[sigma - {"e"}])
+
+
+def test_exchange_without_e_is_a_cut():
+    # no rule of FL_{wl,c} puts r before q, so a proof needs cut
+    goal = parse_sequent("q, r => r * q")
+    for sigma in ("wl,c", "wl,wr,c"):
+        cal = calculus(sigma)
+        res = prove(goal, cal)
+        assert isinstance(res, Proved) and check_proof(res.tree, cal)
+        assert "(cut " in format_proof_sexp(res.tree)
+        # the swap proof weakens on the left: FL_c rejects the tree
+        assert check_proof(res.tree, calculus("c")).reason == \
+            "rule-not-in-calculus: weak-l"
 
 
 def test_sigma_with_e_wl_c_is_decided():
@@ -230,7 +301,6 @@ def test_sigma_with_e_wl_c_is_decided():
             if not DECIDED <= sigma:
                 continue
             assert isinstance(res, (Proved, Refuted)), (goal, sigma)
-            assert isinstance(res, Proved) or res.caveat is None
             variety = VarietyId(family_of_language(lang), sigma)
             witness = countermodel(goal, variety, 3)
             assert not (isinstance(res, Proved) and isinstance(witness, Found))
@@ -255,11 +325,16 @@ def test_weakened_copies_are_not_cut_by_the_loop_check(sigma):
 def test_deepening_closes_when_one_iteration_does():
     # a failure that hit the depth bound under one set of ancestors is cut
     # by the loop check under another; kept across iterations, such
-    # failures kept every deepening iteration from closing on this goal
+    # failures kept every deepening iteration from closing on this goal.
+    # `prove` decides wl,c on sets, so the bounded search runs directly
+    from substrukt.search import _BOUNDED, _Search, _deepening
+    from substrukt.sequents import encode_sequents
     goal = ("(1 \\/ q \\/ (p \\/ 0)) * (1 * 1 * (1 \\/ 0)), "
             "(1 \\/ 1) * (0 * 1) * q => (p \\/ q) * (0 \\/ r) \\/ p * r * 0")
-    res = P(goal, calculus("wl,c"), bound=24)
-    assert isinstance(res, Refuted) and res.caveat is not None
+    table, (encoded,) = encode_sequents((parse_sequent(goal),))
+    search = _Search(calculus("wl,c"), table)
+    record, flags = _deepening(search, search.canon(encoded), 24)
+    assert record is None and not flags & _BOUNDED
 
 
 # The sha256 of the verdicts and proofs below, as the search gave them
@@ -295,6 +370,10 @@ def _proof_digest():
         if isinstance(res, Proved):
             assert check_proof(res.tree, cal)
             line = format_proof_sexp(res.tree)
+        elif isinstance(res, Refuted):
+            # the repr of a refutation when the digest was taken, before
+            # Refuted lost its caveat field
+            line = "Refuted(caveat=None)"
         else:
             line = repr(res)
         digest.update(f"{goal}\t{line}\n".encode())
@@ -366,11 +445,16 @@ def test_parsed_proof_data_is_pinned():
 
 BOUNDED_SIGMAS = ("c", "e,c", "wl,c", "wr,c", "e,wr,c")
 
-# The sha256 of the proofs of every goal below that `prove` proved, as the
-# search gave them before the bounded regime looked for countermodels.  A
-# countermodel refutes only unprovable goals, so it must not move.
-BOUNDED_PROOF_DIGEST = ("a32982b2535f025ffda9c7979aae4384"
-                        "fd9b8e93bdc90cfc986285eb566dfb7a")
+# The sha256 of the proofs of every goal below that `prove` proved under
+# the sigmas without wl, the bounded regime, as the search gave them before
+# that regime looked for countermodels.  A countermodel refutes only
+# unprovable goals, so it must not move.
+BOUNDED_PROOF_DIGEST = ("7d06faaa2755cc3fadebf2f9ed263ff0"
+                        "54be5fc0b190b2215c911f09cfcdb913")
+# The same of the proofs under wl,c, decided on antecedent sets, with each
+# exchange step replaced by cuts.
+WL_C_PROOF_DIGEST = ("8f17e4b6d0fe260bb73896b4c901dc03"
+                     "c2491cd167403e90a61733441f7d0102")
 
 
 @functools.cache
@@ -394,10 +478,11 @@ def _bounded_verdicts():
 
 
 def test_bounded_proofs_are_pinned():
-    digest = hashlib.sha256()
+    digests = {"bounded": hashlib.sha256(), "sets": hashlib.sha256()}
     proved = 0
     goal_lang = Language.preset("core")
     for sigma, verdicts in _bounded_verdicts().items():
+        digest = digests["sets" if sigma == "wl,c" else "bounded"]
         for goal, res in verdicts:
             if isinstance(res, Proved):
                 proved += 1
@@ -405,7 +490,8 @@ def test_bounded_proofs_are_pinned():
                 digest.update(f"{sigma}\t{goal}\t"
                               f"{format_proof_sexp(res.tree)}\n".encode())
     assert proved == 53
-    assert digest.hexdigest() == BOUNDED_PROOF_DIGEST
+    assert digests["bounded"].hexdigest() == BOUNDED_PROOF_DIGEST
+    assert digests["sets"].hexdigest() == WL_C_PROOF_DIGEST
 
 
 def test_countermodel_refutations_are_checked():
@@ -421,7 +507,6 @@ def test_countermodel_refutations_are_checked():
             if not isinstance(res, Refuted) or res.countermodel is None:
                 continue
             refuted[sigma] = refuted.get(sigma, 0) + 1
-            assert res.caveat is None
             a = res.countermodel.algebra
             assert a.n <= 3 and check_variety(a, variety).ok
             values = {name: a.elements.index(element)
