@@ -23,7 +23,7 @@ from .calculus import (CalculusId, RuleId, ProofTree, calculus, check_proof,
                        build_lemma_proofs, LemmaKind, format_proof_sexp,
                        parse_proof_sexp)
 from .search import (Proved, Refuted, Unknown, prove, prove_with_hyps,
-                     external_entails)
+                     verdict, check_verdict)
 from .algebra import (FiniteAlgebra, VarietyId, eval_term,
                       satisfies_equation, satisfies_quasi, check_variety,
                       derive_residuals, derive_pseudocomplements, opposite,
@@ -32,8 +32,7 @@ from .completion import (ideal_generated, all_ideals, nucleus_completion,
                          ideal_completion, verify_embedding,
                          ClosureOperatorSpec, ideal_closure)
 from .bridge import (FilterSlices, canonical_filter, countermodel,
-                     entails_semantically, leibniz_congruence,
-                     filter_congruence_correspondence)
+                     leibniz_congruence, filter_congruence_correspondence)
 from .hilbert import (HilbertSystem, preset_hfl, preset_hfle,
                       preset_van_alten_raftery, hilbert_system,
                       check_hilbert_proof, parse_hilbert_proof,

@@ -285,33 +285,14 @@ def _first_countermodel(equations, v: VarietyId, max_size: int):
     return None
 
 
-def countermodel(s: Sequent, v: VarietyId, max_size: int):
-    """Search the enumerated variety members for a failure of tau(s)."""
-    found = _first_countermodel([tau_equation(s)], v, max_size)
-    return NotFound(max_size) if found is None else Found(*found)
-
-
-@dataclass(frozen=True)
-class SemRefuted:
-    algebra: FiniteAlgebra
-    assignment: dict
-
-
-@dataclass(frozen=True)
-class NoCountermodelUpTo:
-    max_size: int
-    regime: str  # "fep" when wl in sigma, else "bounded"
-
-
-def entails_semantically(hyps, goal: Sequent, v: VarietyId, max_size: int):
-    """Quasi-equation check tau[hyps] => tau(goal) over all enumerated
-    members up to max_size."""
+def countermodel(s: Sequent, v: VarietyId, max_size: int, hyps=()):
+    """Search the enumerated variety members for an assignment under which
+    tau of every hypothesis holds and tau(s) fails: without hypotheses a
+    failure of tau(s), with them a failure of the quasi-equation
+    tau[hyps] => tau(s)."""
     equations = [tau_equation(h) for h in sorted(hyps, key=str)]
-    found = _first_countermodel(equations + [tau_equation(goal)], v, max_size)
-    if found is not None:
-        return SemRefuted(*found)
-    regime = "fep" if "wl" in v.sigma else "bounded"
-    return NoCountermodelUpTo(max_size, regime)
+    found = _first_countermodel(equations + [tau_equation(s)], v, max_size)
+    return NotFound(max_size) if found is None else Found(*found)
 
 
 @functools.lru_cache(maxsize=64)

@@ -14,13 +14,13 @@ from .syntax import Language, PRESET_NAMES, format_formula, mirror_formula, pars
 from .sequents import (format_sequent, mirror_sequent, parse_equation,
                        parse_sequent, rho, rho_prime, tau, tau_prime)
 from .calculus import calculus, format_proof_sexp, parse_sigma
-from .search import Proved, Refuted, prove, prove_with_hyps
+from .search import Proved, Refuted, verdict
 from .algebra import (MAX_ENUMERATION_SIZE, VarietyId,
                       check_property_equivalences, check_variety,
                       derive_pseudocomplements, derive_residuals,
                       enumerate_algebras, family_of_language, load_algebra,
                       opposite, to_json_dict)
-from .bridge import Found, countermodel, filter_congruence_correspondence
+from .bridge import filter_congruence_correspondence
 from .completion import embedding_json, ideal_completion
 from .hilbert import (PRESETS, axioms_to_sequents, check_hilbert_proof,
                       hilbert_system, matching_calculus, parse_hilbert_proof,
@@ -140,11 +140,10 @@ def _build_parser():
 def _cmd_prove(args):
     cal = _calculus(args)
     goal = parse_sequent(args.sequent, cal.lang)
-    if args.hyp:
-        hyps = frozenset(parse_sequent(h, cal.lang) for h in args.hyp)
-        result = prove_with_hyps(goal, hyps, cal, bound=args.depth or 12)
-    else:
-        result = prove(goal, cal, bound=args.depth)
+    hyps = [parse_sequent(h, cal.lang) for h in args.hyp]
+    # without hypotheses the verdict is the prover's; `decide` adds the scan
+    result = verdict(goal, cal, hyps, max_size=args.max_size if hyps else None,
+                     bound=args.depth)
     if isinstance(result, Proved):
         sexp = format_proof_sexp(result.tree)
         if args.format == "sexp":
@@ -175,34 +174,31 @@ def _cmd_prove(args):
 def _cmd_decide(args):
     cal = _calculus(args)
     goal = parse_sequent(args.sequent, cal.lang)
-    result = prove(goal, cal, bound=args.depth)
+    result = verdict(goal, cal, max_size=args.max_size, bound=args.depth)
     if isinstance(result, Proved):
         sexp = format_proof_sexp(result.tree)
         _emit(args, {"verdict": "proved", "proof": sexp}, f"proved\n{sexp}")
         return EXIT_PROVED
-    if isinstance(result, Refuted) and result.countermodel is not None:
-        witness = result.countermodel
-    else:
-        variety = VarietyId(family_of_language(cal.lang), cal.sigma)
-        witness = countermodel(goal, variety, args.max_size)
-    if isinstance(witness, Found):
-        payload = {"verdict": "refuted",
-                   "countermodel": to_json_dict(witness.algebra),
-                   "assignment": witness.assignment}
-        _emit(args, payload,
-              "refuted\n" + json.dumps(payload["countermodel"]) +
-              f"\nassignment: {witness.assignment}")
-        return EXIT_REFUTED
     if isinstance(result, Refuted):
-        _emit(args, {"verdict": "refuted", "by": "decision procedure",
-                     "model_bound": args.max_size},
-              f"refuted (by the decision procedure; no countermodel up to "
-              f"size {args.max_size})")
+        witness = result.countermodel
+        if witness is not None:
+            payload = {"verdict": "refuted",
+                       "countermodel": to_json_dict(witness.algebra),
+                       "assignment": witness.assignment}
+            _emit(args, payload,
+                  "refuted\n" + json.dumps(payload["countermodel"]) +
+                  f"\nassignment: {witness.assignment}")
+        else:
+            _emit(args, {"verdict": "refuted", "by": "decision procedure",
+                         "model_bound": args.max_size},
+                  f"refuted (by the decision procedure; no countermodel up "
+                  f"to size {args.max_size})")
         return EXIT_REFUTED
     bound = args.depth if args.depth is not None else "default"
     _emit(args, {"verdict": "unknown", "prover_bound": str(bound),
-                 "model_bound": args.max_size},
-          f"unknown (prover bound {bound}, models up to {args.max_size})")
+                 "model_bound": args.max_size, "reason": result.reason},
+          f"unknown (prover bound {bound}, models up to {args.max_size}; "
+          f"{result.reason})")
     return EXIT_UNKNOWN
 
 

@@ -17,7 +17,7 @@ from .syntax import (Formula, Language, FULL, ONE, ZERO, apply_subst, fus,
                      rimp, rneg, var)
 from .sequents import rho_prime
 from .calculus import CalculusId, calculus
-from .search import Proved, prove, prove_with_hyps, DEFAULT_BOUND
+from .search import DEFAULT_BOUND, Proved, verdict
 
 _A, _B, _C = var("phi"), var("psi"), var("gamma")
 METAVARIABLES = ("phi", "psi", "gamma")
@@ -289,31 +289,28 @@ class AxiomReport:
         return all(v == "proved" for _, v in self.verdicts)
 
 
+def _proved(schema, cal, premises=(), bound=None) -> str:
+    """The `verdict` on the instantiated schemas: "proved" or "unknown"."""
+    result = verdict(rho_prime(instantiate_schema(schema)), cal,
+                     [rho_prime(instantiate_schema(p)) for p in premises],
+                     bound=bound)
+    return "proved" if isinstance(result, Proved) else "unknown"
+
+
 def axioms_to_sequents(sys: HilbertSystem, cal: CalculusId,
                        bound=None) -> AxiomReport:
     """Instantiate every axiom schema with fresh object variables and run
     the sequent prover on its theoremhood sequent."""
-    verdicts = []
-    for name, schema in sys.axioms:
-        goal = rho_prime(instantiate_schema(schema))
-        result = prove(goal, cal, bound=bound)
-        verdicts.append((name, "proved" if isinstance(result, Proved)
-                         else "unknown"))
-    return AxiomReport(sys.name, cal, tuple(verdicts))
+    return AxiomReport(sys.name, cal, tuple(
+        (name, _proved(schema, cal, bound=bound))
+        for name, schema in sys.axioms))
 
 
 def rules_to_sequents(sys: HilbertSystem, cal: CalculusId,
                       bound=DEFAULT_BOUND):
     """Validate each Hilbert rule by bounded hypothesis-admitting search."""
-    verdicts = []
-    for rule in sys.rules:
-        hyps = frozenset(rho_prime(instantiate_schema(p))
-                         for p in rule.premises)
-        goal = rho_prime(instantiate_schema(rule.conclusion))
-        result = prove_with_hyps(goal, hyps, cal, bound)
-        verdicts.append((rule.name, "proved" if isinstance(result, Proved)
-                         else "unknown"))
-    return verdicts
+    return [(rule.name, _proved(rule.conclusion, cal, rule.premises, bound))
+            for rule in sys.rules]
 
 
 def matching_calculus(sys: HilbertSystem) -> CalculusId:

@@ -1,4 +1,8 @@
-"""Backward proof search and hypothesis-admitting bounded search.
+"""Backward proof search, hypothesis-admitting bounded search, and
+`verdict`: search, scan FL_sigma's variety K for a countermodel, re-check
+once with `check_verdict`.  By the paper's algebraizability (Gamma |- s in
+FL_sigma iff tau[Gamma] |= tau(s) in K) a proof and a countermodel in K
+are the two certificates; a plain refutation is a decision procedure's.
 
 Which sigma `prove` decides:
 
@@ -20,11 +24,11 @@ Which sigma `prove` decides:
   proofs for sigma within sigma'), and is refuted plainly; so is one that
   fails in a member of FL_sigma's variety (the paper's equivalent
   algebraic semantics) of at most COUNTERMODEL_SIZE elements, found by
-  `bridge.countermodel` and re-checked.  The rest go to a depth-bounded,
-  loop-checked search, then to the decided FL_{sigma - c}; when the
-  bounded search's space closes, the verdict is Unknown.  FL_c itself is
-  undecidable (Chvalovsky and Horcik, JSL 2016).  The depth bound matters
-  only to this case.
+  `bridge.countermodel` and re-checked by `check_verdict`.  The rest go
+  to a depth-bounded, loop-checked search, then to the decided
+  FL_{sigma - c}; when the bounded search's space closes, the verdict is
+  Unknown.  FL_c itself is undecidable (Chvalovsky and Horcik, JSL 2016).
+  The depth bound matters only to this case.
 
 Every search is one AND-OR search, `_AndOr.solve`, on an explicit stack,
 which owns the memos, the node count and (with `_deepening`) deepening;
@@ -51,12 +55,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import bridge
+from .syntax import same_formula
 from .sequents import (Sequent, check_sequent_language, decode_sequent,
-                       encode_sequents, rho_prime)
+                       encode_sequents, tau_equation)
 from .calculus import (CalculusId, ProofTree, RuleId, _apply, _axiom, _cut,
-                       decode_data, rules_of, table_instances_backward)
+                       check_proof, decode_data, rules_of,
+                       table_instances_backward)
 from .algebra import (AlgebraError, VarietyId, check_variety,
-                      family_of_language)
+                      family_of_language, holds)
 
 DEFAULT_BOUND = 12
 # the largest algebra searched for a countermodel in the bounded regime
@@ -102,11 +108,11 @@ class Refuted:
 
 @dataclass(frozen=True)
 class Unknown:
-    """No verdict.  When a limit cut the search, the reason names each
-    limit that fired: depth-exhausted (the depth bound),
-    submultiset-cap (an antecedent longer than calculus.SUBMULTISET_CAP,
-    whose sub-multiset splits were not enumerated), antecedent-cap or
-    node-cap (prove_with_hyps)."""
+    """No verdict.  The reason names each limit that cut the search:
+    depth-exhausted (the depth bound), submultiset-cap (an antecedent
+    longer than calculus.SUBMULTISET_CAP, whose sub-multiset splits were
+    not enumerated) and, with hypotheses, antecedent-cap and node-cap; or
+    it says why no verdict was claimed."""
     reason: str = "depth-exhausted"
 
 
@@ -283,6 +289,8 @@ def _deepening(search: _AndOr, start, bound):
     """Iterative deepening: shallow proofs are found before deep failures
     are explored.  It stops when the space closes below the bound or the
     node cap fires; a bound of at least _UNBOUNDED is one unlimited pass."""
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
     if bound >= _UNBOUNDED:
         return search.solve(start, _INFINITE)
     entry, flags = None, 0
@@ -793,9 +801,11 @@ def prove(goal: Sequent, cal: CalculusId, bound=None):
             tree = _proof_tree(table, decider.record(start, encoded[0]),
                                encoded[0])
             return Proved(tree if "e" in sigma else _exchange_by_cut(tree))
-        found = _countermodel(goal, cal)
-        if found is not None:
-            return Refuted(countermodel=found)
+        variety = _variety(cal)
+        found = variety and bridge.countermodel(goal, variety,
+                                                COUNTERMODEL_SIZE)
+        if found:
+            return check_verdict(goal, cal, Refuted(countermodel=found))
     contraction = kind == "bounded"
     if bound is None:
         bound = DEFAULT_BOUND if contraction else _UNBOUNDED
@@ -867,24 +877,6 @@ def _swap_proofs(phi, psi):
     return pair, _apply(RuleId.CONTR_L, (0,), tree)
 
 
-def _countermodel(goal: Sequent, cal: CalculusId):
-    """A member of FL_sigma's variety of at most COUNTERMODEL_SIZE elements
-    in which tau(goal) fails, re-checked with `check_variety`, or None; also
-    None for a language that names no variety.  FL_sigma is sound in its
-    variety, so such a member refutes the goal."""
-    try:
-        variety = VarietyId(family_of_language(cal.lang), cal.sigma)
-    except AlgebraError:
-        return None
-    found = bridge.countermodel(goal, variety, COUNTERMODEL_SIZE)
-    if not found:
-        return None
-    if not check_variety(found.algebra, variety).ok:
-        raise RuntimeError(f"countermodel {found.algebra.name} is not in "
-                           f"{variety}")
-    return found
-
-
 def prove_with_hyps(goal: Sequent, hyps, cal: CalculusId, bound=DEFAULT_BOUND,
                     max_antecedent=None, node_cap=50_000):
     """Backward search with hypothesis leaves and Cut enabled, cut formulas
@@ -892,9 +884,8 @@ def prove_with_hyps(goal: Sequent, hyps, cal: CalculusId, bound=DEFAULT_BOUND,
     never claims Refuted.  Antecedent growth is capped (a little above the
     goal and hypothesis lengths by default) to keep the cut space finite,
     and a deterministic node cap bounds the total effort.  Unknown names
-    the limits that cut the last round of the search."""
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
+    the limits that cut the last round of the search; `verdict` adds the
+    countermodel scan that refutes."""
     check_sequent_language(goal, cal.lang)
     sequents = (goal,) + tuple(frozenset(hyps))
     # the table holds exactly the subformulas of the goal and hypotheses,
@@ -915,21 +906,54 @@ def prove_with_hyps(goal: Sequent, hyps, cal: CalculusId, bound=DEFAULT_BOUND,
                    "not claimed with hypotheses and cut")
 
 
-def external_entails(premises, conclusion, cal: CalculusId,
-                     bound=DEFAULT_BOUND, max_model_size=4):
-    """Hilbert-style derivability through the sequent system: premises as
-    theoremhood sequents.  Refuted only via an algebraic countermodel."""
-    goal = rho_prime(conclusion)
-    hyp_seqs = frozenset(rho_prime(f) for f in premises)
-    result = prove_with_hyps(goal, hyp_seqs, cal, bound)
-    if isinstance(result, Proved):
-        return result
+def _variety(cal: CalculusId) -> Optional[VarietyId]:
+    """FL_sigma's variety K, or None for a language that names no variety."""
     try:
-        variety = VarietyId(family_of_language(cal.lang), cal.sigma)
+        return VarietyId(family_of_language(cal.lang), cal.sigma)
     except AlgebraError:
-        # no named variety matches this language; no countermodel source
-        return Unknown("no countermodel search for this language")
-    sem = bridge.entails_semantically(hyp_seqs, goal, variety, max_model_size)
-    if isinstance(sem, bridge.SemRefuted):
-        return Refuted()
-    return Unknown()
+        return None
+
+
+def check_verdict(goal: Sequent, cal: CalculusId, result, hyps=()):
+    """Returns `result` if it checks as a verdict on hyps |- goal, else
+    raises RuntimeError: a proof must conclude the goal and pass
+    `check_proof`; a countermodel must pass `check_variety` in K and, by
+    `holds`, satisfy tau of each hypothesis and falsify tau(goal); a
+    refutation without one is allowed only without hypotheses."""
+    if isinstance(result, Proved):
+        got, want = (s.antecedent + (s.succedent,)
+                     for s in (result.tree.conclusion, goal))
+        if len(got) != len(want) or not all(map(same_formula, got, want)) \
+                or not check_proof(result.tree, cal, hyps):
+            raise RuntimeError(f"the proof does not check as one of {goal}")
+    elif isinstance(result, Refuted) and result.countermodel is None:
+        if hyps:
+            raise RuntimeError("no decision procedure runs with hypotheses")
+    elif isinstance(result, Refuted):
+        a, variety = result.countermodel.algebra, _variety(cal)
+        values = {name: a.elements.index(element)
+                  for name, element in result.countermodel.assignment.items()}
+        if variety is None or not check_variety(a, variety).ok or \
+                holds(a, tau_equation(goal), values) or \
+                not all(holds(a, tau_equation(h), values) for h in hyps):
+            raise RuntimeError(f"countermodel {a.name} does not refute "
+                               f"{goal} in {variety}")
+    return result
+
+
+def verdict(goal: Sequent, cal: CalculusId, hyps=(), max_size=None,
+            bound=None):
+    """`prove`, or `prove_with_hyps` at `bound` (DEFAULT_BOUND by default);
+    then, unless that proved the goal or found a countermodel, a scan of K
+    up to `max_size` elements (None, or a language with no variety: no
+    scan); the result comes through `check_verdict`."""
+    hyps = frozenset(hyps)
+    result = prove(goal, cal, bound) if not hyps else prove_with_hyps(
+        goal, hyps, cal, DEFAULT_BOUND if bound is None else bound)
+    variety = _variety(cal)
+    if max_size and variety and not isinstance(result, Proved) and \
+            getattr(result, "countermodel", None) is None:
+        found = bridge.countermodel(goal, variety, max_size, hyps)
+        if found:
+            result = Refuted(countermodel=found)
+    return check_verdict(goal, cal, result, hyps)

@@ -12,10 +12,9 @@ from substrukt.algebra import (BINARY_OPS, FAMILY_OPS, UNARY_OPS,
                                enumerate_algebras, language_of_family,
                                membership_test)
 from substrukt.bridge import (Congruence, CorrespondenceReport, FilterSlices,
-                              Found, NoCountermodelUpTo, NotACongruence,
-                              NotFound, SemRefuted, all_congruences,
-                              all_filters, canonical_filter, countermodel,
-                              entails_semantically, filter_closure,
+                              Found, NotACongruence, NotFound,
+                              all_congruences, all_filters, canonical_filter,
+                              countermodel, filter_closure,
                               filter_congruence_correspondence, is_filter,
                               k_congruences, leibniz_congruence)
 from substrukt.corpus import random_semilattice
@@ -145,31 +144,27 @@ def test_countermodel_spec_examples():
     assert isinstance(r3, NotFound)
 
 
-def test_entails_semantically():
+def test_countermodel_with_hypotheses():
     hyps = {parse_sequent("p => q", CORE)}
     goal = parse_sequent("p \\/ q => q", CORE)
-    r = entails_semantically(hyps, goal, VarietyId("Msl"), 4)
-    assert isinstance(r, NoCountermodelUpTo)
-    assert r.regime == "bounded"
-    r2 = entails_semantically(set(), parse_sequent("=> 0", CORE),
-                              VarietyId("Msl"), 2)
-    assert isinstance(r2, SemRefuted)
+    r = countermodel(goal, VarietyId("Msl"), 4, hyps=hyps)
+    assert isinstance(r, NotFound)
+    r2 = countermodel(parse_sequent("=> 0", CORE), VarietyId("Msl"), 2,
+                      hyps=set())
+    assert isinstance(r2, Found)
     # a theoremhood hypothesis 1 <= p forces 1 <= p*p by monotonicity, so
     # that entailment holds for every sigma; contraction is where the
     # sigma-regimes genuinely disagree
     hyps3 = {parse_sequent("=> p", CORE)}
     goal3 = parse_sequent("=> p * p", CORE)
-    assert isinstance(entails_semantically(hyps3, goal3, VarietyId("Msl"), 3),
-                      NoCountermodelUpTo)
+    assert isinstance(countermodel(goal3, VarietyId("Msl"), 3, hyps=hyps3),
+                      NotFound)
     goal4 = parse_sequent("p => p * p", CORE)
-    r4 = entails_semantically(set(), goal4, VarietyId("Msl"), 3)
-    assert isinstance(r4, SemRefuted) and r4.algebra.n == 3
-    r5 = entails_semantically(set(), goal4,
-                              VarietyId("Msl", frozenset(["c"])), 3)
-    assert isinstance(r5, NoCountermodelUpTo)
-    r6 = entails_semantically(set(), parse_sequent("p, q => q * p", CORE),
-                              VarietyId("Msl", frozenset(["wl"])), 4)
-    assert r6.regime == "fep" if isinstance(r6, NoCountermodelUpTo) else True
+    r4 = countermodel(goal4, VarietyId("Msl"), 3, hyps=set())
+    assert isinstance(r4, Found) and r4.algebra.n == 3
+    r5 = countermodel(goal4, VarietyId("Msl", frozenset(["c"])), 3,
+                      hyps=set())
+    assert isinstance(r5, NotFound)
 
 
 def test_leibniz_of_canonical_filter_is_identity():

@@ -1,16 +1,24 @@
+import contextlib
+import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import substrukt
 from substrukt.algebra import (VarietyId, check_variety, from_json_dict,
                                holds, to_json_dict)
 from substrukt.cli import main
-from substrukt.sequents import parse_sequent, tau_equation
+from substrukt.corpus import random_sequent
+from substrukt.sequents import format_sequent, parse_sequent, tau_equation
+from substrukt.syntax import PRESET_NAMES, Language
 from substrukt import fixtures
 
 
@@ -251,3 +259,121 @@ def test_decide_reports_the_provers_countermodel(capsys):
                        "--max-size", "1", "decide", "p, p => p")
     assert code == 1
     assert out.startswith("refuted\n") and "assignment: {'p'" in out
+
+
+def test_decide_in_a_language_that_names_no_variety(capsys):
+    # the prover decides sigma = {}: no countermodel scan is needed
+    code, out, err = run(capsys, "--lang", "meet,rneg", "decide", "p => q")
+    assert code == 1 and err == ""
+    assert out.startswith("refuted (by the decision procedure")
+    code, out, _ = run(capsys, "--lang", "meet,rneg", "prove", "p => q")
+    assert code == 1
+    # the bounded regime ends unknown; decide names the limit
+    args = ("--lang", "rimp,limp", "--sigma", "c", "--format", "json",
+            "decide", "p * q => q * p")
+    code, out, err = run(capsys, *args)
+    assert code == 2 and err == ""
+    assert json.loads(out) == {"verdict": "unknown", "prover_bound": "default",
+                               "model_bound": 4, "reason": "depth-exhausted"}
+
+
+def test_decide_unknown_names_the_reason(capsys):
+    code, out, _ = run(capsys, "--sigma", "c", "--max-size", "1",
+                       "decide", "p, p => p")
+    assert code == 2
+    assert out == ("unknown (prover bound default, models up to 1; search "
+                   "space closed under loop check; refutation is not "
+                   "claimed for contraction without left-weakening)\n")
+
+
+def test_prove_with_hypotheses_refutes_with_a_countermodel(capsys):
+    code, out, _ = run(capsys, "--lang", "core", "prove", "--hyp", "p => q",
+                       "q => p")
+    assert code == 1
+    assert out.startswith("refuted (countermodel)\n")
+    assert "assignment: " in out
+    code, out, _ = run(capsys, "--lang", "core", "--format", "json", "prove",
+                       "--hyp", "p => q", "q => p")
+    assert code == 1
+    payload = json.loads(out)
+    assert set(payload) == {"verdict", "caveat", "countermodel"}
+    a = from_json_dict(payload["countermodel"]["algebra"])
+    assert check_variety(a, VarietyId("Msl")).ok
+    assignment = payload["countermodel"]["assignment"]
+    values = {name: a.elements.index(element)
+              for name, element in assignment.items()}
+    assert holds(a, tau_equation(parse_sequent("p => q")), values)
+    assert not holds(a, tau_equation(parse_sequent("q => p")), values)
+    # --max-size bounds the scan: no member of one element refutes it
+    code, out, _ = run(capsys, "--lang", "core", "--max-size", "1", "prove",
+                       "--hyp", "p => q", "q => p")
+    assert code == 2 and out.startswith("unknown")
+
+
+def test_prove_with_hypotheses_claims_no_refutation_of_a_consequence(capsys):
+    # derivable by cuts on 1, but the search's commit to one-l loses the
+    # proof; no countermodel exists, so none is claimed
+    code, out, _ = run(capsys, "--lang", "core", "prove", "--hyp",
+                       "1, 1 => q", "=> q * p \\/ q")
+    assert code == 2 and out == "unknown (depth-exhausted)\n"
+
+
+def test_prove_with_hypotheses_keeps_the_search_reason(capsys):
+    # no named variety: no scan, and the reason is the search's own
+    lang = Language.of("rimp", "limp")
+    expected = substrukt.prove_with_hyps(
+        parse_sequent("=> q", lang), {parse_sequent("=> p", lang)},
+        substrukt.calculus("", lang))
+    code, out, _ = run(capsys, "--lang", "rimp,limp", "--format", "json",
+                       "prove", "--hyp", "=> p", "=> q")
+    assert code == 2
+    assert json.loads(out) == {"verdict": "unknown",
+                               "reason": expected.reason}
+    assert expected.reason == "depth-exhausted, antecedent-cap"
+
+
+def test_a_depth_below_one_is_a_data_error(capsys):
+    # the empty search at depth 0 refuted p => p
+    for verb in ("prove", "decide"):
+        code, out, err = run(capsys, "--depth", "0", "--lang", "core", verb,
+                             "p => p")
+        assert code == 65 and out == ""
+        assert err == "error: bound must be at least 1\n"
+
+
+# every sigma but those with c and without wl, where the bounded search of
+# FL_c may run for minutes
+FUZZ_SIGMAS = [",".join(c) for k in range(5)
+               for c in itertools.combinations(("e", "wl", "wr", "c"), k)
+               if "c" not in c or "wl" in c]
+FUZZ_LANGS = list(PRESET_NAMES) + ["meet,rneg", "rimp,limp"]
+
+
+@st.composite
+def _fuzz_item(draw):
+    """A random sequent as text, one of its formulas, or garbage."""
+    lang = draw(st.sampled_from(FUZZ_LANGS))
+    kind = draw(st.sampled_from(("sequent", "sequent", "formula", "garbage")))
+    if kind == "garbage":
+        return lang, draw(st.text(alphabet="pq01*/\\=>(), ~-x", max_size=20)
+                          | st.text(max_size=8))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    goal = random_sequent(rng, depth=rng.randint(1, 3),
+                          lang=Language.preset(lang) if lang in PRESET_NAMES
+                          else Language.of(*lang.split(",")))
+    text = format_sequent(goal)
+    return lang, text if kind == "sequent" else text.split("=>")[-1].strip()
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(item=_fuzz_item(),
+       verb=st.sampled_from(("prove", "decide", "translate", "mirror")),
+       sigma=st.sampled_from(FUZZ_SIGMAS), size=st.sampled_from("123"))
+def test_exit_codes_hold_on_any_input(item, verb, sigma, size):
+    lang, text = item
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--sigma", sigma, "--lang", lang, "--max-size", size,
+                     verb, text])
+    assert code in (0, 1, 2, 64, 65)
+    assert "Traceback" not in err.getvalue()

@@ -24,8 +24,7 @@ from substrukt.algebra import (BINARY_OPS, FAMILY_OPS, UNARY_OPS,
                                holds, membership_test, reduct, run_program,
                                satisfies_equation, satisfies_quasi,
                                variety_equations)
-from substrukt.bridge import (Found, NoCountermodelUpTo, NotFound, SemRefuted,
-                              _enumerated, countermodel, entails_semantically)
+from substrukt.bridge import Found, NotFound, _enumerated, countermodel
 from substrukt.corpus import (random_msl, random_pomonoid, random_semilattice,
                              random_sequent)
 from substrukt.sequents import (Equation, Sequent, equation_variables, ineq,
@@ -226,17 +225,17 @@ def test_countermodel_matches_oracle_on_a_seeded_corpus():
     assert all(kinds.values())
 
 
-def test_entails_semantically_matches_oracle_on_a_seeded_corpus():
+def test_countermodel_with_hypotheses_matches_oracle_on_a_seeded_corpus():
     kinds = {"refuted": 0, "no countermodel": 0}
     for goal, hyps, v in _corpus(12, 300):
-        result = entails_semantically(hyps, goal, v, 3)
+        result = countermodel(goal, v, 3, hyps=hyps)
         hyp_eqs = [tau_equation(h) for h in sorted(hyps, key=str)]
         expected = oracle_first_countermodel(hyp_eqs, tau_equation(goal), v, 3)
-        if isinstance(result, SemRefuted):
+        if isinstance(result, Found):
             assert _same(result, expected), (hyps, goal)
             kinds["refuted"] += 1
         else:
-            assert isinstance(result, NoCountermodelUpTo), (hyps, goal)
+            assert result == NotFound(3), (hyps, goal)
             assert expected is None, (hyps, goal)
             kinds["no countermodel"] += 1
     assert all(kinds.values())
@@ -288,17 +287,17 @@ def test_countermodel_matches_oracle_at_size_4():
     assert all(kinds.values()), kinds
 
 
-def test_entails_semantically_with_hypotheses_matches_oracle_at_size_4():
+def test_countermodel_with_hypotheses_matches_oracle_at_size_4():
     kinds = {"refuted": 0, "no countermodel": 0, "two hypotheses": 0}
     for goal, hyps, v in _lattice_corpus(14, 60, 2):
-        result = entails_semantically(hyps, goal, v, 4)
+        result = countermodel(goal, v, 4, hyps=hyps)
         hyp_eqs = [tau_equation(h) for h in sorted(hyps, key=str)]
         expected = oracle_first_countermodel(hyp_eqs, tau_equation(goal), v, 4)
-        if isinstance(result, SemRefuted):
+        if isinstance(result, Found):
             assert _same(result, expected), (hyps, goal)
             kinds["refuted"] += 1
         else:
-            assert isinstance(result, NoCountermodelUpTo), (hyps, goal)
+            assert result == NotFound(4), (hyps, goal)
             assert expected is None, (hyps, goal)
             kinds["no countermodel"] += 1
         kinds["two hypotheses"] += len(hyps) == 2

@@ -7,12 +7,14 @@ import pytest
 
 from substrukt.syntax import Language, format_formula, fus, var
 from substrukt.sequents import (mirror_sequent, parse_sequent, rho,
-                                rho_prime, seq, tau)
-from substrukt.calculus import (RuleId, _apply, calculus, check_proof,
-                                format_proof_sexp, lemma12_roundtrip,
-                                parse_proof_sexp)
-from substrukt.search import (Proved, Refuted, Unknown, exchange_chain,
-                              external_entails, prove, prove_with_hyps)
+                                rho_prime, seq, tau, tau_equation)
+from substrukt.calculus import (ProofTree, RuleId, _apply, calculus,
+                                check_proof, format_proof_sexp,
+                                lemma12_roundtrip, parse_proof_sexp)
+from substrukt.algebra import FiniteAlgebra, VarietyId, check_variety, holds
+from substrukt.bridge import Found
+from substrukt.search import (Proved, Refuted, Unknown, check_verdict,
+                              exchange_chain, prove, prove_with_hyps, verdict)
 from substrukt.corpus import random_derivation, random_formula, random_sequent
 
 p, q, r = var("p"), var("q"), var("r")
@@ -106,15 +108,19 @@ def test_hypothesis_matching_is_exact_under_contraction():
     assert check_proof(res2.tree, cal, {hyp})
 
 
-def test_external_entails():
+def test_hilbert_style_consequence_through_verdict():
+    # premises and conclusion as theoremhood sequents
     from substrukt.syntax import fus, meet, ONE, ZERO
-    assert isinstance(external_entails(set(), ONE, FL), Proved)
-    assert isinstance(external_entails({p, q}, fus(p, q), FL), Proved)
+    assert isinstance(verdict(rho_prime(ONE), FL), Proved)
+    assert isinstance(verdict(rho_prime(fus(p, q)), FL,
+                              {rho_prime(p), rho_prime(q)}), Proved)
     # {p} entails p /\ 1 (adjunction-unit analogue)
-    assert isinstance(external_entails({p}, meet(p, ONE), FLE), Proved)
+    assert isinstance(verdict(rho_prime(meet(p, ONE)), FLE, {rho_prime(p)}),
+                      Proved)
     # refutation comes from the countermodel side
-    res = external_entails(set(), ZERO, calculus("", Language.preset("core")))
-    assert isinstance(res, Refuted)
+    res = verdict(rho_prime(ZERO), calculus("", Language.preset("core")),
+                  max_size=4)
+    assert isinstance(res, Refuted) and res.countermodel is not None
 
 
 def test_monotone_in_sigma():
@@ -156,9 +162,9 @@ def test_agreement_with_countermodels():
     cal = calculus("", lang)
     for _ in range(40):
         s = random_sequent(rng, depth=2, lang=lang)
-        verdict = prove(s, cal)
+        result = prove(s, cal)
         witness = countermodel(s, VarietyId("Msl"), 3)
-        assert not (isinstance(verdict, Proved) and isinstance(witness, Found))
+        assert not (isinstance(result, Proved) and isinstance(witness, Found))
 
 
 def test_unknown_names_the_limit_that_fired():
@@ -532,3 +538,156 @@ def test_a_language_without_a_variety_skips_the_countermodel():
     lang = Language.of("rimp", "limp")
     res = prove(parse_sequent("p, p => p", lang), calculus("c", lang), bound=4)
     assert isinstance(res, Unknown)
+
+
+# -- verdict and its kernel re-check ----------------------------------------
+
+CORE = Language.preset("core")
+CORE_FL = calculus("", CORE)
+
+
+def _values(found):
+    a = found.algebra
+    return {name: a.elements.index(element)
+            for name, element in found.assignment.items()}
+
+
+def _assignments(a, names):
+    for values in itertools.product(range(a.n), repeat=len(names)):
+        yield dict(zip(names, values))
+
+
+def _with_assignment(found, values):
+    a = found.algebra
+    return Refuted(countermodel=Found(
+        a, {name: a.elements[i] for name, i in values.items()}))
+
+
+def test_prove_rejects_a_bound_below_one():
+    # the empty deepening loop closed with no flag: p => p was Refuted
+    with pytest.raises(ValueError):
+        prove(parse_sequent("p => p"), FL, bound=0)
+    assert isinstance(prove(parse_sequent("p => p"), FL, bound=1), Proved)
+
+
+def test_verdict_refutes_a_consequence_with_a_checked_countermodel():
+    goal = parse_sequent("q => p", CORE)
+    hyps = {parse_sequent("p => q", CORE)}
+    # the bounded search with cut never refutes
+    assert isinstance(prove_with_hyps(goal, hyps, CORE_FL), Unknown)
+    res = verdict(goal, CORE_FL, hyps, max_size=4)
+    assert isinstance(res, Refuted)
+    a, values = res.countermodel.algebra, _values(res.countermodel)
+    assert check_variety(a, VarietyId("Msl")).ok
+    assert holds(a, tau_equation(*hyps), values)
+    assert not holds(a, tau_equation(goal), values)
+    # no scan: the search's own verdict, with its reason
+    assert verdict(goal, CORE_FL, hyps) == prove_with_hyps(goal, hyps, CORE_FL)
+
+
+def test_verdict_scans_only_where_the_search_has_no_countermodel():
+    # decided, then a countermodel of the scan
+    res = verdict(parse_sequent("p => p * p", CORE), CORE_FL, max_size=4)
+    assert isinstance(res, Refuted) and res.countermodel.algebra.n == 3
+    # no scan below the smallest countermodel, nor without max_size
+    for size in (None, 2):
+        assert verdict(parse_sequent("p => p * p", CORE), CORE_FL,
+                       max_size=size) == Refuted()
+    # the bounded regime's countermodel is kept, above max_size too
+    res = verdict(parse_sequent("p, p => p", CORE), calculus("c", CORE),
+                  max_size=1, bound=4)
+    assert res.countermodel.algebra.n == 3
+    # a language that names no variety is not scanned
+    lang = Language.of("meet", "rneg")
+    assert verdict(parse_sequent("p => q", lang), calculus("", lang),
+                   max_size=4) == Refuted()
+
+
+def _refutation(goal_text, hyp_texts=()):
+    goal = parse_sequent(goal_text, CORE)
+    hyps = frozenset(parse_sequent(h, CORE) for h in hyp_texts)
+    res = verdict(goal, CORE_FL, hyps, max_size=4)
+    assert res.countermodel is not None
+    return goal, hyps, res.countermodel
+
+
+def test_check_verdict_rejects_a_proof_with_a_premise_swapped():
+    goal = parse_sequent("(p \\/ q) * r => (p * r) \\/ (q * r)")
+    tree = verdict(goal, FL).tree
+    other = prove(parse_sequent("q => q"), FL).tree
+    assert tree.premises and tree.premises[0].conclusion != other.conclusion
+    bad = ProofTree(tree.conclusion, tree.rule,
+                    (other,) + tree.premises[1:], tree.data)
+    with pytest.raises(RuntimeError):
+        check_verdict(goal, FL, Proved(bad))
+    assert check_verdict(goal, FL, Proved(tree)) == Proved(tree)
+
+
+def test_check_verdict_rejects_a_proof_of_another_sequent():
+    proved = verdict(parse_sequent("p => p \\/ q"), FL)
+    with pytest.raises(RuntimeError):
+        check_verdict(parse_sequent("q => p \\/ q"), FL, proved)
+    # a hypothesis leaf needs its hypothesis
+    hyps = {parse_sequent("p => q")}
+    proved = verdict(parse_sequent("p => q \\/ r"), FL, hyps)
+    assert isinstance(proved, Proved)
+    with pytest.raises(RuntimeError):
+        check_verdict(parse_sequent("p => q \\/ r"), FL, proved)
+
+
+def test_check_verdict_rejects_a_countermodel_outside_the_variety():
+    goal, _, found = _refutation("p => p * p")
+    a = found.algebra
+    variety = VarietyId("Msl")
+    mutants = 0
+    for x, y, z in itertools.product(range(a.n), repeat=3):
+        fus_table = [list(row) for row in a.ops["fus"]]
+        if fus_table[x][y] == z:
+            continue
+        fus_table[x][y] = z
+        b = FiniteAlgebra(a.name, a.elements, dict(a.ops, fus=fus_table),
+                          a.zero, a.one)
+        if check_variety(b, variety).ok or \
+                holds(b, tau_equation(goal), _values(found)):
+            continue
+        mutants += 1
+        with pytest.raises(RuntimeError):
+            check_verdict(goal, CORE_FL,
+                          Refuted(countermodel=Found(b, found.assignment)))
+    assert mutants
+    assert check_verdict(goal, CORE_FL, Refuted(found)).countermodel is found
+
+
+def test_check_verdict_rejects_an_assignment_that_satisfies_the_goal():
+    goal, _, found = _refutation("p => p * p")
+    a = found.algebra
+    kept = [v for v in _assignments(a, ["p"])
+            if holds(a, tau_equation(goal), v)]
+    assert kept
+    for values in kept:
+        with pytest.raises(RuntimeError):
+            check_verdict(goal, CORE_FL, _with_assignment(found, values))
+
+
+def test_check_verdict_rejects_a_countermodel_that_fails_a_hypothesis():
+    goal, hyps, found = _refutation("q => p", ["q => r"])
+    a = found.algebra
+    bad = [v for v in _assignments(a, ["p", "q", "r"])
+           if not holds(a, tau_equation(goal), v)
+           and not holds(a, tau_equation(*hyps), v)]
+    assert bad
+    for values in bad:
+        with pytest.raises(RuntimeError):
+            check_verdict(goal, CORE_FL, _with_assignment(found, values),
+                          hyps)
+    # without the hypothesis the same assignments refute the goal
+    check_verdict(goal, CORE_FL, _with_assignment(found, bad[0]))
+
+
+def test_check_verdict_rejects_a_plain_refutation_with_hypotheses():
+    goal, hyp = parse_sequent("q => p", CORE), parse_sequent("p => q", CORE)
+    with pytest.raises(RuntimeError):
+        check_verdict(goal, CORE_FL, Refuted(), {hyp})
+    assert check_verdict(goal, CORE_FL, Refuted()) == Refuted()
+    assert check_verdict(goal, CORE_FL, Unknown("node-cap"),
+                         {goal}) == Unknown("node-cap")
