@@ -20,8 +20,7 @@ from .sequents import (Sequent, Equation, seq, ineq, fuse, tau, rho,
                        format_sequent)
 from .calculus import (CalculusId, RuleId, ProofTree, calculus, check_proof,
                        rule_instances_backward, mirror_proof,
-                       build_lemma_proofs, LemmaKind, format_proof_sexp,
-                       parse_proof_sexp)
+                       format_proof_sexp, parse_proof_sexp)
 from .search import (Proved, Refuted, Unknown, prove, prove_with_hyps,
                      verdict, check_verdict)
 from .algebra import (FiniteAlgebra, VarietyId, eval_term,

@@ -22,6 +22,7 @@ import enum
 import itertools
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from .syntax import (Language, FULL, ZERO, ONE, check_language,
@@ -161,6 +162,38 @@ def rules_of(cal: CalculusId) -> frozenset:
     lang, sigma = cal.lang.connectives, cal.sigma
     return frozenset([rule for source, rule in _SOURCES if source is None
                       or source in lang or source in sigma])
+
+
+def postorder(root, children, combine, key=id, done=None):
+    """The value of `root`, where a node's value is `combine(node, the
+    values of children(node), in order)`.  Nodes are combined on an
+    explicit stack, children before parents, once per `key(node)`: a node
+    shared by several parents is combined once, and a structure of any
+    depth is walked.  `done` maps keys to values already combined; it is
+    filled in place, so a caller can keep it between calls."""
+    if done is None:
+        done = {}
+    root_key = key(root)
+    stack = [(root, root_key, None)]
+    while stack:
+        node, k, kids = stack[-1]
+        if k in done:
+            stack.pop()
+            continue
+        if kids is None:
+            kids = [(child, key(child)) for child in children(node)]
+            pending = [(child, ck, None) for child, ck in kids
+                       if ck not in done]
+            if pending:
+                stack[-1] = node, k, kids
+                stack += pending
+                continue
+        stack.pop()
+        done[k] = combine(node, tuple([done[ck] for _, ck in kids]))
+    return done[root_key]
+
+
+_premises = attrgetter("premises")
 
 
 @dataclass(frozen=True, eq=False)
@@ -656,23 +689,9 @@ def decode_data(table, rule: RuleId, data: tuple) -> tuple:
 def mirror_proof(tree: ProofTree) -> ProofTree:
     """The node-by-node mirror image of a proof; each instance maps to an
     instance of its partner rule, so the result checks in the same calculus
-    (with mirrored hypotheses).  The walk is iterative, and a subtree
-    shared by several premises is mirrored once."""
-    mirrored = {}
-    stack = [tree]
-    while stack:
-        node = stack[-1]
-        if id(node) in mirrored:
-            stack.pop()
-            continue
-        pending = [p for p in node.premises if id(p) not in mirrored]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        mirrored[id(node)] = _mirror_node(
-            node, tuple([mirrored[id(p)] for p in node.premises]))
-    return mirrored[id(tree)]
+    (with mirrored hypotheses).  A subtree shared by several premises is
+    mirrored once."""
+    return postorder(tree, _premises, _mirror_node)
 
 
 def _mirror_node(tree: ProofTree, prems) -> ProofTree:
@@ -695,15 +714,6 @@ def _mirror_node(tree: ProofTree, prems) -> ProofTree:
 # ---------------------------------------------------------------------------
 # Constructive interderivability proofs (algebraization round-trip)
 # ---------------------------------------------------------------------------
-
-class LemmaKind(enum.Enum):
-    LEMMA10_FORWARD = "lemma10-forward"
-    LEMMA10_BACKWARD = "lemma10-backward"
-    LEMMA11 = "lemma11"
-    LEMMA12_FORWARD_MAIN = "lemma12-forward-main"
-    LEMMA12_FORWARD_AUX = "lemma12-forward-aux"
-    LEMMA12_BACKWARD = "lemma12-backward"
-
 
 def _axiom(f) -> ProofTree:
     return ProofTree(Sequent((f,), f), RuleId.AXIOM)
@@ -792,23 +802,6 @@ def lemma12_backward(s: Sequent) -> ProofTree:
         # (Gamma => 0) and (0 =>) give (Gamma =>)
         tree = _cut(tree, ProofTree(Sequent((ZERO,), None), RuleId.ZERO_L), 0)
     return tree
-
-
-def build_lemma_proofs(kind: LemmaKind, **args) -> ProofTree:
-    """Dispatch to the constructive derivations above."""
-    if kind is LemmaKind.LEMMA10_FORWARD:
-        return lemma10_forward(args["phi"], args["psi"])
-    if kind is LemmaKind.LEMMA10_BACKWARD:
-        return lemma10_backward(args["phi"], args["psi"])
-    if kind is LemmaKind.LEMMA11:
-        return lemma11(args["gamma"])
-    if kind is LemmaKind.LEMMA12_FORWARD_MAIN:
-        return lemma12_forward_main(args["seq"])
-    if kind is LemmaKind.LEMMA12_FORWARD_AUX:
-        return lemma12_forward_aux(args["seq"])
-    if kind is LemmaKind.LEMMA12_BACKWARD:
-        return lemma12_backward(args["seq"])
-    raise ValueError(f"unknown lemma kind {kind}")
 
 
 def lemma12_roundtrip(s: Sequent):

@@ -325,7 +325,7 @@ def _cmd_hilbert(args):
         return EXIT_REFUTED
     cal = matching_calculus(sys_)
     axioms = axioms_to_sequents(sys_, cal, bound=args.depth)
-    rules = rules_to_sequents(sys_, cal, bound=args.depth or 12)
+    rules = rules_to_sequents(sys_, cal, bound=args.depth)
     payload = {"system": sys_.name, "calculus": str(cal),
                "axioms": dict(axioms.verdicts), "rules": dict(rules)}
     lines = [f"{sys_.name} against {cal}:"]

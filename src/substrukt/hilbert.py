@@ -17,7 +17,7 @@ from .syntax import (Formula, Language, FULL, ONE, ZERO, apply_subst, fus,
                      rimp, rneg, var)
 from .sequents import rho_prime
 from .calculus import CalculusId, calculus
-from .search import DEFAULT_BOUND, Proved, verdict
+from .search import Proved, verdict
 
 _A, _B, _C = var("phi"), var("psi"), var("gamma")
 METAVARIABLES = ("phi", "psi", "gamma")
@@ -306,8 +306,7 @@ def axioms_to_sequents(sys: HilbertSystem, cal: CalculusId,
         for name, schema in sys.axioms))
 
 
-def rules_to_sequents(sys: HilbertSystem, cal: CalculusId,
-                      bound=DEFAULT_BOUND):
+def rules_to_sequents(sys: HilbertSystem, cal: CalculusId, bound=None):
     """Validate each Hilbert rule by bounded hypothesis-admitting search."""
     return [(rule.name, _proved(rule.conclusion, cal, rule.premises, bound))
             for rule in sys.rules]

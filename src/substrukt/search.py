@@ -15,10 +15,11 @@ Which sigma `prove` decides:
   multiplicity of an antecedent formula does not matter, so `_SetSearch`
   decides the goal on antecedent *sets* of subformulas, with contraction
   absorbed into the rules (G3 style; Troelstra and Schwichtenberg, Basic
-  Proof Theory, ch. 3).  Its proofs are rebuilt as FL_sigma trees with
-  explicit weakening, contraction and exchange steps; without e each
-  exchange step becomes fus-l and two cuts (`_exchange_by_cut`), the only
-  cuts in the proofs of `prove`.
+  Proof Theory, ch. 3).  A set goal's need, the antecedent its rebuilt
+  proof uses, is fixed when the goal is proved.  Its proofs are rebuilt as
+  FL_sigma trees with explicit weakening, contraction and exchange steps;
+  without e each exchange step becomes fus-l and two cuts
+  (`_exchange_by_cut`), the only cuts in the proofs of `prove`.
 - every other sigma with c (c without wl): a goal that fails in
   FL_{sigma + e + wl} fails in FL_sigma (whose proofs are FL_sigma'
   proofs for sigma within sigma'), and is refuted plainly; so is one that
@@ -28,12 +29,13 @@ Which sigma `prove` decides:
   to a depth-bounded, loop-checked search, then to the decided
   FL_{sigma - c}; when the bounded search's space closes, the verdict is
   Unknown.  FL_c itself is undecidable (Chvalovsky and Horcik, JSL 2016).
-  The depth bound matters only to this case.
+  The depth bound acts only in this case; the decided sigma ignore it.
 
 Every search is one AND-OR search, `_AndOr.solve`, on an explicit stack,
 which owns the memos, the node count and (with `_deepening`) deepening;
-`_Search` expands sequences and multisets, `_SetSearch` sets.  Proofs
-are rebuilt on explicit stacks too, so no goal is too deep.
+`_Search` expands sequences and multisets, `_SetSearch` sets.  Every
+proof is rebuilt by one post-order walk, `calculus.postorder`, on an
+explicit stack too, so no goal is too deep.
 
 Goals are table sequents of one `SubformulaTable`: a tuple of formula
 numbers and a succedent number, -1 when empty.  Numbers sort as formulas
@@ -59,8 +61,8 @@ from .syntax import same_formula
 from .sequents import (Sequent, check_sequent_language, decode_sequent,
                        encode_sequents, tau_equation)
 from .calculus import (CalculusId, ProofTree, RuleId, _apply, _axiom, _cut,
-                       check_proof, decode_data, rules_of,
-                       table_instances_backward)
+                       _premises, check_proof, decode_data, postorder,
+                       rules_of, table_instances_backward)
 from .algebra import (AlgebraError, VarietyId, check_variety,
                       family_of_language, holds)
 
@@ -118,6 +120,10 @@ class Unknown:
 
 _RIGHT_UNARY = {"rimp": RuleId.RIMP_R, "limp": RuleId.LIMP_R,
                 "rneg": RuleId.RNEG_R, "lneg": RuleId.LNEG_R}
+_RIGHT_UNARY_RULES = frozenset(_RIGHT_UNARY.values())
+# the left rules whose premise can prove a set goal's own antecedent
+_REUSABLE = frozenset({RuleId.ONE_L, RuleId.FUS_L, RuleId.AND_L1,
+                       RuleId.OR_L, RuleId.RIMP_L, RuleId.LIMP_L})
 _LEFT_INVERTIBLE = ("fus", "meet", "one", "join")
 _LEFT_IMPLICATION = {"rimp": RuleId.RIMP_L, "limp": RuleId.LIMP_L}
 _LEFT_NEGATION = {"rneg": RuleId.RNEG_L, "lneg": RuleId.LNEG_L}
@@ -401,28 +407,23 @@ class _Search(_AndOr):
 
 def _proof_tree(table, record, target_ant) -> ProofTree:
     """The ProofTree of a proof record (see `_Search`), its antecedent
-    permuted into the table antecedent `target_ant`.  Records are built
-    after their premises, on a stack; a record used twice gives one shared
-    subtree."""
-    built = {}
-    stack = [record]
-    while stack:
-        rec = stack[-1]
-        if id(rec) in built:
-            stack.pop()
-            continue
+    permuted into the table antecedent `target_ant`; a record used twice
+    gives one shared subtree."""
+    def combine(rec, trees):
         rule, data, concl, goal_ant, premises = rec
-        missing = [sub for _, sub in premises if id(sub) not in built]
-        if missing:
-            stack += missing
-            continue
-        stack.pop()
         tree = ProofTree(decode_sequent(table, concl), rule,
-                         tuple([_arrange(table, built[id(sub)], sub[3], ant)
-                                for ant, sub in premises]),
+                         tuple([_arrange(table, sub_tree, sub[3], ant)
+                                for (ant, sub), sub_tree
+                                in zip(premises, trees)]),
                          decode_data(table, rule, data))
-        built[id(rec)] = _arrange(table, tree, concl[0], goal_ant)
-    return _arrange(table, built[id(record)], record[3], target_ant)
+        return _arrange(table, tree, concl[0], goal_ant)
+
+    tree = postorder(record, _record_premises, combine)
+    return _arrange(table, tree, record[3], target_ant)
+
+
+def _record_premises(rec):
+    return [sub for _, sub in rec[4]]
 
 
 def _arrange(table, tree, ant, target_ant):
@@ -434,32 +435,14 @@ def _arrange(table, tree, ant, target_ant):
     return exchange_chain(tree, [formulas[i] for i in target_ant])
 
 
-def _walk(memo, key, make):
-    """memo[key], computed on an explicit stack when missing: `make(key)`
-    is a generator that yields the keys it needs, is sent their values and
-    returns the value of key."""
-    value = memo.get(key)
-    stack = [] if value is not None else [(key, make(key))]
-    while stack:
-        k, gen = stack[-1]
-        try:
-            need = gen.send(value)
-        except StopIteration as done:
-            value = memo[k] = done.value
-            stack.pop()
-            continue
-        value = memo.get(need)
-        if value is None:
-            stack.append((need, make(need)))
-    return value
-
-
 def _members(s):
     """The numbers in the bit set s, in increasing order."""
+    out = []
     while s:
         low = s & -s
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         s ^= low
+    return out
 
 
 class _SetSearch(_AndOr):
@@ -481,9 +464,17 @@ class _SetSearch(_AndOr):
     on a branch).
 
     `success` maps each proved set sequent to (rule, principal formula or
-    succedent, premises); for the meet rule the rule is AND_L1.  `record`
-    rebuilds an FL_sigma proof record for a concrete antecedent, with
-    weakening, contraction and exchange steps only where proofs need them.
+    succedent, premises, need, used, skip); for the meet rule the rule is
+    AND_L1.  The last three are fixed when the goal is proved, from the
+    entries of its premises.  need is the antecedent of the rule that the
+    rebuilt proof ends with, the formulas the rule's premises use, each as
+    often as they use it, as bit sets whose multiset union it is; used is
+    its bit set.  skip
+    is the premise, or None, whose proof proves the goal's own antecedent
+    with the same succedent, as it uses nothing the rule added: the goal's
+    proof is then that premise's, need and used too.  `record` rebuilds an
+    FL_sigma proof record for a concrete antecedent, with weakening,
+    contraction and exchange steps only where proofs need them.
     """
 
     loop_check = weakening = True
@@ -501,24 +492,55 @@ class _SetSearch(_AndOr):
         self.left_implications = of.get("rimp", 0) | of.get("limp", 0)
         self.left_other = (self.left_implications | of.get("rneg", 0)
                            | of.get("lneg", 0))
-        self.needs, self.records = {}, {}
+        self.records = {}
 
     def _loop_key(self, goal):
         return goal, ()
 
     def _entry(self, goal, step, subs):
+        """The memo entry of a goal that `step` proved, given the entries
+        of its premises (see the class docstring)."""
+        s, d = goal
         rule, f, premises = step
-        return rule, f, tuple([p for p, _ in premises])
+        premises = tuple([p for p, _ in premises])
+        if rule in _REUSABLE:
+            for p, (_, _, _, need, used, _) in zip(premises, subs):
+                if p[1] == d and not used & ~s:
+                    return rule, f, premises, need, used, p
+        left, right = self.table.left, self.table.right
+        used = [sub[4] for sub in subs]
+        if rule in _RIGHT_UNARY_RULES:
+            parts = [used[0] & ~(1 << left[f])]
+        elif rule is RuleId.AND_R:
+            parts = [used[0] | used[1]]
+        elif rule is RuleId.FUS_L:
+            parts = [1 << f, used[0] & ~(1 << left[f] | 1 << right[f])]
+        elif rule is RuleId.AND_L1:
+            parts = [1 << f, used[0] & s]
+        elif rule is RuleId.OR_L:
+            parts = [1 << f, used[0] & ~(1 << left[f])
+                     | used[1] & ~(1 << right[f])]
+        elif rule in (RuleId.RIMP_L, RuleId.LIMP_L):
+            parts = [1 << f, used[0], used[1] & ~(1 << right[f])]
+        elif rule in (RuleId.RNEG_L, RuleId.LNEG_L):
+            parts = [1 << f, used[0]]
+        else:   # OR_R1, OR_R2, ZERO_R, WEAK_R, FUS_R
+            parts = used
+        bits = 0
+        for part in parts:
+            bits |= part
+        return rule, f, premises, tuple(parts), bits, None
 
     def _leaf(self, goal):
         s, d = goal
         if d >= 0:
             if s >> d & 1:
-                return (RuleId.AXIOM, d, ())
+                return (RuleId.AXIOM, d, (), (1 << d,), 1 << d, None)
             if self.table.op[d] == "one":
-                return (RuleId.ONE_R, d, ())
+                return (RuleId.ONE_R, d, (), (), 0, None)
         elif self.zero >= 0 and s >> self.zero & 1:
-            return (RuleId.ZERO_L, self.zero, ())
+            bit = 1 << self.zero
+            return (RuleId.ZERO_L, self.zero, (), (bit,), bit, None)
         return None
 
     def _expand(self, goal):
@@ -571,83 +593,48 @@ class _SetSearch(_AndOr):
 
     # -- rebuilding FL_sigma proofs -------------------------------------
 
-    def _skip(self, goal):
-        """The premise of a proved goal whose proof proves the goal's own
-        antecedent with the same succedent (it uses nothing the rule
-        added), or None.  The premises' needs must be known."""
-        s, d = goal
-        rule, _, premises = self.success[goal]
-        if rule in (RuleId.ONE_L, RuleId.FUS_L, RuleId.AND_L1, RuleId.OR_L,
-                    RuleId.RIMP_L, RuleId.LIMP_L):
-            for premise in premises:
-                if premise[1] == d and not self.needs[premise][1] & ~s:
-                    return premise
-        return None
-
-    def _needs(self, goal):
-        """(need, used) of a proved goal.  need is the antecedent of the
-        rule that the rebuilt proof ends with, as a sorted tuple: the
-        formulas the rule's premises use, each as often as they use it;
-        used is its bit set.  Premises are done first, on a stack."""
-        needs, left, right = self.needs, self.table.left, self.table.right
-        todo = [] if goal in needs else [goal]
-        while todo:
-            g = todo[-1]
-            if g in needs:
-                todo.pop()
-                continue
-            rule, f, premises = self.success[g]
-            missing = [p for p in premises if p not in needs]
-            if missing:
-                todo += missing
-                continue
-            todo.pop()
-            skip = self._skip(g)
-            if skip is not None:
-                needs[g] = needs[skip]
-                continue
-            used = [needs[p][1] for p in premises]
-            if rule is RuleId.AXIOM or rule is RuleId.ZERO_L:
-                parts = [1 << f]
-            elif rule in _RIGHT_UNARY.values():
-                parts = [used[0] & ~(1 << left[f])]
-            elif rule is RuleId.AND_R:
-                parts = [used[0] | used[1]]
-            elif rule is RuleId.FUS_L:
-                parts = [1 << f, used[0] & ~(1 << left[f] | 1 << right[f])]
-            elif rule is RuleId.AND_L1:
-                parts = [1 << f, used[0] & g[0]]
-            elif rule is RuleId.OR_L:
-                parts = [1 << f, used[0] & ~(1 << left[f])
-                         | used[1] & ~(1 << right[f])]
-            elif rule in (RuleId.RIMP_L, RuleId.LIMP_L):
-                parts = [1 << f, used[0], used[1] & ~(1 << right[f])]
-            elif rule in (RuleId.RNEG_L, RuleId.LNEG_L):
-                parts = [1 << f, used[0]]
-            else:   # ONE_R, OR_R1, OR_R2, ZERO_R, WEAK_R, FUS_R
-                parts = used
-            need = tuple(sorted(x for part in parts for x in _members(part)))
-            needs[g] = need, sum(1 << x for x in set(need))
-        return needs[goal]
-
     def record(self, goal, ant):
         """A proof record (see `_Search`) of the table antecedent `ant`, in
         its order, with the goal's succedent; every formula the goal's
         proof uses occurs in `ant`.  Weakening drops the formulas the proof
         does not use, contraction doubles those it uses more often than
         `ant` has them, both in place."""
-        return _walk(self.records, (goal, ant), self._record_of)
+        plans = {}
 
-    def _record_of(self, key):
-        """The record of (goal, ant), for `_walk`."""
-        goal, ant = key
-        need = self._needs(goal)[0]
-        skip = self._skip(goal)
+        def premises(key):
+            plans[key] = plan = self._plan(*key)
+            return plan[0]
+
+        def combine(key, subs):
+            keys, head, wrappers = plans.pop(key)
+            if head is None:
+                return subs[0]
+            rule, data, concl, cur = head
+            d = key[0][1]
+            rec = (rule, data, (concl, d), cur,
+                   tuple([(k[1], sub) for k, sub in zip(keys, subs)]))
+            for rule, data, a in wrappers:
+                rec = (rule, data, (a, d), a, ((rec[3], rec),))
+            return rec
+
+        return postorder((goal, ant), premises, combine,
+                         key=lambda key: key, done=self.records)
+
+    def _plan(self, goal, ant):
+        """The plan of the record of (goal, ant): (keys, head, wrappers).
+        keys are the (premise, antecedent) keys of the records it is built
+        on.  head is None when the record is that of the one key, else the
+        (rule, data, conclusion antecedent, goal antecedent) of the rule
+        with those premises, and wrappers are the one-premise steps from
+        its conclusion down to the record's, each (rule, data,
+        antecedent), innermost first."""
+        _, _, _, need, _, skip = self.success[goal]
         if skip is not None:
-            return (yield skip, ant)
+            return [(skip, ant)], None, []
         cur, steps = ant, []
         for g in sorted(set(ant)):
-            have, want = cur.count(g), need.count(g)
+            have = cur.count(g)
+            want = sum([part >> g & 1 for part in need])
             for _ in range(want, have):
                 i = cur.index(g)
                 steps.append((RuleId.WEAK_L, (i, g), cur))
@@ -656,89 +643,75 @@ class _SetSearch(_AndOr):
                 i = cur.index(g)
                 steps.append((RuleId.CONTR_L, (i,), cur))
                 cur = cur[:i + 1] + cur[i:]
-        rec = yield from self._rule_record(goal, cur)
-        d = goal[1]
-        for rule, data, concl in reversed(steps):
-            rec = (rule, data, (concl, d), concl, ((rec[3], rec),))
-        return rec
+        keys, head, wrappers = self._rule_plan(goal, cur)
+        return keys, head, wrappers + steps[::-1]
 
-    def _rule_record(self, goal, cur):
-        """The record of the goal's rule with the antecedent `cur` (the
-        goal's need from `_needs`, in some order); left rules act in place,
-        and a rule that splits its antecedent deals it out in order.  A
-        generator for `_walk`: it yields the (premise, antecedent) records
-        it needs."""
+    def _rule_plan(self, goal, cur):
+        """The plan (see `_plan`) of the goal's rule with the antecedent
+        `cur` (the goal's need, in some order); left rules act in place,
+        and a rule that splits its antecedent deals it out in order."""
         d = goal[1]
-        rule, f, premises = self.success[goal]
-        left, right = self.table.left, self.table.right
+        success, left, right = self.success, self.table.left, self.table.right
+        rule, f, premises = success[goal][:3]
         if rule in (RuleId.AXIOM, RuleId.ZERO_L, RuleId.ONE_R):
-            return (rule, (), (cur, d), cur, ())
-        if rule in _RIGHT_UNARY.values():
-            (p,) = premises
+            return [], (rule, (), cur, cur), []
+        if rule in _RIGHT_UNARY_RULES:
             a = left[f]
             pa = ((a,) + cur if rule in (RuleId.RIMP_R, RuleId.RNEG_R)
                   else cur + (a,))
-            return (rule, (), (cur, d), cur, ((pa, (yield p, pa)),))
+            return [(premises[0], pa)], (rule, (), cur, cur), []
         if rule in (RuleId.OR_R1, RuleId.OR_R2, RuleId.ZERO_R,
                     RuleId.WEAK_R, RuleId.AND_R):
             data = {RuleId.OR_R1: (right[d],), RuleId.OR_R2: (left[d],),
                     RuleId.WEAK_R: (d,)}.get(rule, ())
-            subs = []
-            for p in premises:
-                subs.append((cur, (yield p, cur)))
-            return (rule, data, (cur, d), cur, tuple(subs))
+            return [(p, cur) for p in premises], (rule, data, cur, cur), []
         if rule is RuleId.FUS_R:
-            x, y = _deal(cur, [self._needs(p)[1] for p in premises])
-            return (rule, (), (x + y, d), cur,
-                    ((x, (yield premises[0], x)), (y, (yield premises[1], y))))
+            x, y = _deal(cur, [success[p][4] for p in premises])
+            return ([(premises[0], x), (premises[1], y)],
+                    (rule, (), x + y, cur), [])
         if rule is RuleId.AND_L1:
-            return (yield from self._meet_record(goal, cur))
+            return self._meet_plan(goal, cur)
         if rule is RuleId.FUS_L or rule is RuleId.OR_L:
             i = cur.index(f)
             parts = (((left[f], right[f]),) if rule is RuleId.FUS_L
                      else ((left[f],), (right[f],)))
-            subs = []
-            for part, p in zip(parts, premises):
-                pa = cur[:i] + part + cur[i + 1:]
-                subs.append((pa, (yield p, pa)))
-            return (rule, (i,), (cur, d), cur, tuple(subs))
+            return ([(p, cur[:i] + part + cur[i + 1:])
+                     for part, p in zip(parts, premises)],
+                    (rule, (i,), cur, cur), [])
         if rule in (RuleId.RIMP_L, RuleId.LIMP_L):
             b = right[f]
-            _, x, y = _deal(cur, [1 << f, self._needs(premises[0])[1],
-                                  self._needs(premises[1])[1] & ~(1 << b)])
+            _, x, y = _deal(cur, [1 << f, success[premises[0]][4],
+                                  success[premises[1]][4] & ~(1 << b)])
             concl = y + x + (f,) if rule is RuleId.RIMP_L else y + (f,) + x
-            return (rule, (len(y),), (concl, d), cur,
-                    ((x, (yield premises[0], x)),
-                     (y + (b,), (yield premises[1], y + (b,)))))
+            return ([(premises[0], x), (premises[1], y + (b,))],
+                    (rule, (len(y),), concl, cur), [])
         # RNEG_L, LNEG_L
         (p,) = premises
-        _, x = _deal(cur, [1 << f, self._needs(p)[1]])
+        _, x = _deal(cur, [1 << f, success[p][4]])
         concl = x + (f,) if rule is RuleId.RNEG_L else (f,) + x
-        return (rule, (), (concl, d), cur, ((x, (yield p, x)),))
+        return [(p, x)], (rule, (), concl, cur), []
 
-    def _meet_record(self, goal, cur):
+    def _meet_plan(self, goal, cur):
         """The meet rule in place in `cur`: and-l1 or and-l2 for the
         conjunct the premise's proof uses that the goal lacks, or, when it
         uses both, a contraction and then both."""
-        s, d = goal
-        _, f, (p,) = self.success[goal]
+        s = goal[0]
+        _, f, (p,) = self.success[goal][:3]
         a, b = self.table.left[f], self.table.right[f]
         i = cur.index(f)
-        used = self._needs(p)[1]
+        used = self.success[p][4]
         wanted = [g for g in (a, b) if used >> g & 1 and not s >> g & 1]
         if len(wanted) == 1 or a == b:
             g = wanted[0]
             rule, side = ((RuleId.AND_L1, b) if g == a
                           else (RuleId.AND_L2, a))
-            pg = cur[:i] + (g,) + cur[i + 1:]
-            return (rule, (i, side), (cur, d), cur, ((pg, (yield p, pg)),))
-        pab = cur[:i] + (a, b) + cur[i + 1:]
+            return ([(p, cur[:i] + (g,) + cur[i + 1:])],
+                    (rule, (i, side), cur, cur), [])
         paf = cur[:i] + (a, f) + cur[i + 1:]
         pff = cur[:i] + (f, f) + cur[i + 1:]
-        rec = (RuleId.AND_L2, (i + 1, a), (paf, d), paf,
-               ((pab, (yield p, pab)),))
-        rec = (RuleId.AND_L1, (i, b), (pff, d), pff, ((paf, rec),))
-        return (RuleId.CONTR_L, (i,), (cur, d), cur, ((pff, rec),))
+        return ([(p, cur[:i] + (a, b) + cur[i + 1:])],
+                (RuleId.AND_L2, (i + 1, a), paf, paf),
+                [(RuleId.AND_L1, (i, b), pff), (RuleId.CONTR_L, (i,), cur)])
 
 
 def _step(rule, f, *goals):
@@ -779,8 +752,9 @@ def regime(sigma) -> str:
 
 def prove(goal: Sequent, cal: CalculusId, bound=None):
     """Backward search.  Decides derivability when c is not in sigma, and
-    when wl and c both are (on antecedent sets; `bound` has no effect
-    then).  The proofs are cut-free, but for those under wl and c without
+    when wl and c both are (on antecedent sets); `bound` has no effect
+    on these decided sigma, and a bound below 1 raises ValueError in every
+    sigma.  The proofs are cut-free, but for those under wl and c without
     e, whose exchange steps are replaced by cuts.  With c but without wl,
     a goal unprovable in FL_{sigma + e + wl} is refuted; so is one that
     fails in a member of FL_sigma's variety of at most COUNTERMODEL_SIZE
@@ -789,6 +763,8 @@ def prove(goal: Sequent, cal: CalculusId, bound=None):
     FL_{sigma - c}.  Unknown names the limits that cut the bounded search,
     or says that its space closed."""
     check_sequent_language(goal, cal.lang)
+    if bound is not None and bound < 1:
+        raise ValueError("bound must be at least 1")
     sigma = cal.sigma
     kind = regime(sigma)
     table, (encoded,) = encode_sequents((goal,))
@@ -807,8 +783,10 @@ def prove(goal: Sequent, cal: CalculusId, bound=None):
         if found:
             return check_verdict(goal, cal, Refuted(countermodel=found))
     contraction = kind == "bounded"
-    if bound is None:
-        bound = DEFAULT_BOUND if contraction else _UNBOUNDED
+    if not contraction:
+        bound = _UNBOUNDED
+    elif bound is None:
+        bound = DEFAULT_BOUND
     search = _Search(cal, table)
     record, flags = _deepening(search, search.canon(encoded), bound)
     if record is None and contraction:
@@ -831,21 +809,11 @@ def _exchange_by_cut(tree: ProofTree) -> ProofTree:
     chi, fus-l gives Gamma, psi * phi, Delta => chi; a cut with the proof
     of phi * psi => psi * phi from `_swap_proofs` gives Gamma, phi * psi,
     Delta => chi; and a cut with phi, psi => phi * psi gives the step's
-    conclusion.  Nodes are rebuilt after their premises, on a stack; a
-    shared subtree stays shared, and so do the proofs of one (phi, psi)."""
-    built, swaps = {}, {}
-    stack = [tree]
-    while stack:
-        node = stack[-1]
-        if id(node) in built:
-            stack.pop()
-            continue
-        missing = [p for p in node.premises if id(p) not in built]
-        if missing:
-            stack += missing
-            continue
-        stack.pop()
-        premises = tuple([built[id(p)] for p in node.premises])
+    conclusion.  A shared subtree stays shared, and so do the proofs of
+    one (phi, psi)."""
+    swaps = {}
+
+    def combine(node, premises):
         if node.rule is RuleId.EXCH_L:
             (i,) = node.data
             psi, phi = premises[0].conclusion.antecedent[i:i + 2]
@@ -854,13 +822,12 @@ def _exchange_by_cut(tree: ProofTree) -> ProofTree:
                 swaps[key] = _swap_proofs(phi, psi)
             pair, swap = swaps[key]
             fused = _apply(RuleId.FUS_L, (i,), *premises)
-            new = _cut(pair, _cut(swap, fused, i), i)
-        elif any(p is not q for p, q in zip(premises, node.premises)):
-            new = ProofTree(node.conclusion, node.rule, premises, node.data)
-        else:
-            new = node
-        built[id(node)] = new
-    return built[id(tree)]
+            return _cut(pair, _cut(swap, fused, i), i)
+        if any(p is not q for p, q in zip(premises, node.premises)):
+            return ProofTree(node.conclusion, node.rule, premises, node.data)
+        return node
+
+    return postorder(tree, _premises, combine)
 
 
 def _swap_proofs(phi, psi):

@@ -7,11 +7,12 @@ from substrukt.syntax import (Language, Neg, ZERO, ONE, check_language, fus,
                               join, rimp, var)
 from substrukt.sequents import (Sequent, mirror_sequent, parse_sequent, rho,
                                 seq, tau)
-from substrukt.calculus import (CalculusId, LemmaKind, ProofTree, RuleId,
-                                build_lemma_proofs, calculus, check_proof,
-                                derive_conclusion, format_proof_sexp,
-                                lemma11, lemma12_roundtrip, mirror_proof,
-                                parse_proof_sexp, parse_sigma,
+from substrukt.calculus import (CalculusId, ProofTree, RuleId, calculus,
+                                check_proof, derive_conclusion,
+                                format_proof_sexp, lemma10_forward, lemma11,
+                                lemma12_backward, lemma12_forward_main,
+                                lemma12_roundtrip, mirror_proof,
+                                parse_proof_sexp, parse_sigma, postorder,
                                 rule_instances_backward, rules_of)
 from substrukt.corpus import random_derivation
 
@@ -155,7 +156,7 @@ def test_lemma11_tree():
 
 
 def test_lemma10_forward_shape():
-    t = build_lemma_proofs(LemmaKind.LEMMA10_FORWARD, phi=p, psi=q)
+    t = lemma10_forward(p, q)
     assert t.conclusion == seq([join(p, q)], q)
     assert check_proof(t, FL, {seq([p], q)})
 
@@ -163,12 +164,12 @@ def test_lemma10_forward_shape():
 def test_lemma12_examples():
     # forward: (p \/ q => q) from the hypothesis (p => q)
     s = seq([p], q)
-    t = build_lemma_proofs(LemmaKind.LEMMA12_FORWARD_MAIN, seq=s)
+    t = lemma12_forward_main(s)
     assert t.conclusion == seq([join(p, q)], q)
     assert check_proof(t, FL, {s})
     # backward for an empty succedent uses (0 =>) and Cut
     s2 = seq([p], None)
-    t2 = build_lemma_proofs(LemmaKind.LEMMA12_BACKWARD, seq=s2)
+    t2 = lemma12_backward(s2)
     assert t2.conclusion == s2
     hyps = rho(next(iter(tau(s2))))
     assert check_proof(t2, FL, hyps)
@@ -318,6 +319,45 @@ def test_a_deep_proof_reads_back_mirrors_and_measures():
     assert mirrored.conclusion == mirror_sequent(tree.conclusion)
     assert check_proof(mirrored, FLE)
     assert mirror_proof(mirrored) == tree
+
+
+def test_postorder_combines_a_shared_premise_once():
+    leaf = ProofTree(seq([p], p), RuleId.AXIOM)
+    tree = ProofTree(seq([p, p], fus(p, p)), RuleId.FUS_R, (leaf, leaf))
+    calls = []
+
+    def copy(node, premises):
+        calls.append(node.rule)
+        return ProofTree(node.conclusion, node.rule, premises, node.data)
+
+    copied = postorder(tree, lambda node: node.premises, copy)
+    assert calls == [RuleId.AXIOM, RuleId.FUS_R]
+    assert copied == tree and copied.premises[0] is copied.premises[1]
+
+
+def test_postorder_folds_a_chain_deeper_than_the_recursion_limit():
+    chain = None
+    for k in range(10_000):
+        chain = (k, chain)
+    assert sys.getrecursionlimit() < 10_000
+    total = postorder(chain, lambda node: node[1:] if node[1] else (),
+                      lambda node, below: node[0] + sum(below))
+    assert total == sum(range(10_000))
+
+
+def test_postorder_keeps_its_values_in_done():
+    # node n has the children 0, ..., n - 1, so its value is 2 ** n - 1
+    calls, done = [], {}
+
+    def combine(n, below):
+        calls.append(n)
+        return n + sum(below)
+
+    assert postorder(3, range, combine, key=int, done=done) == 7
+    assert calls == [0, 1, 2, 3] and done == {0: 0, 1: 1, 2: 3, 3: 7}
+    calls.clear()
+    assert postorder(5, range, combine, key=int, done=done) == 31
+    assert calls == [4, 5]
 
 
 def test_proof_equality_compares_every_node():

@@ -334,11 +334,21 @@ def test_prove_with_hypotheses_keeps_the_search_reason(capsys):
 
 def test_a_depth_below_one_is_a_data_error(capsys):
     # the empty search at depth 0 refuted p => p
-    for verb in ("prove", "decide"):
-        code, out, err = run(capsys, "--depth", "0", "--lang", "core", verb,
-                             "p => p")
+    for verb, sigma in itertools.product(("prove", "decide"), ("", "e,wl,c")):
+        code, out, err = run(capsys, "--depth", "0", "--lang", "core",
+                             "--sigma", sigma, verb, "p => p")
         assert code == 65 and out == ""
         assert err == "error: bound must be at least 1\n"
+
+
+def test_depth_bounds_only_the_bounded_regime(capsys):
+    goal = "p, q => q * p \\/ p * q"
+    code, out, _ = run(capsys, "--depth", "1", "prove", goal)
+    assert code == 0 and out == run(capsys, "prove", goal)[1]
+    assert out.startswith("proved\n")
+    code, out, _ = run(capsys, "--depth", "1", "--sigma", "c", "prove",
+                       "p => p * p")
+    assert code == 2 and out == "unknown (depth-exhausted)\n"
 
 
 # every sigma but those with c and without wl, where the bounded search of

@@ -565,9 +565,23 @@ def _with_assignment(found, values):
 
 def test_prove_rejects_a_bound_below_one():
     # the empty deepening loop closed with no flag: p => p was Refuted
-    with pytest.raises(ValueError):
-        prove(parse_sequent("p => p"), FL, bound=0)
+    for sigma in ("", "e,wl,c", "c"):
+        with pytest.raises(ValueError):
+            prove(parse_sequent("p => p"), calculus(sigma), bound=0)
     assert isinstance(prove(parse_sequent("p => p"), FL, bound=1), Proved)
+
+
+def test_the_bound_acts_only_in_the_bounded_regime():
+    # the proof without c is two steps deep; the decided sigma ignore bound
+    goal = parse_sequent("p, q => q * p \\/ p * q")
+    for sigma in ("", "e", "wl,c"):
+        cal = calculus(sigma)
+        res = prove(goal, cal, bound=1)
+        assert isinstance(res, Proved) and res == prove(goal, cal)
+    contracted = parse_sequent("p => p * p")
+    assert isinstance(prove(contracted, calculus("c")), Proved)
+    assert prove(contracted, calculus("c"), bound=1) == \
+        Unknown("depth-exhausted")
 
 
 def test_verdict_refutes_a_consequence_with_a_checked_countermodel():
