@@ -129,10 +129,17 @@ class RuleId(enum.Enum):
 for _rule in RuleId:
     _rule.mirror = RuleId[_rule.mirror] if _rule.mirror else _rule
 
+# Each member bound once to a module name of its own: the per-node code
+# reads a global, as on CPython 3.11 an attribute of an Enum class is a
+# slow lookup (about 140 ns against 28 ns)
+(AXIOM, CUT, OR_L, OR_R1, OR_R2, AND_L1, AND_L2, AND_R, FUS_L, FUS_R, RIMP_L,
+ RIMP_R, LIMP_L, LIMP_R, RNEG_L, RNEG_R, LNEG_L, LNEG_R, ONE_L, ONE_R, ZERO_L,
+ ZERO_R, EXCH_L, WEAK_L, WEAK_R, CONTR_L, HYPOTHESIS) = RuleId
+
 # (source, rule) for the rules of the calculi: iterating a tuple is cheaper
 # than iterating the Enum class, and rules_of runs on every search and check
 _SOURCES = tuple((rule.source, rule) for rule in RuleId
-                 if rule is not RuleId.HYPOTHESIS)
+                 if rule is not HYPOTHESIS)
 
 
 @dataclass(frozen=True)
@@ -259,97 +266,97 @@ def derive_conclusion(rule: RuleId, data: tuple, premises: tuple) -> Sequent:
     _need(len(premises) == arity, f"{rule.label} takes {arity} premises")
     if arity >= 1:
         a, d = premises[0].antecedent, premises[0].succedent
-    if rule is RuleId.OR_L:
+    if rule is OR_L:
         (i,) = data
         a2, d2 = premises[1].antecedent, premises[1].succedent
         _need(d == d2 and len(a) == len(a2), "or-l premises must share context")
         _need(0 <= i < len(a), "or-l position out of range")
         _need(a[:i] == a2[:i] and a[i + 1:] == a2[i + 1:], "or-l contexts differ")
         return Sequent(a[:i] + (join(a[i], a2[i]),) + a[i + 1:], d)
-    if rule is RuleId.OR_R1:
+    if rule is OR_R1:
         (side,) = data
         _need(d is not None, "or-r1 needs a succedent")
         return Sequent(a, join(d, side))
-    if rule is RuleId.OR_R2:
+    if rule is OR_R2:
         (side,) = data
         _need(d is not None, "or-r2 needs a succedent")
         return Sequent(a, join(side, d))
-    if rule is RuleId.AND_L1:
+    if rule is AND_L1:
         i, side = data
         _need(0 <= i < len(a), "and-l1 position out of range")
         return Sequent(a[:i] + (meet(a[i], side),) + a[i + 1:], d)
-    if rule is RuleId.AND_L2:
+    if rule is AND_L2:
         i, side = data
         _need(0 <= i < len(a), "and-l2 position out of range")
         return Sequent(a[:i] + (meet(side, a[i]),) + a[i + 1:], d)
-    if rule is RuleId.AND_R:
+    if rule is AND_R:
         a2, d2 = premises[1].antecedent, premises[1].succedent
         _need(a == a2, "and-r premises must share the antecedent")
         _need(d is not None and d2 is not None, "and-r needs succedents")
         return Sequent(a, meet(d, d2))
-    if rule is RuleId.FUS_L:
+    if rule is FUS_L:
         (i,) = data
         _need(0 <= i <= len(a) - 2, "fus-l needs two adjacent formulas")
         return Sequent(a[:i] + (fus(a[i], a[i + 1]),) + a[i + 2:], d)
-    if rule is RuleId.FUS_R:
+    if rule is FUS_R:
         a2, d2 = premises[1].antecedent, premises[1].succedent
         _need(d is not None and d2 is not None, "fus-r needs succedents")
         return Sequent(a + a2, fus(d, d2))
-    if rule is RuleId.RIMP_L:
+    if rule is RIMP_L:
         (j,) = data
         a2, d2 = premises[1].antecedent, premises[1].succedent
         _need(d is not None, "rimp-l first premise needs a succedent")
         _need(0 <= j < len(a2), "rimp-l position out of range")
         return Sequent(a2[:j] + a + (rimp(d, a2[j]),) + a2[j + 1:], d2)
-    if rule is RuleId.LIMP_L:
+    if rule is LIMP_L:
         (j,) = data
         a2, d2 = premises[1].antecedent, premises[1].succedent
         _need(d is not None, "limp-l first premise needs a succedent")
         _need(0 <= j < len(a2), "limp-l position out of range")
         return Sequent(a2[:j] + (limp(d, a2[j]),) + a + a2[j + 1:], d2)
-    if rule is RuleId.RIMP_R:
+    if rule is RIMP_R:
         _need(len(a) >= 1 and d is not None, "rimp-r needs a leading formula")
         return Sequent(a[1:], rimp(a[0], d))
-    if rule is RuleId.LIMP_R:
+    if rule is LIMP_R:
         _need(len(a) >= 1 and d is not None, "limp-r needs a trailing formula")
         return Sequent(a[:-1], limp(a[-1], d))
-    if rule is RuleId.RNEG_L:
+    if rule is RNEG_L:
         _need(d is not None, "rneg-l premise needs a succedent")
         return Sequent(a + (rneg(d),), None)
-    if rule is RuleId.RNEG_R:
+    if rule is RNEG_R:
         _need(len(a) >= 1 and d is None, "rneg-r needs an empty succedent")
         return Sequent(a[1:], rneg(a[0]))
-    if rule is RuleId.LNEG_L:
+    if rule is LNEG_L:
         _need(d is not None, "lneg-l premise needs a succedent")
         return Sequent((lneg(d),) + a, None)
-    if rule is RuleId.LNEG_R:
+    if rule is LNEG_R:
         _need(len(a) >= 1 and d is None, "lneg-r needs an empty succedent")
         return Sequent(a[:-1], lneg(a[-1]))
-    if rule is RuleId.ONE_L:
+    if rule is ONE_L:
         (i,) = data
         _need(0 <= i <= len(a), "one-l position out of range")
         return Sequent(a[:i] + (ONE,) + a[i:], d)
-    if rule is RuleId.ZERO_R:
+    if rule is ZERO_R:
         _need(d is None, "zero-r premise must have an empty succedent")
         return Sequent(a, ZERO)
-    if rule is RuleId.EXCH_L:
+    if rule is EXCH_L:
         (i,) = data
         _need(0 <= i <= len(a) - 2, "exch-l position out of range")
         return Sequent(a[:i] + (a[i + 1], a[i]) + a[i + 2:], d)
-    if rule is RuleId.WEAK_L:
+    if rule is WEAK_L:
         i, side = data
         _need(0 <= i <= len(a), "weak-l position out of range")
         return Sequent(a[:i] + (side,) + a[i:], d)
-    if rule is RuleId.WEAK_R:
+    if rule is WEAK_R:
         (side,) = data
         _need(d is None, "weak-r premise must have an empty succedent")
         return Sequent(a, side)
-    if rule is RuleId.CONTR_L:
+    if rule is CONTR_L:
         (i,) = data
         _need(0 <= i <= len(a) - 2, "contr-l position out of range")
         _need(a[i] == a[i + 1], "contr-l needs adjacent duplicates")
         return Sequent(a[:i + 1] + a[i + 2:], d)
-    if rule is RuleId.CUT:
+    if rule is CUT:
         (j,) = data
         a2, d2 = premises[1].antecedent, premises[1].succedent
         _need(d is not None, "cut first premise needs a succedent")
@@ -404,64 +411,63 @@ def table_instances_backward(table, goal, rules, multiset=False,
             else:
                 at[c] = [k]
 
-    # each rule is looked up only when its connective occurs: on CPython
-    # 3.11 an attribute of an Enum class is a slow lookup
+    # each rule is looked up in `rules` only when its connective occurs
     out = []
     add = out.append
     o = op[d] if d >= 0 else None
-    if "join" in at and RuleId.OR_L in rules:
+    if "join" in at and OR_L in rules:
         for f, pre, post, concl in _sites(goal, at["join"], multiset):
-            add((RuleId.OR_L, (len(pre),), concl,
+            add((OR_L, (len(pre),), concl,
                  ((pre + (left[f],) + post, d),
                   (pre + (right[f],) + post, d))))
-    if "fus" in at and RuleId.FUS_L in rules:
+    if "fus" in at and FUS_L in rules:
         for f, pre, post, concl in _sites(goal, at["fus"], multiset):
-            add((RuleId.FUS_L, (len(pre),), concl,
+            add((FUS_L, (len(pre),), concl,
                  ((pre + (left[f], right[f]) + post, d),)))
-    if o == "meet" and RuleId.AND_R in rules:
-        add((RuleId.AND_R, (), goal, ((a, left[d]), (a, right[d]))))
-    elif o == "rimp" and RuleId.RIMP_R in rules:
-        add((RuleId.RIMP_R, (), goal, (((left[d],) + a, right[d]),)))
-    elif o == "limp" and RuleId.LIMP_R in rules:
-        add((RuleId.LIMP_R, (), goal, ((a + (left[d],), right[d]),)))
-    elif o == "rneg" and RuleId.RNEG_R in rules:
-        add((RuleId.RNEG_R, (), goal, (((left[d],) + a, -1),)))
-    elif o == "lneg" and RuleId.LNEG_R in rules:
-        add((RuleId.LNEG_R, (), goal, ((a + (left[d],), -1),)))
-    elif o == "zero" and RuleId.ZERO_R in rules:
-        add((RuleId.ZERO_R, (), goal, ((a, -1),)))
-    if "one" in at and RuleId.ONE_L in rules:
+    if o == "meet" and AND_R in rules:
+        add((AND_R, (), goal, ((a, left[d]), (a, right[d]))))
+    elif o == "rimp" and RIMP_R in rules:
+        add((RIMP_R, (), goal, (((left[d],) + a, right[d]),)))
+    elif o == "limp" and LIMP_R in rules:
+        add((LIMP_R, (), goal, ((a + (left[d],), right[d]),)))
+    elif o == "rneg" and RNEG_R in rules:
+        add((RNEG_R, (), goal, (((left[d],) + a, -1),)))
+    elif o == "lneg" and LNEG_R in rules:
+        add((LNEG_R, (), goal, ((a + (left[d],), -1),)))
+    elif o == "zero" and ZERO_R in rules:
+        add((ZERO_R, (), goal, ((a, -1),)))
+    if "one" in at and ONE_L in rules:
         for f, pre, post, concl in _sites(goal, at["one"], multiset):
-            add((RuleId.ONE_L, (len(pre),), concl, ((pre + post, d),)))
+            add((ONE_L, (len(pre),), concl, ((pre + post, d),)))
     if commit and out:
         return out, False
 
     skipped = False
     split = not multiset or n <= SUBMULTISET_CAP
-    if o == "join" and RuleId.OR_R1 in rules:
-        add((RuleId.OR_R1, (right[d],), goal, ((a, left[d]),)))
-    if o == "join" and RuleId.OR_R2 in rules:
-        add((RuleId.OR_R2, (left[d],), goal, ((a, right[d]),)))
+    if o == "join" and OR_R1 in rules:
+        add((OR_R1, (right[d],), goal, ((a, left[d]),)))
+    if o == "join" and OR_R2 in rules:
+        add((OR_R2, (left[d],), goal, ((a, right[d]),)))
     meets = _sites(goal, at["meet"], multiset) if "meet" in at else ()
-    if meets and RuleId.AND_L1 in rules:
+    if meets and AND_L1 in rules:
         for f, pre, post, concl in meets:
-            add((RuleId.AND_L1, (len(pre), right[f]), concl,
+            add((AND_L1, (len(pre), right[f]), concl,
                  ((pre + (left[f],) + post, d),)))
-    if meets and RuleId.AND_L2 in rules:
+    if meets and AND_L2 in rules:
         for f, pre, post, concl in meets:
-            add((RuleId.AND_L2, (len(pre), left[f]), concl,
+            add((AND_L2, (len(pre), left[f]), concl,
                  ((pre + (right[f],) + post, d),)))
-    if o == "fus" and RuleId.FUS_R in rules:
+    if o == "fus" and FUS_R in rules:
         if split:
             for sigma, gamma, pi in _segments(a, (0,), range(n + 1), multiset):
-                add((RuleId.FUS_R, (), (gamma + sigma + pi, d),
+                add((FUS_R, (), (gamma + sigma + pi, d),
                      ((gamma, left[d]), (sigma + pi, right[d]))))
         else:
             skipped = True
     for c in ("rimp", "limp"):
         if c not in at:
             continue
-        rule = RuleId.RIMP_L if c == "rimp" else RuleId.LIMP_L
+        rule = RIMP_L if c == "rimp" else LIMP_L
         if rule not in rules:
             continue
         if not split:
@@ -481,38 +487,38 @@ def table_instances_backward(table, goal, rules, multiset=False,
                          else sigma + (f,) + gamma + pi)
                 add((rule, (len(sigma),), (concl, d),
                      ((gamma, left[f]), (sigma + (right[f],) + pi, d))))
-    if d < 0 and "rneg" in at and RuleId.RNEG_L in rules:
+    if d < 0 and "rneg" in at and RNEG_L in rules:
         for f, pre, post, concl in _sites(goal, at["rneg"], multiset):
             if not post:
-                add((RuleId.RNEG_L, (), concl, ((pre, left[f]),)))
-    if d < 0 and "lneg" in at and RuleId.LNEG_L in rules:
+                add((RNEG_L, (), concl, ((pre, left[f]),)))
+    if d < 0 and "lneg" in at and LNEG_L in rules:
         for f, pre, post, concl in _sites(goal, at["lneg"], multiset,
                                           front=True):
             if not pre:
-                add((RuleId.LNEG_L, (), concl, ((post, left[f]),)))
-    if d >= 0 and RuleId.WEAK_R in rules:
-        add((RuleId.WEAK_R, (d,), goal, ((a, -1),)))
-    weak, contr = RuleId.WEAK_L in rules, RuleId.CONTR_L in rules
+                add((LNEG_L, (), concl, ((post, left[f]),)))
+    if d >= 0 and WEAK_R in rules:
+        add((WEAK_R, (d,), goal, ((a, -1),)))
+    weak, contr = WEAK_L in rules, CONTR_L in rules
     if weak or contr:
         everywhere = _sites(goal, [k for k in range(n) if not (
             multiset and k and a[k - 1] == a[k])], multiset)
     if weak:
         for f, pre, post, concl in everywhere:
-            add((RuleId.WEAK_L, (len(pre), f), concl, ((pre + post, d),)))
+            add((WEAK_L, (len(pre), f), concl, ((pre + post, d),)))
     if contr:
         for f, pre, post, concl in everywhere:
-            add((RuleId.CONTR_L, (len(pre),), concl,
+            add((CONTR_L, (len(pre),), concl,
                  ((pre + (f, f) + post, d),)))
-    if not multiset and n > 1 and RuleId.EXCH_L in rules:
+    if not multiset and n > 1 and EXCH_L in rules:
         for i in range(n - 1):
-            add((RuleId.EXCH_L, (i,), goal,
+            add((EXCH_L, (i,), goal,
                  ((a[:i] + (a[i + 1], a[i]) + a[i + 2:], d),)))
-    if cut_formulas and RuleId.CUT in rules:
+    if cut_formulas and CUT in rules:
         if split:
             parts = _segments(a, range(n + 1), range(n + 1), multiset)
             for chi in cut_formulas:
                 for sigma, gamma, pi in parts:
-                    add((RuleId.CUT, (len(sigma),), (sigma + gamma + pi, d),
+                    add((CUT, (len(sigma),), (sigma + gamma + pi, d),
                          ((gamma, chi), (sigma + (chi,) + pi, d))))
         else:
             skipped = True
@@ -573,11 +579,11 @@ def rule_instances_backward(goal: Sequent, cal: CalculusId):
     op = table.op
     out = []
     if len(a) == 1 and d == a[0]:
-        out.append((RuleId.AXIOM, (), ()))
+        out.append((AXIOM, (), ()))
     if not a and d >= 0 and op[d] == "one":
-        out.append((RuleId.ONE_R, (), ()))
+        out.append((ONE_R, (), ()))
     if len(a) == 1 and d < 0 and op[a[0]] == "zero":
-        out.append((RuleId.ZERO_L, (), ()))
+        out.append((ZERO_L, (), ()))
     instances, _ = table_instances_backward(table, encoded, rules_of(cal))
     return out + [(rule, decode_data(table, rule, data),
                    tuple([decode_sequent(table, p) for p in premises]))
@@ -587,19 +593,19 @@ def rule_instances_backward(goal: Sequent, cal: CalculusId):
 def check_leaf(rule: RuleId, conclusion: Sequent, hyps) -> Optional[str]:
     """Validate a 0-premise node; returns an error string or None."""
     a, d = conclusion.antecedent, conclusion.succedent
-    if rule is RuleId.AXIOM:
+    if rule is AXIOM:
         if len(a) == 1 and d is not None and same_formula(d, a[0]):
             return None
         return "axiom must be phi => phi"
-    if rule is RuleId.ONE_R:
+    if rule is ONE_R:
         if a == () and d == ONE:
             return None
         return "one-r must be => 1"
-    if rule is RuleId.ZERO_L:
+    if rule is ZERO_L:
         if a == (ZERO,) and d is None:
             return None
         return "zero-l must be 0 =>"
-    if rule is RuleId.HYPOTHESIS:
+    if rule is HYPOTHESIS:
         if conclusion in hyps:
             return None
         return "hypothesis-not-declared"
@@ -620,7 +626,16 @@ class CheckResult:
 def check_proof(tree: ProofTree, cal: CalculusId, hyps=frozenset()) -> CheckResult:
     """Accepts iff every node is a correct instance of a rule of cal, or a
     declared hypothesis at a Hypothesis leaf.  Rejects with the first
-    offending node (in preorder) and the reason.
+    offending node (in preorder), its path of premise indices from the
+    root, and the reason.
+
+    A proof is walked as the DAG it is: each distinct node object is
+    checked once per call, at its first visit in preorder.  A node's
+    validity does not depend on where it sits, and ProofTree is frozen, so
+    a later visit finds nothing new, and the first offending node of the
+    preorder is still the first one met.  Each visit keeps a link to the
+    visit of its parent; the path of a rejected node is built from these
+    links, on failure only.
 
     Every node's conclusion is checked against the language, but a formula
     object is walked once per call: a memo keyed by object identity (not
@@ -636,13 +651,11 @@ def check_proof(tree: ProofTree, cal: CalculusId, hyps=frozenset()) -> CheckResu
             check_language(f, lang)
             passed[id(f)] = f
 
-    stack = [(tree, ())]
-    while stack:
-        node, path = stack.pop()
+    def fault(node):
+        """The reason the node is not a correct instance, or None."""
         rule = node.rule
-        if rule is not RuleId.HYPOTHESIS and rule not in allowed:
-            return CheckResult(False, f"rule-not-in-calculus: {rule.label}",
-                               path, node.conclusion)
+        if rule is not HYPOTHESIS and rule not in allowed:
+            return f"rule-not-in-calculus: {rule.label}"
         try:
             concl = node.conclusion
             for f in concl.antecedent:
@@ -650,27 +663,42 @@ def check_proof(tree: ProofTree, cal: CalculusId, hyps=frozenset()) -> CheckResu
             if concl.succedent is not None:
                 check(concl.succedent)
         except Exception as exc:
-            return CheckResult(False, f"conclusion outside language: {exc}",
-                               path, node.conclusion)
+            return f"conclusion outside language: {exc}"
         if rule.arity != len(node.premises):
-            return CheckResult(False, f"arity mismatch for {rule.label}",
-                               path, node.conclusion)
+            return f"arity mismatch for {rule.label}"
         if rule.arity == 0:
-            err = check_leaf(rule, node.conclusion, hyps)
-            if err:
-                return CheckResult(False, err, path, node.conclusion)
-        else:
-            try:
-                derived = derive_conclusion(
-                    rule, node.data, tuple(p.conclusion for p in node.premises))
-            except InstanceError as exc:
-                return CheckResult(False, f"instance mismatch: {exc}",
-                                   path, node.conclusion)
-            if derived != node.conclusion:
-                return CheckResult(False, "instance mismatch: conclusion differs",
-                                   path, node.conclusion)
-        for k, prem in enumerate(reversed(node.premises)):
-            stack.append((prem, path + (len(node.premises) - 1 - k,)))
+            return check_leaf(rule, node.conclusion, hyps)
+        try:
+            derived = derive_conclusion(
+                rule, node.data, tuple([p.conclusion for p in node.premises]))
+        except InstanceError as exc:
+            return f"instance mismatch: {exc}"
+        if derived != node.conclusion:
+            return "instance mismatch: conclusion differs"
+        return None
+
+    # a visit is (node, the visit of its parent, its premise index); the
+    # nodes are alive in the tree, so their ids are not reused in the call
+    visited = set()
+    stack = [(tree, None, 0)]
+    while stack:
+        visit = stack.pop()
+        node = visit[0]
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        reason = fault(node)
+        if reason:
+            path = []
+            while visit[1] is not None:
+                path.append(visit[2])
+                visit = visit[1]
+            return CheckResult(False, reason, tuple(path[::-1]),
+                               node.conclusion)
+        k = len(node.premises)
+        for prem in reversed(node.premises):
+            k -= 1
+            stack.append((prem, visit, k))
     return CheckResult(True)
 
 
@@ -706,7 +734,7 @@ def _mirror_node(tree: ProofTree, prems) -> ProofTree:
                       else n - 2 - x if kind == PAIR
                       else len(tree.premises[1].conclusion.antecedent) - 1 - x
                       for kind, x in zip(rule.layout, data)])
-    if rule is RuleId.FUS_R:
+    if rule is FUS_R:
         prems = (prems[1], prems[0])
     return ProofTree(mirror_sequent(tree.conclusion), rule.mirror, prems, data)
 
@@ -716,17 +744,17 @@ def _mirror_node(tree: ProofTree, prems) -> ProofTree:
 # ---------------------------------------------------------------------------
 
 def _axiom(f) -> ProofTree:
-    return ProofTree(Sequent((f,), f), RuleId.AXIOM)
+    return ProofTree(Sequent((f,), f), AXIOM)
 
 
 def _hyp(s: Sequent) -> ProofTree:
-    return ProofTree(s, RuleId.HYPOTHESIS)
+    return ProofTree(s, HYPOTHESIS)
 
 
 def _cut(left: ProofTree, right: ProofTree, j: int) -> ProofTree:
-    concl = derive_conclusion(RuleId.CUT, (j,),
+    concl = derive_conclusion(CUT, (j,),
                               (left.conclusion, right.conclusion))
-    return ProofTree(concl, RuleId.CUT, (left, right), (j,))
+    return ProofTree(concl, CUT, (left, right), (j,))
 
 
 def _apply(rule, data, *premises) -> ProofTree:
@@ -736,12 +764,12 @@ def _apply(rule, data, *premises) -> ProofTree:
 
 def lemma10_forward(phi, psi) -> ProofTree:
     """From the hypothesis (phi => psi), the sequent (phi \\/ psi => psi)."""
-    return _apply(RuleId.OR_L, (0,), _hyp(Sequent((phi,), psi)), _axiom(psi))
+    return _apply(OR_L, (0,), _hyp(Sequent((phi,), psi)), _axiom(psi))
 
 
 def lemma10_backward(phi, psi) -> ProofTree:
     """From the hypothesis (phi \\/ psi => psi), the sequent (phi => psi)."""
-    up = _apply(RuleId.OR_R1, (psi,), _axiom(phi))
+    up = _apply(OR_R1, (psi,), _axiom(phi))
     return _cut(up, _hyp(Sequent((join(phi, psi),), psi)), 0)
 
 
@@ -749,10 +777,10 @@ def lemma11(gamma) -> ProofTree:
     """The hypothesis-free derivation of (Gamma => prod Gamma)."""
     gamma = tuple(gamma)
     if not gamma:
-        return ProofTree(Sequent((), ONE), RuleId.ONE_R)
+        return ProofTree(Sequent((), ONE), ONE_R)
     tree = _axiom(gamma[0])
     for f in gamma[1:]:
-        tree = _apply(RuleId.FUS_R, (), tree, _axiom(f))
+        tree = _apply(FUS_R, (), tree, _axiom(f))
     return tree
 
 
@@ -761,9 +789,9 @@ def _fuse_antecedent(tree: ProofTree) -> ProofTree:
     repeated (*=>), or (1=>) when Gamma is empty."""
     m = len(tree.conclusion.antecedent)
     if m == 0:
-        return _apply(RuleId.ONE_L, (0,), tree)
+        return _apply(ONE_L, (0,), tree)
     for _ in range(m - 1):
-        tree = _apply(RuleId.FUS_L, (0,), tree)
+        tree = _apply(FUS_L, (0,), tree)
     return tree
 
 
@@ -779,16 +807,16 @@ def lemma12_forward_main(s: Sequent) -> ProofTree:
     product, target = _fused_target(s)
     tree = _fuse_antecedent(_hyp(s))
     if s.succedent is None:
-        tree = _apply(RuleId.ZERO_R, (), tree)
+        tree = _apply(ZERO_R, (), tree)
     # now tree proves (prod Gamma => target); widen with Lemma 10
-    return _apply(RuleId.OR_L, (0,), tree, _axiom(target))
+    return _apply(OR_L, (0,), tree, _axiom(target))
 
 
 def lemma12_forward_aux(s: Sequent) -> ProofTree:
     """The hypothesis-free second element of rho(tau(s)):
     (target => prod Gamma \\/ target)."""
     product, target = _fused_target(s)
-    return _apply(RuleId.OR_R2, (product,), _axiom(target))
+    return _apply(OR_R2, (product,), _axiom(target))
 
 
 def lemma12_backward(s: Sequent) -> ProofTree:
@@ -800,7 +828,7 @@ def lemma12_backward(s: Sequent) -> ProofTree:
     tree = _cut(lemma11(s.antecedent), tree, 0)
     if s.succedent is None:
         # (Gamma => 0) and (0 =>) give (Gamma =>)
-        tree = _cut(tree, ProofTree(Sequent((ZERO,), None), RuleId.ZERO_L), 0)
+        tree = _cut(tree, ProofTree(Sequent((ZERO,), None), ZERO_L), 0)
     return tree
 
 
@@ -821,9 +849,12 @@ def lemma12_roundtrip(s: Sequent):
 def format_proof_sexp(tree: ProofTree) -> str:
     """`(rule "sequent" premise*)`, premises in order, each sequent as
     `format_sequent` gives it.  The walk is iterative, so a proof of any
-    height prints, and a formula object is rendered once per call: a memo
-    keyed by object identity keeps each text with its object."""
-    texts = {}
+    height prints.  The text is that of the proof as a tree, a shared
+    subtree printed at each place it sits, but each distinct node object's
+    `(rule "sequent"` is rendered once per call, and so is each formula
+    object: memos keyed by object identity keep each text with its
+    object."""
+    texts, lines = {}, {}
 
     def text(f):
         seen = texts.get(id(f))
@@ -835,14 +866,17 @@ def format_proof_sexp(tree: ProofTree) -> str:
     stack = [tree]
     while stack:
         node = stack.pop()
-        if isinstance(node, str):
+        if node.__class__ is str:
             out.append(node)
             continue
-        concl = node.conclusion
-        left = ", ".join([text(f) for f in concl.antecedent])
-        right = text(concl.succedent) if concl.succedent is not None else ""
-        out.append(f'({node.rule.label} "' + f"{left} => {right}".strip()
-                   + '"')
+        line = lines.get(id(node))
+        if line is None:
+            a, d = node.conclusion.antecedent, node.conclusion.succedent
+            left = ", ".join([text(f) for f in a])
+            right = text(d) if d is not None else ""
+            line = lines[id(node)] = (f'({node.rule.label} "'
+                                      + f"{left} => {right}".strip() + '"')
+        out.append(line)
         stack.append(")")
         for premise in reversed(node.premises):
             stack.append(premise)
@@ -898,7 +932,7 @@ def _infer_data(rule, conclusion, premise_seqs):
     if len(premise_seqs) == rule.arity:
         table, (goal, *premises) = encode_sequents(
             (conclusion,) + premise_seqs)
-        cuts = (premises[0][1],) if rule is RuleId.CUT else ()
+        cuts = (premises[0][1],) if rule is CUT else ()
         instances, _ = table_instances_backward(table, goal, (rule,),
                                                 cut_formulas=cuts)
         for _, data, _, found in instances:

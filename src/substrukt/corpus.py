@@ -11,8 +11,11 @@ import random
 from .syntax import (Bin, Const, Formula, Language, Neg, Var, FULL, ONE,
                      ZERO, var)
 from .sequents import Sequent
-from .calculus import (CalculusId, ProofTree, RuleId, derive_conclusion,
-                       rules_of)
+from .calculus import CalculusId, ProofTree, derive_conclusion, rules_of
+from .calculus import (AND_L1, AND_L2, AND_R, AXIOM, CONTR_L, EXCH_L, FUS_L,
+                       FUS_R, LIMP_L, LIMP_R, LNEG_L, LNEG_R, ONE_L, ONE_R,
+                       OR_L, OR_R1, OR_R2, RIMP_L, RIMP_R, RNEG_L, RNEG_R,
+                       WEAK_L, WEAK_R, ZERO_L, ZERO_R)
 from .algebra import FiniteAlgebra, _join_table_from_leq, monoid_tables
 
 ENV_SEED = "SUBSTRUKT_SEED"
@@ -87,9 +90,9 @@ def random_derivation(rng: random.Random, cal: CalculusId, height=5,
             sizes.append(formula_size(tree.conclusion.succedent))
         return all(s <= max_formula for s in sizes)
 
-    trees = [ProofTree(Sequent((f,), f), RuleId.AXIOM) for f in pool]
-    trees.append(ProofTree(Sequent((), ONE), RuleId.ONE_R))
-    trees.append(ProofTree(Sequent((ZERO,), None), RuleId.ZERO_L))
+    trees = [ProofTree(Sequent((f,), f), AXIOM) for f in pool]
+    trees.append(ProofTree(Sequent((), ONE), ONE_R))
+    trees.append(ProofTree(Sequent((ZERO,), None), ZERO_L))
 
     def heights(tree):
         return tree.height()
@@ -102,62 +105,62 @@ def random_derivation(rng: random.Random, cal: CalculusId, height=5,
         side = rng.choice(pool)
         candidates = []
         if d is not None:
-            if RuleId.OR_R1 in rules:
-                candidates.append((RuleId.OR_R1, (side,), (t,)))
-                candidates.append((RuleId.OR_R2, (side,), (t,)))
-            if RuleId.RNEG_L in rules:
-                candidates.append((RuleId.RNEG_L, (), (t,)))
-            if RuleId.LNEG_L in rules:
-                candidates.append((RuleId.LNEG_L, (), (t,)))
-            if a and RuleId.RIMP_R in rules:
-                candidates.append((RuleId.RIMP_R, (), (t,)))
-            if a and RuleId.LIMP_R in rules:
-                candidates.append((RuleId.LIMP_R, (), (t,)))
+            if OR_R1 in rules:
+                candidates.append((OR_R1, (side,), (t,)))
+                candidates.append((OR_R2, (side,), (t,)))
+            if RNEG_L in rules:
+                candidates.append((RNEG_L, (), (t,)))
+            if LNEG_L in rules:
+                candidates.append((LNEG_L, (), (t,)))
+            if a and RIMP_R in rules:
+                candidates.append((RIMP_R, (), (t,)))
+            if a and LIMP_R in rules:
+                candidates.append((LIMP_R, (), (t,)))
         else:
-            candidates.append((RuleId.ZERO_R, (), (t,)))
-            if a and RuleId.RNEG_R in rules:
-                candidates.append((RuleId.RNEG_R, (), (t,)))
-            if a and RuleId.LNEG_R in rules:
-                candidates.append((RuleId.LNEG_R, (), (t,)))
-            if RuleId.WEAK_R in rules:
-                candidates.append((RuleId.WEAK_R, (side,), (t,)))
+            candidates.append((ZERO_R, (), (t,)))
+            if a and RNEG_R in rules:
+                candidates.append((RNEG_R, (), (t,)))
+            if a and LNEG_R in rules:
+                candidates.append((LNEG_R, (), (t,)))
+            if WEAK_R in rules:
+                candidates.append((WEAK_R, (side,), (t,)))
         if a:
             i = rng.randrange(len(a))
-            if RuleId.AND_L1 in rules:
-                candidates.append((RuleId.AND_L1, (i, side), (t,)))
-                candidates.append((RuleId.AND_L2, (i, side), (t,)))
+            if AND_L1 in rules:
+                candidates.append((AND_L1, (i, side), (t,)))
+                candidates.append((AND_L2, (i, side), (t,)))
         if len(a) >= 2:
             i = rng.randrange(len(a) - 1)
-            candidates.append((RuleId.FUS_L, (i,), (t,)))
-            if RuleId.EXCH_L in rules:
-                candidates.append((RuleId.EXCH_L, (i,), (t,)))
-            if RuleId.CONTR_L in rules and any(
+            candidates.append((FUS_L, (i,), (t,)))
+            if EXCH_L in rules:
+                candidates.append((EXCH_L, (i,), (t,)))
+            if CONTR_L in rules and any(
                     a[k] == a[k + 1] for k in range(len(a) - 1)):
                 k = next(k for k in range(len(a) - 1) if a[k] == a[k + 1])
-                candidates.append((RuleId.CONTR_L, (k,), (t,)))
-        candidates.append((RuleId.ONE_L, (rng.randint(0, len(a)),), (t,)))
-        if RuleId.WEAK_L in rules:
-            candidates.append((RuleId.WEAK_L, (rng.randint(0, len(a)), side),
+                candidates.append((CONTR_L, (k,), (t,)))
+        candidates.append((ONE_L, (rng.randint(0, len(a)),), (t,)))
+        if WEAK_L in rules:
+            candidates.append((WEAK_L, (rng.randint(0, len(a)), side),
                                (t,)))
         # binary rules against a second random tree
         t2 = rng.choice(trees)
         if heights(t2) < height:
             a2, d2 = t2.conclusion.antecedent, t2.conclusion.succedent
             if d is not None and d2 is not None:
-                candidates.append((RuleId.FUS_R, (), (t, t2)))
+                candidates.append((FUS_R, (), (t, t2)))
             if d is not None and a2:
                 j = rng.randrange(len(a2))
-                if RuleId.RIMP_L in rules:
-                    candidates.append((RuleId.RIMP_L, (j,), (t, t2)))
-                if RuleId.LIMP_L in rules:
-                    candidates.append((RuleId.LIMP_L, (j,), (t, t2)))
-            if a and RuleId.OR_L in rules:
+                if RIMP_L in rules:
+                    candidates.append((RIMP_L, (j,), (t, t2)))
+                if LIMP_L in rules:
+                    candidates.append((LIMP_L, (j,), (t, t2)))
+            if a and OR_L in rules:
                 i = rng.randrange(len(a))
-                candidates.append((RuleId.OR_L, (i,), (t, t)))
-            if d is not None and RuleId.AND_R in rules:
-                candidates.append((RuleId.AND_R, (), (t, t)))
+                candidates.append((OR_L, (i,), (t, t)))
+            if d is not None and AND_R in rules:
+                candidates.append((AND_R, (), (t, t)))
         candidates = [c for c in candidates if c[0] in rules or
-                      c[0] is RuleId.AXIOM]
+                      c[0] is AXIOM]
         if not candidates:
             continue
         rule, data, premises = rng.choice(candidates)

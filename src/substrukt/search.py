@@ -60,9 +60,13 @@ from . import bridge
 from .syntax import same_formula
 from .sequents import (Sequent, check_sequent_language, decode_sequent,
                        encode_sequents, tau_equation)
-from .calculus import (CalculusId, ProofTree, RuleId, _apply, _axiom, _cut,
+from .calculus import (CalculusId, ProofTree, _apply, _axiom, _cut,
                        _premises, check_proof, decode_data, postorder,
                        rules_of, table_instances_backward)
+from .calculus import (AND_L1, AND_L2, AND_R, AXIOM, CONTR_L, EXCH_L, FUS_L,
+                       FUS_R, HYPOTHESIS, LIMP_L, LIMP_R, LNEG_L, LNEG_R,
+                       ONE_L, ONE_R, OR_L, OR_R1, OR_R2, RIMP_L, RIMP_R,
+                       RNEG_L, RNEG_R, WEAK_L, WEAK_R, ZERO_L, ZERO_R)
 from .algebra import (AlgebraError, VarietyId, check_variety,
                       family_of_language, holds)
 
@@ -118,15 +122,13 @@ class Unknown:
     reason: str = "depth-exhausted"
 
 
-_RIGHT_UNARY = {"rimp": RuleId.RIMP_R, "limp": RuleId.LIMP_R,
-                "rneg": RuleId.RNEG_R, "lneg": RuleId.LNEG_R}
+_RIGHT_UNARY = {"rimp": RIMP_R, "limp": LIMP_R, "rneg": RNEG_R, "lneg": LNEG_R}
 _RIGHT_UNARY_RULES = frozenset(_RIGHT_UNARY.values())
 # the left rules whose premise can prove a set goal's own antecedent
-_REUSABLE = frozenset({RuleId.ONE_L, RuleId.FUS_L, RuleId.AND_L1,
-                       RuleId.OR_L, RuleId.RIMP_L, RuleId.LIMP_L})
+_REUSABLE = frozenset({ONE_L, FUS_L, AND_L1, OR_L, RIMP_L, LIMP_L})
 _LEFT_INVERTIBLE = ("fus", "meet", "one", "join")
-_LEFT_IMPLICATION = {"rimp": RuleId.RIMP_L, "limp": RuleId.LIMP_L}
-_LEFT_NEGATION = {"rneg": RuleId.RNEG_L, "lneg": RuleId.LNEG_L}
+_LEFT_IMPLICATION = {"rimp": RIMP_L, "limp": LIMP_L}
+_LEFT_NEGATION = {"rneg": RNEG_L, "lneg": LNEG_L}
 
 
 def exchange_chain(tree: ProofTree, target_ant) -> ProofTree:
@@ -143,7 +145,7 @@ def exchange_chain(tree: ProofTree, target_ant) -> ProofTree:
         k = next(j for j in range(pos + 1, len(cur)) if cur[j] == target[pos])
         for j in range(k, pos, -1):
             cur[j - 1], cur[j] = cur[j], cur[j - 1]
-            tree = ProofTree(Sequent(tuple(cur), succ), RuleId.EXCH_L,
+            tree = ProofTree(Sequent(tuple(cur), succ), EXCH_L,
                              (tree,), (j - 1,))
     return tree
 
@@ -394,14 +396,14 @@ class _Search(_AndOr):
         if self.hyp_by_key:
             hyp = self.hyp_by_key.get(goal)
             if hyp is not None:
-                return (RuleId.HYPOTHESIS, (), hyp, a, ())
+                return (HYPOTHESIS, (), hyp, a, ())
         if len(a) == 1 and d == a[0]:
-            return (RuleId.AXIOM, (), goal, a, ())
+            return (AXIOM, (), goal, a, ())
         op = self.table.op
         if not a and d >= 0 and op[d] == "one":
-            return (RuleId.ONE_R, (), goal, a, ())
+            return (ONE_R, (), goal, a, ())
         if len(a) == 1 and d < 0 and op[a[0]] == "zero":
-            return (RuleId.ZERO_L, (), goal, a, ())
+            return (ZERO_L, (), goal, a, ())
         return None
 
 
@@ -511,18 +513,18 @@ class _SetSearch(_AndOr):
         used = [sub[4] for sub in subs]
         if rule in _RIGHT_UNARY_RULES:
             parts = [used[0] & ~(1 << left[f])]
-        elif rule is RuleId.AND_R:
+        elif rule is AND_R:
             parts = [used[0] | used[1]]
-        elif rule is RuleId.FUS_L:
+        elif rule is FUS_L:
             parts = [1 << f, used[0] & ~(1 << left[f] | 1 << right[f])]
-        elif rule is RuleId.AND_L1:
+        elif rule is AND_L1:
             parts = [1 << f, used[0] & s]
-        elif rule is RuleId.OR_L:
+        elif rule is OR_L:
             parts = [1 << f, used[0] & ~(1 << left[f])
                      | used[1] & ~(1 << right[f])]
-        elif rule in (RuleId.RIMP_L, RuleId.LIMP_L):
+        elif rule in (RIMP_L, LIMP_L):
             parts = [1 << f, used[0], used[1] & ~(1 << right[f])]
-        elif rule in (RuleId.RNEG_L, RuleId.LNEG_L):
+        elif rule in (RNEG_L, LNEG_L):
             parts = [1 << f, used[0]]
         else:   # OR_R1, OR_R2, ZERO_R, WEAK_R, FUS_R
             parts = used
@@ -535,12 +537,12 @@ class _SetSearch(_AndOr):
         s, d = goal
         if d >= 0:
             if s >> d & 1:
-                return (RuleId.AXIOM, d, (), (1 << d,), 1 << d, None)
+                return (AXIOM, d, (), (1 << d,), 1 << d, None)
             if self.table.op[d] == "one":
-                return (RuleId.ONE_R, d, (), (), 0, None)
+                return (ONE_R, d, (), (), 0, None)
         elif self.zero >= 0 and s >> self.zero & 1:
             bit = 1 << self.zero
-            return (RuleId.ZERO_L, self.zero, (), (bit,), bit, None)
+            return (ZERO_L, self.zero, (), (bit,), bit, None)
         return None
 
     def _expand(self, goal):
@@ -553,11 +555,11 @@ class _SetSearch(_AndOr):
             o = op[f]
             rest = s & ~(1 << f)
             if o == "fus" or o == "meet":
-                rule = RuleId.FUS_L if o == "fus" else RuleId.AND_L1
+                rule = FUS_L if o == "fus" else AND_L1
                 return [_step(rule, f, (rest | 1 << left[f] | 1 << right[f],
                                         d))], 0
             if o == "one":
-                return [_step(RuleId.ONE_L, f, (rest, d))], 0
+                return [_step(ONE_L, f, (rest, d))], 0
             if o == "join":
                 joins.append(f)
         o = op[d] if d >= 0 else None
@@ -565,19 +567,19 @@ class _SetSearch(_AndOr):
             succ = right[d] if o == "rimp" or o == "limp" else -1
             return [_step(_RIGHT_UNARY[o], d, (s | 1 << left[d], succ))], 0
         if o == "zero":
-            return [_step(RuleId.ZERO_R, d, (s, -1))], 0
+            return [_step(ZERO_R, d, (s, -1))], 0
         if joins:
             f = joins[0]
             rest = s & ~(1 << f)
-            return [_step(RuleId.OR_L, f, (rest | 1 << left[f], d),
+            return [_step(OR_L, f, (rest | 1 << left[f], d),
                           (rest | 1 << right[f], d))], 0
         if o == "meet" or o == "fus":
-            rule = RuleId.AND_R if o == "meet" else RuleId.FUS_R
+            rule = AND_R if o == "meet" else FUS_R
             return [_step(rule, d, (s, left[d]), (s, right[d]))], 0
         steps = []
         if o == "join":
-            steps.append(_step(RuleId.OR_R1, d, (s, left[d])))
-            steps.append(_step(RuleId.OR_R2, d, (s, right[d])))
+            steps.append(_step(OR_R1, d, (s, left[d])))
+            steps.append(_step(OR_R2, d, (s, right[d])))
         # the left rules of the negations need an empty succedent
         for f in _members(s & (self.left_other if d < 0
                                else self.left_implications)):
@@ -588,7 +590,7 @@ class _SetSearch(_AndOr):
             else:
                 steps.append((_LEFT_NEGATION[o], f, ((p, p),)))
         if self.weak_right and d >= 0:
-            steps.append(_step(RuleId.WEAK_R, d, (s, -1)))
+            steps.append(_step(WEAK_R, d, (s, -1)))
         return steps, 0
 
     # -- rebuilding FL_sigma proofs -------------------------------------
@@ -637,11 +639,11 @@ class _SetSearch(_AndOr):
             want = sum([part >> g & 1 for part in need])
             for _ in range(want, have):
                 i = cur.index(g)
-                steps.append((RuleId.WEAK_L, (i, g), cur))
+                steps.append((WEAK_L, (i, g), cur))
                 cur = cur[:i] + cur[i + 1:]
             for _ in range(have, want):
                 i = cur.index(g)
-                steps.append((RuleId.CONTR_L, (i,), cur))
+                steps.append((CONTR_L, (i,), cur))
                 cur = cur[:i + 1] + cur[i:]
         keys, head, wrappers = self._rule_plan(goal, cur)
         return keys, head, wrappers + steps[::-1]
@@ -653,42 +655,41 @@ class _SetSearch(_AndOr):
         d = goal[1]
         success, left, right = self.success, self.table.left, self.table.right
         rule, f, premises = success[goal][:3]
-        if rule in (RuleId.AXIOM, RuleId.ZERO_L, RuleId.ONE_R):
+        if rule in (AXIOM, ZERO_L, ONE_R):
             return [], (rule, (), cur, cur), []
         if rule in _RIGHT_UNARY_RULES:
             a = left[f]
-            pa = ((a,) + cur if rule in (RuleId.RIMP_R, RuleId.RNEG_R)
+            pa = ((a,) + cur if rule in (RIMP_R, RNEG_R)
                   else cur + (a,))
             return [(premises[0], pa)], (rule, (), cur, cur), []
-        if rule in (RuleId.OR_R1, RuleId.OR_R2, RuleId.ZERO_R,
-                    RuleId.WEAK_R, RuleId.AND_R):
-            data = {RuleId.OR_R1: (right[d],), RuleId.OR_R2: (left[d],),
-                    RuleId.WEAK_R: (d,)}.get(rule, ())
+        if rule in (OR_R1, OR_R2, ZERO_R, WEAK_R, AND_R):
+            data = {OR_R1: (right[d],), OR_R2: (left[d],),
+                    WEAK_R: (d,)}.get(rule, ())
             return [(p, cur) for p in premises], (rule, data, cur, cur), []
-        if rule is RuleId.FUS_R:
+        if rule is FUS_R:
             x, y = _deal(cur, [success[p][4] for p in premises])
             return ([(premises[0], x), (premises[1], y)],
                     (rule, (), x + y, cur), [])
-        if rule is RuleId.AND_L1:
+        if rule is AND_L1:
             return self._meet_plan(goal, cur)
-        if rule is RuleId.FUS_L or rule is RuleId.OR_L:
+        if rule is FUS_L or rule is OR_L:
             i = cur.index(f)
-            parts = (((left[f], right[f]),) if rule is RuleId.FUS_L
+            parts = (((left[f], right[f]),) if rule is FUS_L
                      else ((left[f],), (right[f],)))
             return ([(p, cur[:i] + part + cur[i + 1:])
                      for part, p in zip(parts, premises)],
                     (rule, (i,), cur, cur), [])
-        if rule in (RuleId.RIMP_L, RuleId.LIMP_L):
+        if rule in (RIMP_L, LIMP_L):
             b = right[f]
             _, x, y = _deal(cur, [1 << f, success[premises[0]][4],
                                   success[premises[1]][4] & ~(1 << b)])
-            concl = y + x + (f,) if rule is RuleId.RIMP_L else y + (f,) + x
+            concl = y + x + (f,) if rule is RIMP_L else y + (f,) + x
             return ([(premises[0], x), (premises[1], y + (b,))],
                     (rule, (len(y),), concl, cur), [])
         # RNEG_L, LNEG_L
         (p,) = premises
         _, x = _deal(cur, [1 << f, success[p][4]])
-        concl = x + (f,) if rule is RuleId.RNEG_L else (f,) + x
+        concl = x + (f,) if rule is RNEG_L else (f,) + x
         return [(p, x)], (rule, (), concl, cur), []
 
     def _meet_plan(self, goal, cur):
@@ -703,15 +704,15 @@ class _SetSearch(_AndOr):
         wanted = [g for g in (a, b) if used >> g & 1 and not s >> g & 1]
         if len(wanted) == 1 or a == b:
             g = wanted[0]
-            rule, side = ((RuleId.AND_L1, b) if g == a
-                          else (RuleId.AND_L2, a))
+            rule, side = ((AND_L1, b) if g == a
+                          else (AND_L2, a))
             return ([(p, cur[:i] + (g,) + cur[i + 1:])],
                     (rule, (i, side), cur, cur), [])
         paf = cur[:i] + (a, f) + cur[i + 1:]
         pff = cur[:i] + (f, f) + cur[i + 1:]
         return ([(p, cur[:i] + (a, b) + cur[i + 1:])],
-                (RuleId.AND_L2, (i + 1, a), paf, paf),
-                [(RuleId.AND_L1, (i, b), pff), (RuleId.CONTR_L, (i,), cur)])
+                (AND_L2, (i + 1, a), paf, paf),
+                [(AND_L1, (i, b), pff), (CONTR_L, (i,), cur)])
 
 
 def _step(rule, f, *goals):
@@ -814,14 +815,14 @@ def _exchange_by_cut(tree: ProofTree) -> ProofTree:
     swaps = {}
 
     def combine(node, premises):
-        if node.rule is RuleId.EXCH_L:
+        if node.rule is EXCH_L:
             (i,) = node.data
             psi, phi = premises[0].conclusion.antecedent[i:i + 2]
             key = id(phi), id(psi)
             if key not in swaps:
                 swaps[key] = _swap_proofs(phi, psi)
             pair, swap = swaps[key]
-            fused = _apply(RuleId.FUS_L, (i,), *premises)
+            fused = _apply(FUS_L, (i,), *premises)
             return _cut(pair, _cut(swap, fused, i), i)
         if any(p is not q for p, q in zip(premises, node.premises)):
             return ProofTree(node.conclusion, node.rule, premises, node.data)
@@ -835,13 +836,13 @@ def _swap_proofs(phi, psi):
     => psi * phi).  The second contracts phi * psi, splits both copies and
     proves psi * phi from phi, psi, phi, psi, each factor from its own
     copy by weakening the other away; 8 nodes."""
-    pair = _apply(RuleId.FUS_R, (), _axiom(phi), _axiom(psi))
-    tree = _apply(RuleId.FUS_R, (),
-                  _apply(RuleId.WEAK_L, (0, phi), _axiom(psi)),
-                  _apply(RuleId.WEAK_L, (1, psi), _axiom(phi)))
+    pair = _apply(FUS_R, (), _axiom(phi), _axiom(psi))
+    tree = _apply(FUS_R, (),
+                  _apply(WEAK_L, (0, phi), _axiom(psi)),
+                  _apply(WEAK_L, (1, psi), _axiom(phi)))
     for i in (2, 0):
-        tree = _apply(RuleId.FUS_L, (i,), tree)
-    return pair, _apply(RuleId.CONTR_L, (0,), tree)
+        tree = _apply(FUS_L, (i,), tree)
+    return pair, _apply(CONTR_L, (0,), tree)
 
 
 def prove_with_hyps(goal: Sequent, hyps, cal: CalculusId, bound=DEFAULT_BOUND,

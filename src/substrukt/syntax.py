@@ -540,38 +540,62 @@ def parse_formula(text, lang=FULL) -> Formula:
 
 
 _PREC = {"rimp": 0, "limp": 0, "join": 1, "meet": 2, "fus": 3}
-_OP_TEXT = {"join": "\\/", "meet": "/\\", "fus": "*"}
+_OP_TEXT = {"join": " \\/ ", "meet": " /\\ ", "fus": " * "}
 
 
 def format_formula(f, primes=False) -> str:
-    """Render f; the default form round-trips through parse_formula.
+    """Render f; the default form round-trips through parse_formula.  A
+    subformula is parenthesized when its precedence falls below what its
+    place needs.  The walk is iterative, so a formula of any depth renders.
 
     With primes=True the negations render postfix/prefix (x', 'x) for
     display; that form is not parseable.
     """
-    return _fmt(f, 0, primes)
-
-
-def _fmt(f, min_prec, primes):
-    """Render f, parenthesizing when its precedence falls below min_prec."""
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Const):
-        return "0" if f.which == "zero" else "1"
-    if isinstance(f, Neg):
-        if primes:
-            inner = _fmt(f.child, 99, primes)
-            return f"{inner}'" if f.op == "rneg" else f"'{inner}"
-        name = "rn" if f.op == "rneg" else "ln"
-        return f"{name}({_fmt(f.child, 0, primes)})"
-    prec = _PREC[f.op]
-    if f.op == "rimp":  # non-associative: both children need strictly higher
-        body = f"{_fmt(f.left, prec + 1, primes)} \\ {_fmt(f.right, prec + 1, primes)}"
-    elif f.op == "limp":
-        body = f"{_fmt(f.right, prec + 1, primes)} / {_fmt(f.left, prec + 1, primes)}"
-    else:
-        # left-associative: equal precedence allowed on the left only
-        left = _fmt(f.left, prec, primes)
-        right = _fmt(f.right, prec + 1, primes)
-        body = f"{left} {_OP_TEXT[f.op]} {right}"
-    return f"({body})" if prec < min_prec else body
+    out = []
+    # the texts still to close, and (separator, operand printed second, its
+    # minimum precedence) of each binary formula whose first one is rendering
+    stack = []
+    min_prec = 0
+    while True:
+        # render f: descend along first operands, deferring the rest
+        cls = f.__class__
+        if cls is Bin:
+            op = f.op
+            prec = _PREC[op]
+            if prec < min_prec:
+                out.append("(")
+                stack.append(")")
+            # the implications are non-associative: both operands need
+            # strictly higher precedence; the rest associate to the left
+            if op == "rimp":
+                stack.append((" \\ ", f.right, prec + 1))
+                f, min_prec = f.left, prec + 1
+            elif op == "limp":
+                stack.append((" / ", f.left, prec + 1))
+                f, min_prec = f.right, prec + 1
+            else:
+                stack.append((_OP_TEXT[op], f.right, prec + 1))
+                f, min_prec = f.left, prec
+            continue
+        if cls is Neg:
+            if not primes:
+                out.append("rn(" if f.op == "rneg" else "ln(")
+                stack.append(")")
+            elif f.op == "rneg":
+                stack.append("'")
+            else:
+                out.append("'")
+            f, min_prec = f.child, 99 if primes else 0
+            continue
+        out.append(f.name if cls is Var else "0" if f.which == "zero" else "1")
+        # a leaf is done: close what it ends, up to the next deferred operand
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                out.append(item)
+            else:
+                sep, f, min_prec = item
+                out.append(sep)
+                break
+        else:
+            return "".join(out)

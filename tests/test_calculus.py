@@ -4,10 +4,10 @@ import sys
 import pytest
 
 from substrukt.syntax import (Language, Neg, ZERO, ONE, check_language, fus,
-                              join, rimp, var)
+                              join, meet, rimp, var)
 from substrukt.sequents import (Sequent, mirror_sequent, parse_sequent, rho,
                                 seq, tau)
-from substrukt.calculus import (CalculusId, ProofTree, RuleId, calculus,
+from substrukt.calculus import (CalculusId, ProofTree, RuleId, _apply, calculus,
                                 check_proof, derive_conclusion,
                                 format_proof_sexp, lemma10_forward, lemma11,
                                 lemma12_backward, lemma12_forward_main,
@@ -304,6 +304,84 @@ def test_format_proof_sexp_prints_a_deep_proof():
         sequent = "q, p => p * q" if k % 2 == 0 else "p, q => p * q"
         expected = f'(exch-l "{sequent}" {expected})'
     assert text == expected
+
+
+# ---------------------------------------------------------------------------
+# check_proof and format_proof_sexp take each distinct node once
+# ---------------------------------------------------------------------------
+
+def _shared_chain(depth):
+    """p => p below `depth` and-r steps, each with one node object as both
+    of its premises: depth + 1 distinct nodes, 2 ** (depth + 1) - 1 as a
+    tree."""
+    tree = ProofTree(seq([p], p), RuleId.AXIOM)
+    for _ in range(depth):
+        d = tree.conclusion.succedent
+        tree = ProofTree(seq([p], meet(d, d)), RuleId.AND_R, (tree, tree))
+    return tree
+
+
+def _unshared(tree):
+    """The proof with a node object of its own at every place."""
+    return ProofTree(tree.conclusion, tree.rule,
+                     tuple([_unshared(prem) for prem in tree.premises]),
+                     tree.data)
+
+
+def test_check_proof_derives_each_shared_node_once(monkeypatch):
+    derived = []
+
+    def counting(rule, data, premises):
+        derived.append(rule)
+        return derive_conclusion(rule, data, premises)
+
+    monkeypatch.setattr(sys.modules["substrukt.calculus"],
+                        "derive_conclusion", counting)
+    # 4,095 and-r nodes as a tree, 12 distinct ones
+    assert check_proof(_shared_chain(12), FL)
+    assert derived == [RuleId.AND_R] * 12
+
+
+def test_check_proof_rejects_one_of_two_nodes_with_one_conclusion():
+    # both premises conclude the same sequent object, q => q \/ r; the
+    # second claims a side formula its conclusion does not have
+    concl = seq([q], join(q, r))
+    good = ProofTree(concl, RuleId.OR_R1,
+                     (ProofTree(seq([q], q), RuleId.AXIOM),), (r,))
+    bad = ProofTree(concl, RuleId.OR_R1,
+                    (ProofTree(seq([q], q), RuleId.AXIOM),), (p,))
+    for premises, path in [((good, bad), (1,)), ((bad, good), (0,))]:
+        tree = _apply(RuleId.AND_R, (), *premises)
+        assert _result(check_proof(tree, FL)) == (
+            False, "instance mismatch: conclusion differs", path, concl)
+
+
+def test_check_proof_reports_a_shared_fault_at_its_first_preorder_path():
+    # `bad` is the second premise of the root, and the premise of its first
+    # premise: the preorder meets it first below the first premise, after
+    # the root pushed it as its second
+    bad = ProofTree(seq([p], q), RuleId.AXIOM)
+    tree = _apply(RuleId.FUS_R, (), _apply(RuleId.OR_R1, (r,), bad), bad)
+    assert _result(check_proof(tree, FL)) == (
+        False, "axiom must be phi => phi", (0, 0), seq([p], q))
+    deeper = _apply(RuleId.OR_R2, (r,), tree)
+    assert _result(check_proof(deeper, FL)) == (
+        False, "axiom must be phi => phi", (0, 0, 0), seq([p], q))
+
+
+def test_format_proof_sexp_prints_shared_premises_in_place():
+    leaf = ProofTree(seq([p], p), RuleId.AXIOM)
+    left = _apply(RuleId.OR_R1, (q,), leaf)
+    dags = [_shared_chain(5),
+            _apply(RuleId.FUS_R, (), left, leaf),
+            _apply(RuleId.AND_R, (), left, left)]
+    for dag in dags:
+        tree = _unshared(dag)
+        assert tree == dag
+        assert format_proof_sexp(dag) == format_proof_sexp(tree)
+    assert format_proof_sexp(dags[1]) == (
+        '(fus-r "p, p => (p \\/ q) * p" (or-r1 "p => p \\/ q" (axiom "p => p"))'
+        ' (axiom "p => p"))')
 
 
 def test_a_deep_proof_reads_back_mirrors_and_measures():

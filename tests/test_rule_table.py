@@ -5,6 +5,7 @@ cut included, of deep formulas and under every sigma."""
 
 import itertools
 import random
+import sys
 
 from substrukt.syntax import (PRESET_NAMES, Bin, Const, Language, Neg, Var,
                               mirror_formula, var)
@@ -53,6 +54,12 @@ def test_labels_read_back():
     for rule in RuleId:
         assert RuleId(rule.value) is rule and rule.label == rule.value
     assert RuleId("or-l") is R.OR_L and hash(R.OR_L) == object.__hash__(R.OR_L)
+
+
+def test_each_member_is_bound_to_its_name_in_the_module():
+    module = sys.modules[RuleId.__module__]
+    for rule in RuleId:
+        assert getattr(module, rule.name) is rule
 
 
 # ---------------------------------------------------------------------------

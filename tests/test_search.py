@@ -16,6 +16,7 @@ from substrukt.bridge import Found
 from substrukt.search import (Proved, Refuted, Unknown, check_verdict,
                               exchange_chain, prove, prove_with_hyps, verdict)
 from substrukt.corpus import random_derivation, random_formula, random_sequent
+from verdict_text import verdict_text
 
 p, q, r = var("p"), var("q"), var("r")
 FL = calculus("")
@@ -375,14 +376,7 @@ def _proof_digest():
         res = prove(goal, cal)
         if isinstance(res, Proved):
             assert check_proof(res.tree, cal)
-            line = format_proof_sexp(res.tree)
-        elif isinstance(res, Refuted):
-            # the repr of a refutation when the digest was taken, before
-            # Refuted lost its caveat field
-            line = "Refuted(caveat=None)"
-        else:
-            line = repr(res)
-        digest.update(f"{goal}\t{line}\n".encode())
+        digest.update(f"{goal}\t{verdict_text(res)}\n".encode())
     return digest.hexdigest()
 
 

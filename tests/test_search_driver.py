@@ -11,18 +11,9 @@ from substrukt.sequents import seq
 from substrukt.calculus import calculus, check_proof, format_proof_sexp
 from substrukt.search import Proved, Refuted, prove, prove_with_hyps
 from substrukt.corpus import random_derivation, random_formula, random_sequent
+from verdict_text import verdict_text
 
 p, q = var("p"), var("q")
-
-
-def _line(res):
-    if isinstance(res, Proved):
-        return format_proof_sexp(res.tree)
-    if isinstance(res, Refuted):
-        # the repr of a refutation when the digests were taken, before
-        # Refuted lost its caveat field
-        return "Refuted(caveat=None)"
-    return repr(res)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +53,7 @@ def test_set_proofs_are_pinned():
         if isinstance(res, Proved):
             assert res.tree.conclusion == goal
             assert check_proof(res.tree, cal)
-        digest.update(f"{goal}\t{_line(res)}\n".encode())
+        digest.update(f"{goal}\t{verdict_text(res)}\n".encode())
     assert verdicts == {Proved: 127, Refuted: 153}
     assert digest.hexdigest() == SETS_DIGEST
 
@@ -109,7 +100,7 @@ def test_hypothesis_proofs_are_pinned():
             assert check_proof(res.tree, cal, hyps)
         assert not isinstance(res, Refuted)
         hyp_text = sorted(str(h) for h in hyps)
-        digest.update(f"{goal}\t{hyp_text}\t{_line(res)}\n".encode())
+        digest.update(f"{goal}\t{hyp_text}\t{verdict_text(res)}\n".encode())
     assert proved == 18
     assert digest.hexdigest() == HYPS_DIGEST
 
@@ -140,3 +131,10 @@ def test_deep_proof_is_built_and_checked(sigma):
     assert isinstance(res, Proved)
     assert res.tree.conclusion == goal
     assert check_proof(res.tree, cal)
+
+
+def test_a_deep_axiom_is_proved_and_printed():
+    deep = _tower(p, rneg, times=3000)
+    res = prove(seq([deep], deep), calculus(""))
+    text = "rn(" * 3000 + "p" + ")" * 3000
+    assert format_proof_sexp(res.tree) == f'(axiom "{text} => {text}")'
