@@ -37,6 +37,23 @@ which owns the memos, the node count and (with `_deepening`) deepening;
 proof is rebuilt by one post-order walk, `calculus.postorder`, on an
 explicit stack too, so no goal is too deep.
 
+A goal false in the two-element Boolean algebra B2 (fusion = meet, 0 the
+bottom, 1 the top) has no proof: B2 satisfies e, wl, wr and c, so it is a
+member of every K_sigma, in which FL_sigma is sound (the easy half of
+algebraizability).  So a `_Search` without c and without hypotheses
+evaluates every formula of its table in B2 once, as bit masks over the
+assignments of the goal's variables (`_boolean_model`), and `solve` fails
+a goal that one of them falsifies, before expanding it.  That serves every
+search of the shrinking regime and the bounded regime's FL_{sigma - c}.
+A pruned goal has no proof, so the proofs do not change, only the work;
+an Unknown(submultiset-cap) can become a refutation.  Not pruned:
+`_SetSearch`, where a trial kept every proof, but its gain on the
+`contraction` benchmark is not yet measured well enough to claim; the
+bounded search with c, where a failure the depth bound cut would become absolute and Unknown
+would name another limit; and `prove_with_hyps`, where a goal false in
+B2 may follow from the hypotheses, and under its node cap a search that
+visits fewer goals could prove what the capped one did not.
+
 Goals are table sequents of one `SubformulaTable`: a tuple of formula
 numbers and a succedent number, -1 when empty.  Numbers sort as formulas
 do under `formula_key`, so with exchange a sorted antecedent is the
@@ -76,6 +93,9 @@ COUNTERMODEL_SIZE = 3
 # a bound at least this large is searched in one pass with no depth limit
 _UNBOUNDED = 10 ** 6
 _INFINITE = float("inf")
+# the variables whose assignments a Boolean model spans, so its masks have
+# 2 ** 8 bits at most; any set of assignments is sound
+_MODEL_VARIABLES = 8
 
 # Flags of a failed search below a goal.  A failure is bounded when one of
 # the limits cut it; the bits name the limits, so Unknown can say which.
@@ -170,9 +190,11 @@ class _AndOr:
     after `node_cap` (None: no cap) of them fail.  With `weakening`, goals
     are (antecedent bit set, succedent): `weaker` maps a succedent to the
     maximal antecedents that failed absolutely, and a goal that is a subset
-    of one stops."""
+    of one stops.  A `model` (see `_boolean_model`) fails a goal it
+    falsifies absolutely, before expanding it."""
 
     loop_check = weakening = False
+    model = None
 
     def __init__(self, keep_expansions):
         self.success, self.abs_fail = {}, set()
@@ -188,6 +210,7 @@ class _AndOr:
         bounded_fail, cut_failed = self.bounded_fail, self.cut_failed
         frames, expansions = self.frames, self.expansions
         loop_check, leaf, make_entry = self.loop_check, self._leaf, self._entry
+        model = self.model
         cap = _INFINITE if self.node_cap is None else self.node_cap
         nodes = self.nodes
         ancestors = {}  # loop key -> [(runs, depth)] of the goals searched
@@ -223,6 +246,8 @@ class _AndOr:
                 fl = failed[1]
             elif (entry := leaf(visit)) is not None:
                 success[visit] = entry
+            elif model is not None and _falsified(model, visit):
+                abs_fail.add(visit)
             elif budget <= 0:
                 fl = _DEPTH
             else:
@@ -287,6 +312,17 @@ class _AndOr:
             budget = budget_of - 1
 
 
+def _falsified(model, goal):
+    """Whether some assignment of a `_boolean_model` makes every antecedent
+    formula of a table goal true and its succedent false."""
+    full, values = model
+    ant, d = goal
+    v = full ^ values[d]
+    for f in ant:
+        v &= values[f]
+    return v != 0
+
+
 def _weakens(weaker, goal):
     """Whether the antecedent of a set goal is a subset of one that failed
     absolutely with its succedent."""
@@ -311,6 +347,54 @@ def _deepening(search: _AndOr, start, bound):
         if entry is not None or not flags & _BOUNDED or flags & _NODE_CAP:
             break
     return entry, flags
+
+
+def _boolean_model(table):
+    """(full, values): the value in the two-element Boolean algebra B2 of
+    each formula of the table under 2 ** w assignments at once, one bit
+    each; w is the number of variables, at most _MODEL_VARIABLES, and
+    variable i takes the values of variable i % w.  In B2 fusion and meet
+    are and, join is or, an implication with denominator x and numerator y
+    is (not x) or y, a negation is not, 0 is false and 1 true.  full has
+    every assignment's bit; values[-1] is 0, the value of an empty
+    succedent."""
+    op, left, right = table.op, table.left, table.right
+    # formula_key sorts the variables first
+    k = op.count("var")
+    w = min(k, _MODEL_VARIABLES)
+    full = (1 << (1 << w)) - 1
+    values = [None] * len(op) + [0]
+    for i in range(k):
+        # the assignments whose bit i % w is set
+        block = 1 << (1 << i % w)
+        values[i] = full // (block + 1) * block
+    for root in range(k, len(op)):
+        stack = [root]
+        while stack:
+            f = stack[-1]
+            a, b = left[f], right[f]
+            if values[f] is not None:
+                stack.pop()
+            elif a >= 0 and values[a] is None:
+                stack.append(a)
+            elif b >= 0 and values[b] is None:
+                stack.append(b)
+            else:
+                stack.pop()
+                o = op[f]
+                if o == "zero":
+                    values[f] = 0
+                elif o == "one":
+                    values[f] = full
+                elif o == "join":
+                    values[f] = values[a] | values[b]
+                elif o == "fus" or o == "meet":
+                    values[f] = values[a] & values[b]
+                elif o == "rimp" or o == "limp":
+                    values[f] = full ^ values[a] | values[b]
+                else:   # rneg, lneg
+                    values[f] = full ^ values[a]
+    return full, values
 
 
 class _Search(_AndOr):
@@ -341,6 +425,10 @@ class _Search(_AndOr):
         self.hyp_by_key = {}
         for h in sorted(hyps):
             self.hyp_by_key.setdefault(self.canon(h), h)
+        # B2 prunes neither with c, nor with hypotheses, nor by height
+        # under prove_with_hyps' node cap (see the module docstring)
+        if "c" not in cal.sigma and not hyps and not by_height:
+            self.model = _boolean_model(table)
 
     def canon(self, s):
         if self.multiset:

@@ -410,7 +410,7 @@ class SubformulaTable:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer and recursive-descent parser
+# Tokenizer and parser
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"""
@@ -444,99 +444,90 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, lang):
-        self.tokens = tokens
-        self.lang = lang
-        self.i = 0
+# binary operator tokens: (connective, precedence)
+_BINARY = {"rimp": ("rimp", 0), "limp": ("limp", 0), "or": ("join", 1),
+           "and": ("meet", 2), "star": ("fus", 3)}
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind, what):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise FormulaSyntaxError(f"expected {what}, found {tok[1] or 'end of input'}", tok[2])
-        return tok
-
-    def require(self, connective, pos):
-        if connective not in self.lang:
-            raise LanguageError(f"{connective} not in language (at position {pos})")
-
-    def formula(self):
-        left = self.disj()
-        kind, _, pos = self.peek()
-        if kind in ("rimp", "limp"):
-            self.advance()
-            self.require("rimp" if kind == "rimp" else "limp", pos)
-            right = self.disj()
-            # non-associative level: another implication here needs parentheses
-            nxt = self.peek()
-            if nxt[0] in ("rimp", "limp"):
-                raise FormulaSyntaxError("implications are non-associative; parenthesize", nxt[2])
-            if kind == "rimp":
-                return rimp(left, right)  # left \ right
-            return limp(right, left)     # left / right: numerator first in text
-        return left
-
-    def disj(self):
-        node = self.conj()
-        while self.peek()[0] == "or":
-            _, _, pos = self.advance()
-            self.require("join", pos)
-            node = join(node, self.conj())
-        return node
-
-    def conj(self):
-        node = self.prod()
-        while self.peek()[0] == "and":
-            _, _, pos = self.advance()
-            self.require("meet", pos)
-            node = meet(node, self.prod())
-        return node
-
-    def prod(self):
-        node = self.atom()
-        while self.peek()[0] == "star":
-            _, _, pos = self.advance()
-            self.require("fus", pos)
-            node = fus(node, self.atom())
-        return node
-
-    def atom(self):
-        kind, text, pos = self.advance()
-        if kind == "zero":
-            return ZERO
-        if kind == "one":
-            return ONE
-        if kind == "lpar":
-            node = self.formula()
-            self.expect("rpar", "')'")
-            return node
-        if kind == "ident":
-            if text in _RESERVED:
-                op = _RESERVED[text]
-                self.expect("lpar", f"'(' after {text}")
-                self.require(op, pos)
-                child = self.formula()
-                self.expect("rpar", "')'")
-                return Neg(op, child)
-            return Var(text)
-        raise FormulaSyntaxError(f"expected a formula, found {text or 'end of input'}", pos)
+def _language_error(connective, pos):
+    return LanguageError(f"{connective} not in language (at position {pos})")
 
 
 def parse_formula(text, lang=FULL) -> Formula:
-    parser = _Parser(_tokenize(text), lang)
-    node = parser.formula()
-    tok = parser.peek()
-    if tok[0] != "eof":
-        raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-    return node
+    """Parse a formula by precedence on explicit stacks, so nesting depth is
+    not bounded by the interpreter's recursion limit.  Each open "(",
+    "rn(" or "ln(" is a frame: the negation it closes with (or None), and
+    the operands and operators read in it, in increasing precedence; an
+    operator is applied when one of no higher precedence follows, so the
+    binary connectives associate to the left."""
+    tokens = _tokenize(text)
+    connectives = lang.connectives
+    frames = []
+    neg, operands, operators = None, [], []
+    i = 0
+    while True:
+        # an operand, after the frames it opens
+        kind, word, pos = tokens[i]
+        i += 1
+        while kind == "lpar" or kind == "ident" and word in _RESERVED:
+            op = None
+            if kind == "ident":
+                op = _RESERVED[word]
+                kind, found, at = tokens[i]
+                i += 1
+                if kind != "lpar":
+                    raise FormulaSyntaxError(
+                        f"expected '(' after {word}, found "
+                        f"{found or 'end of input'}", at)
+                if op not in connectives:
+                    raise _language_error(op, pos)
+            frames.append((neg, operands, operators))
+            neg, operands, operators = op, [], []
+            kind, word, pos = tokens[i]
+            i += 1
+        if kind == "ident":
+            node = Var(word)
+        elif kind == "zero":
+            node = ZERO
+        elif kind == "one":
+            node = ONE
+        else:
+            raise FormulaSyntaxError(
+                f"expected a formula, found {word or 'end of input'}", pos)
+        # the operators and closing parentheses after it
+        while True:
+            kind, word, pos = tokens[i]
+            i += 1
+            binary = _BINARY.get(kind)
+            if binary is None:
+                prec = -1
+            else:
+                connective, prec = binary
+                if prec == 0 and operators and operators[0][1] == 0:
+                    raise FormulaSyntaxError(
+                        "implications are non-associative; parenthesize", pos)
+                if connective not in connectives:
+                    raise _language_error(connective, pos)
+            while operators and operators[-1][1] >= prec:
+                connective = operators.pop()[0]
+                left = operands.pop()
+                # the text x / y is the left implication with denominator y
+                node = (Bin(connective, node, left) if connective == "limp"
+                        else Bin(connective, left, node))
+            if binary is not None:
+                operands.append(node)
+                operators.append(binary)
+                break
+            if not frames:
+                if kind != "eof":
+                    raise FormulaSyntaxError(f"trailing input {word!r}", pos)
+                return node
+            if kind != "rpar":
+                raise FormulaSyntaxError(
+                    f"expected ')', found {word or 'end of input'}", pos)
+            if neg is not None:
+                node = Neg(neg, node)
+            neg, operands, operators = frames.pop()
 
 
 _PREC = {"rimp": 0, "limp": 0, "join": 1, "meet": 2, "fus": 3}

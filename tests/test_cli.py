@@ -181,10 +181,22 @@ def test_usage_errors(capsys):
     assert run(capsys, "--sigma", "zz", "prove", "p => p")[0] == 65
 
 
-@pytest.mark.parametrize("command", ["prove", "translate"])
-def test_deep_nesting_is_a_data_error(capsys, command):
-    deep = "(" * 3000 + "p" + ")" * 3000 + " => p"
-    code, out, err = run(capsys, command, deep)
+DEEP_NEGATION = "rn(" * 3000 + "p" + ")" * 3000
+
+
+def test_deep_nesting_is_parsed_and_proved(capsys):
+    # the parser keeps explicit stacks, and `prove` checks its proof
+    code, out, err = run(capsys, "prove", "(" * 3000 + "p" + ")" * 3000 + " => p")
+    assert code == 0 and out == 'proved\n(axiom "p => p")\n' and err == ""
+    for sigma in ("", "e", "wl", "e,wl,c"):
+        code, out, err = run(capsys, "--sigma", sigma, "prove",
+                             f"{DEEP_NEGATION} => {DEEP_NEGATION}")
+        assert code == 0 and out.startswith("proved\n") and err == ""
+
+
+def test_deep_nesting_is_a_data_error(capsys):
+    # tau's equations are hashed, and hashing a formula recurses
+    code, out, err = run(capsys, "translate", f"{DEEP_NEGATION} => p")
     assert code == 65
     assert out == "" and err == "error: input nested too deeply\n"
 

@@ -6,9 +6,10 @@ import hypothesis.strategies as st
 
 from substrukt.syntax import (Bin, Const, Language, LanguageError,
                               FormulaSyntaxError, Neg, Var, ZERO, ONE,
+                              PRESET_NAMES, _RESERVED, _tokenize,
                               apply_subst, format_formula, fus, join, limp,
                               lneg, meet, mirror_formula, parse_formula, rimp,
-                              rneg, subformulas, var)
+                              rneg, same_formula, subformulas, var)
 from substrukt.corpus import random_formula
 
 p, q, r = var("p"), var("q"), var("r")
@@ -203,3 +204,157 @@ def test_format_formula_prints_deep_implication_chains():
 def test_format_formula_prints_deep_negations_with_primes():
     assert format_formula(_nest(p, DEEP, rneg), primes=True) == "p" + "'" * DEEP
     assert format_formula(_nest(p, DEEP, lneg), primes=True) == "'" * DEEP + "p"
+
+
+# ---------------------------------------------------------------------------
+# parse_formula against the recursive-descent parser it replaced
+# ---------------------------------------------------------------------------
+
+class _Parser:
+    """The recursive-descent parser, the oracle of parse_formula."""
+
+    def __init__(self, tokens, lang):
+        self.tokens = tokens
+        self.lang = lang
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind, what):
+        tok = self.advance()
+        if tok[0] != kind:
+            raise FormulaSyntaxError(f"expected {what}, found {tok[1] or 'end of input'}", tok[2])
+        return tok
+
+    def require(self, connective, pos):
+        if connective not in self.lang:
+            raise LanguageError(f"{connective} not in language (at position {pos})")
+
+    def formula(self):
+        left = self.disj()
+        kind, _, pos = self.peek()
+        if kind in ("rimp", "limp"):
+            self.advance()
+            self.require("rimp" if kind == "rimp" else "limp", pos)
+            right = self.disj()
+            nxt = self.peek()
+            if nxt[0] in ("rimp", "limp"):
+                raise FormulaSyntaxError("implications are non-associative; parenthesize", nxt[2])
+            if kind == "rimp":
+                return rimp(left, right)
+            return limp(right, left)
+        return left
+
+    def disj(self):
+        node = self.conj()
+        while self.peek()[0] == "or":
+            _, _, pos = self.advance()
+            self.require("join", pos)
+            node = join(node, self.conj())
+        return node
+
+    def conj(self):
+        node = self.prod()
+        while self.peek()[0] == "and":
+            _, _, pos = self.advance()
+            self.require("meet", pos)
+            node = meet(node, self.prod())
+        return node
+
+    def prod(self):
+        node = self.atom()
+        while self.peek()[0] == "star":
+            _, _, pos = self.advance()
+            self.require("fus", pos)
+            node = fus(node, self.atom())
+        return node
+
+    def atom(self):
+        kind, text, pos = self.advance()
+        if kind == "zero":
+            return ZERO
+        if kind == "one":
+            return ONE
+        if kind == "lpar":
+            node = self.formula()
+            self.expect("rpar", "')'")
+            return node
+        if kind == "ident":
+            if text in _RESERVED:
+                op = _RESERVED[text]
+                self.expect("lpar", f"'(' after {text}")
+                self.require(op, pos)
+                child = self.formula()
+                self.expect("rpar", "')'")
+                return Neg(op, child)
+            return Var(text)
+        raise FormulaSyntaxError(f"expected a formula, found {text or 'end of input'}", pos)
+
+
+def _recursive_parse(text, lang):
+    parser = _Parser(_tokenize(text), lang)
+    node = parser.formula()
+    tok = parser.peek()
+    if tok[0] != "eof":
+        raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])
+    return node
+
+
+def _outcome(parse, text, lang):
+    """The formula parsed, or the class, message and position of the error."""
+    try:
+        return parse(text, lang)
+    except (FormulaSyntaxError, LanguageError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+_EDITS = ["(", ")", "rn(", "ln(", " \\ ", " / ", " \\/ ", " /\\ ", " * ", "p",
+          "q", "0", "1", "rn", " ", "$"]
+
+
+def _mutated(rng, text):
+    """text with one to three random insertions, deletions or replacements."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        edit = rng.random()
+        if edit < 0.4 or not text:
+            text = text[:i] + rng.choice(_EDITS) + text[i:]
+        elif edit < 0.7:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + rng.choice(_EDITS) + text[i + 1:]
+    return text
+
+
+@pytest.mark.parametrize("preset", ["core", "full"])
+def test_parse_formula_agrees_with_the_recursive_parser(preset):
+    rng = random.Random(20261019)
+    lang = Language.preset(preset)
+    presets = [Language.preset(name) for name in PRESET_NAMES]
+    for _ in range(1500):
+        text = format_formula(random_formula(rng, rng.randint(0, 6),
+                                             lang=lang))
+        assert parse_formula(text, lang) == _recursive_parse(text, lang)
+        text, under = _mutated(rng, text), rng.choice(presets)
+        assert _outcome(parse_formula, text, under) == \
+            _outcome(_recursive_parse, text, under), (text, under)
+
+
+def test_parse_formula_reads_deep_nesting():
+    assert parse_formula("(" * DEEP + "p" + ")" * DEEP) == p
+    for text, want in (
+            ("rn(" * DEEP + "p" + ")" * DEEP, _nest(p, DEEP, rneg)),
+            ("(" * (DEEP - 1) + "p \\ q" + ") \\ q" * (DEEP - 1),
+             _nest(p, DEEP, lambda f: rimp(f, q))),
+            ("q * (" * (DEEP - 1) + "q * p" + ")" * (DEEP - 1),
+             _nest(p, DEEP, lambda f: fus(q, f)))):
+        assert same_formula(parse_formula(text), want)
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula("ln(" * DEEP + "p" + ")" * (DEEP - 1))
+    assert err.value.position == 4 * DEEP
