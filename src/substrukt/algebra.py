@@ -6,9 +6,13 @@ Elements are indices 0..n-1 with cosmetic names; the order is always derived
 from the join table (a <= b iff a v b = b), never stored independently.
 
 Equations are checked by compiled programs evaluated column-wise over all
-assignments (`compile_terms`, `run_program`); `eval_term` and `holds` are
-the per-assignment definition that the tests and every returned
-countermodel are checked against.
+assignments (`compile_terms`).  One scan runs a program over a pool of
+algebras of one size (`_run_blocks`), and two generators read it:
+`members` yields the algebras in which every equation holds (membership,
+enumeration) and `failures` the assignments under which every equation but
+the last holds and the last fails (countermodels, quasi-equations,
+witnesses).  `eval_term` and `holds` are the per-assignment definition that
+the tests and every returned countermodel are checked against.
 """
 
 from __future__ import annotations
@@ -231,6 +235,15 @@ class Program:
             code.append((slot, len(args), k, x, y, mask))
         return tuple(operands), tuple(code)
 
+    @functools.cached_property
+    def sides(self):
+        """For a program from compile_equations: the slots (lhs, rhs) of
+        each equation, in order.  Built once per program: a tuple built
+        from zip on every scan ends on the interpreter's free list of its
+        size, and scans of the cached variety programs filled those lists
+        by over 1 MB in a long run."""
+        return tuple(zip(self.outputs[::2], self.outputs[1::2]))
+
 
 def compile_terms(terms, names) -> Program:
     """Compile the terms into one program over the variables `names` (in
@@ -291,8 +304,9 @@ def _run_blocks(algebras, program: Program):
     assignments start, start + 1, ...  A block fixes the leading variables
     and runs the trailing ones, as many as fit in _BLOCK assignments,
     through all their values, so a caller that stops at the first block it
-    needs evaluates no later one.  The columns of the trailing variables
-    are built once per call.
+    needs evaluates no later one; a caller that sends a true value skips
+    the rest of that algebra's blocks.  The columns of the trailing
+    variables are built once per call.
 
     The step code is `program.code`, built once per program.  When the
     program runs in one block, a step's column is computed again only when
@@ -341,16 +355,8 @@ def _run_blocks(algebras, program: Program):
                     cols[slot] = [t[i] for i in cols[x]]
                 else:
                     cols[slot] = [t] * size
-            yield a, block * size, cols
-
-
-def run_program(a: FiniteAlgebra, program: Program):
-    """Evaluate the program on a under every assignment of its elements to
-    the variables, block by block (see _run_blocks).  Yields (start,
-    columns): columns[i] lists the values of the i-th compiled term at
-    assignments start, start + 1, ..."""
-    for _, start, cols in _run_blocks((a,), program):
-        yield start, [cols[s] for s in program.outputs]
+            if (yield a, block * size, cols):
+                break  # the caller skips the algebra's other blocks
 
 
 def compile_equations(equations) -> Program:
@@ -363,13 +369,13 @@ def compile_equations(equations) -> Program:
                          sorted(names))
 
 
-def _failures(blocks, program: Program):
-    """(algebra, index) of each assignment, in the order of the blocks from
-    _run_blocks, under which every equation of a compile_equations program
-    but the last holds and the last fails."""
-    *premises, lhs, rhs = program.outputs
-    premises = tuple(zip(premises[::2], premises[1::2]))
-    for a, start, cols in blocks:
+def failures(algebras, program: Program):
+    """(algebra, index) of each assignment, in the order of the algebras
+    (all of one carrier size) and then product order, under which every
+    equation of a compile_equations program but the last holds and the
+    last fails.  One scan over all the algebras (see _run_blocks)."""
+    *premises, (lhs, rhs) = program.sides
+    for a, start, cols in _run_blocks(algebras, program):
         left, right = cols[lhs], cols[rhs]
         if left == right:
             continue
@@ -378,26 +384,33 @@ def _failures(blocks, program: Program):
                 yield a, start + i
 
 
-def failing_indices(a: FiniteAlgebra, program: Program):
-    """For a program from compile_equations: the indices, in product order,
-    of the assignments under which every equation but the last holds and
-    the last fails."""
-    for _, index in _failures(_run_blocks((a,), program), program):
-        yield index
-
-
-def first_failure(algebras, program: Program):
-    """The first (algebra, index), in the order of the algebras (all of one
-    carrier size) and then product order, at which failing_indices would
-    yield, or None.  One scan over all the algebras: the step code is
-    built once, and consecutive algebras share the columns of the steps
-    whose tables they share (see _run_blocks)."""
-    return next(_failures(_run_blocks(algebras, program), program), None)
+def members(algebras, program: Program):
+    """The algebras (all of one carrier size), in order, in which every
+    equation of a compile_equations program holds.  One scan over all of
+    them (see _run_blocks); an algebra's scan stops at its first block in
+    which an equation fails."""
+    sides = program.sides
+    blocks = _run_blocks(algebras, program)
+    member = fails = None  # the algebra whose blocks so far all hold
+    while True:
+        try:
+            a, start, cols = blocks.send(fails)
+        except StopIteration:
+            break
+        if start == 0:
+            if member is not None:
+                yield member
+            member = a
+        fails = any(cols[x] != cols[y] for x, y in sides)
+        if fails:
+            member = None
+    if member is not None:
+        yield member
 
 
 def assignment_at(a: FiniteAlgebra, program: Program, index) -> dict:
     """The assignment (variable name -> element index) at position `index`
-    of the product order of run_program."""
+    of the product order of _run_blocks."""
     values = []
     for _ in program.names:
         index, value = divmod(index, a.n)
@@ -413,7 +426,7 @@ def equation_witnesses(a, e: Equation, cap=50):
     """All failing assignments (as name dicts), up to cap."""
     program = compile_equations([e])
     out = []
-    for index in itertools.islice(failing_indices(a, program), cap):
+    for _, index in itertools.islice(failures((a,), program), cap):
         assignment = assignment_at(a, program, index)
         out.append({k: a.elements[i] for k, i in assignment.items()})
     return out
@@ -421,7 +434,7 @@ def equation_witnesses(a, e: Equation, cap=50):
 
 def satisfies_quasi(a: FiniteAlgebra, premises, conclusion: Equation) -> bool:
     program = compile_equations([*premises, conclusion])
-    return next(failing_indices(a, program), None) is None
+    return next(failures((a,), program), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -565,39 +578,19 @@ def variety_program(v: VarietyId) -> Program:
     return compile_equations([eq for _, eq in variety_equations(v)])
 
 
-def _satisfies_all(a: FiniteAlgebra, program: Program) -> bool:
-    """Whether every equation of a compile_equations program holds in a;
-    the run stops at the first block where one fails."""
-    sides = range(0, len(program.outputs), 2)
-    for _, cols in run_program(a, program):
-        if any(cols[i] != cols[i + 1] for i in sides):
-            return False
-    return True
-
-
-def membership_test(v: VarietyId):
-    """The test a -> check_variety(a, v).ok for many algebras: an algebra
-    costs one run of the cached `variety_program(v)`."""
-    needed = FAMILY_OPS[v.family]
-    program = variety_program(v)
-
-    def test(a: FiniteAlgebra) -> bool:
-        return needed.issubset(a.ops) and _satisfies_all(a, program)
-    return test
-
-
 def check_variety(a: FiniteAlgebra, v: VarietyId) -> VarietyReport:
     """Membership of a in v, with the missing operations or, per failed
     equation in basis order, up to 50 failing assignments in product order.
 
-    A member is recognised by one run of the cached `variety_program(v)`;
-    only an algebra that fails it has each equation compiled and run on
-    its own to collect the witnesses.
+    A member is recognised by one scan of the cached `variety_program(v)`
+    on (a,), which stops at the first block where an equation fails; only
+    an algebra that fails it has each equation compiled and run on its own
+    to collect the witnesses.
     """
     missing = tuple(sorted(FAMILY_OPS[v.family] - frozenset(a.ops)))
     if missing:
         return VarietyReport(False, v, missing_ops=missing)
-    if _satisfies_all(a, variety_program(v)):
+    if next(members((a,), variety_program(v)), None) is not None:
         return VarietyReport(True, v)
     violations = []
     for name, eq in variety_equations(v):
@@ -1020,20 +1013,18 @@ def enumerate_algebras(v: VarietyId, size: int):
     under isomorphism, so the first base of each class decides the class.
     The bases of a size are built once for every variety (`_base_classes`)
     and extended once per family (`_family_bases`), both in lru_caches;
-    a variety only tests their membership.  The same members come out in
-    the same order as from a check of the extended algebras.
+    a variety only scans them with its program in one pass (`members`).
+    The same members come out in the same order as from a check of the
+    extended algebras.
     """
     if size > MAX_ENUMERATION_SIZE:
         raise SizeTooLarge("enumeration is capped at carrier size "
                            f"{MAX_ENUMERATION_SIZE}")
     if size < 1:
         return
-    in_variety = membership_test(v)
-    count = 0
-    for full in _family_bases(v.family, size):
-        if in_variety(full):
-            yield _renamed(full, f"enum{count}")
-            count += 1
+    found = members(_family_bases(v.family, size), variety_program(v))
+    for count, full in enumerate(found):
+        yield _renamed(full, f"enum{count}")
 
 
 def reduct(a: FiniteAlgebra, lang: Language) -> FiniteAlgebra:

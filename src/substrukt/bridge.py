@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .sequents import Sequent, tau_equation
-from .algebra import (FAMILY_OPS, FiniteAlgebra, VarietyId, assignment_at,
-                      compile_equations, enumerate_algebras, first_failure,
-                      holds, language_of_family, run_program,
-                      variety_program)
+from .algebra import (FAMILY_OPS, FiniteAlgebra, VarietyId, _run_blocks,
+                      assignment_at, compile_equations, enumerate_algebras,
+                      failures, holds, language_of_family, variety_program)
 
 
 @dataclass(frozen=True)
@@ -266,14 +265,14 @@ def _first_countermodel(equations, v: VarietyId, max_size: int):
     None.
 
     The equations are compiled once, and each size's members are run
-    through the program in one scan (`first_failure`): members come in
+    through the program in one scan (`failures`): members come in
     pool order (join table, then unit, fusion, 0), so neighbours share
     most tables, and a step is evaluated again only when a table it reads
     changed.  The one assignment returned is re-checked with `holds`."""
     program = compile_equations(equations)
     *premises, goal = equations
     for size in range(1, max_size + 1):
-        found = first_failure(_enumerated(v, size), program)
+        found = next(failures(_enumerated(v, size), program), None)
         if found is not None:
             a, index = found
             assignment = assignment_at(a, program, index)
@@ -414,12 +413,11 @@ def k_congruences(a: FiniteAlgebra, v: VarietyId):
     if not FAMILY_OPS[v.family].issubset(a.ops):
         return []
     program = variety_program(v)
-    sides = range(0, len(program.outputs), 2)
     apart = set()
-    for _, cols in run_program(a, program):
-        for i in sides:
-            if cols[i] != cols[i + 1]:
-                apart.update((x, y) for x, y in zip(cols[i], cols[i + 1])
+    for _, _, cols in _run_blocks((a,), program):
+        for lhs, rhs in program.sides:
+            if cols[lhs] != cols[rhs]:
+                apart.update((x, y) for x, y in zip(cols[lhs], cols[rhs])
                              if x != y)
     return [c for c in all_congruences(a) if apart <= c.pairs()]
 

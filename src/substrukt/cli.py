@@ -32,6 +32,11 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 
+# `algebra --derive`: the algebra each choice prints
+_DERIVE = {"residuals": derive_residuals,
+           "pseudocomplements": derive_pseudocomplements,
+           "opposite": opposite}
+
 
 class _UsageError(Exception):
     pass
@@ -110,8 +115,7 @@ def _build_parser():
     p.add_argument("path")
     p.add_argument("--variety", default=None,
                    help="family name (Msl, Ml, PMsl, PMl, RL, FL)")
-    p.add_argument("--derive", choices=("residuals", "pseudocomplements",
-                                        "opposite"), default=None)
+    p.add_argument("--derive", choices=tuple(_DERIVE), default=None)
     p.add_argument("--properties", action="store_true",
                    help="report the structural property equivalences")
 
@@ -240,17 +244,9 @@ def _variety(args, algebra):
 
 def _cmd_algebra(args):
     a = load_algebra(args.path)
-    if args.derive == "residuals":
-        a = derive_residuals(a)
-        _emit(args, to_json_dict(a), json.dumps(to_json_dict(a), indent=2))
-        return EXIT_PROVED
-    if args.derive == "pseudocomplements":
-        a = derive_pseudocomplements(a)
-        _emit(args, to_json_dict(a), json.dumps(to_json_dict(a), indent=2))
-        return EXIT_PROVED
-    if args.derive == "opposite":
-        a = opposite(a)
-        _emit(args, to_json_dict(a), json.dumps(to_json_dict(a), indent=2))
+    if args.derive:
+        payload = to_json_dict(_DERIVE[args.derive](a))
+        _emit(args, payload, json.dumps(payload, indent=2))
         return EXIT_PROVED
     if args.properties:
         rep = check_property_equivalences(a)

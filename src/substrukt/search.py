@@ -739,10 +739,11 @@ class _SetSearch(_AndOr):
     def _rule_plan(self, goal, cur):
         """The plan (see `_plan`) of the goal's rule with the antecedent
         `cur` (the goal's need, in some order); left rules act in place,
-        and a rule that splits its antecedent deals it out in order."""
+        and a rule that splits its antecedent deals it out in order to the
+        parts of its need."""
         d = goal[1]
-        success, left, right = self.success, self.table.left, self.table.right
-        rule, f, premises = success[goal][:3]
+        left, right = self.table.left, self.table.right
+        rule, f, premises, need = self.success[goal][:4]
         if rule in (AXIOM, ZERO_L, ONE_R):
             return [], (rule, (), cur, cur), []
         if rule in _RIGHT_UNARY_RULES:
@@ -755,7 +756,7 @@ class _SetSearch(_AndOr):
                     WEAK_R: (d,)}.get(rule, ())
             return [(p, cur) for p in premises], (rule, data, cur, cur), []
         if rule is FUS_R:
-            x, y = _deal(cur, [success[p][4] for p in premises])
+            x, y = _deal(cur, need)
             return ([(premises[0], x), (premises[1], y)],
                     (rule, (), x + y, cur), [])
         if rule is AND_L1:
@@ -768,15 +769,13 @@ class _SetSearch(_AndOr):
                      for part, p in zip(parts, premises)],
                     (rule, (i,), cur, cur), [])
         if rule in (RIMP_L, LIMP_L):
-            b = right[f]
-            _, x, y = _deal(cur, [1 << f, success[premises[0]][4],
-                                  success[premises[1]][4] & ~(1 << b)])
+            _, x, y = _deal(cur, need)
             concl = y + x + (f,) if rule is RIMP_L else y + (f,) + x
-            return ([(premises[0], x), (premises[1], y + (b,))],
+            return ([(premises[0], x), (premises[1], y + (right[f],))],
                     (rule, (len(y),), concl, cur), [])
         # RNEG_L, LNEG_L
         (p,) = premises
-        _, x = _deal(cur, [1 << f, success[p][4]])
+        _, x = _deal(cur, need)
         concl = x + (f,) if rule is RNEG_L else (f,) + x
         return [(p, x)], (rule, (), concl, cur), []
 

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import substrukt
-from substrukt.algebra import (VarietyId, check_variety, from_json_dict,
-                               holds, to_json_dict)
+from substrukt.algebra import (FiniteAlgebra, VarietyId, check_variety,
+                               derive_pseudocomplements, derive_residuals,
+                               from_json_dict, holds, opposite, to_json_dict)
 from substrukt.cli import main
 from substrukt.corpus import random_sequent
 from substrukt.sequents import format_sequent, parse_sequent, tau_equation
@@ -127,6 +128,28 @@ def test_algebra_derive_and_properties(tmp_path, capsys):
     assert code == 0 and "rimp" in out
     code, out, _ = run(capsys, "algebra", str(path), "--properties")
     assert code == 0 and "agree=True" in out
+
+
+@pytest.mark.parametrize("derive, library", [
+    ("residuals", derive_residuals),
+    ("pseudocomplements", derive_pseudocomplements),
+    ("opposite", opposite)])
+def test_algebra_derive_prints_the_library_algebra(tmp_path, capsys, derive,
+                                                   library):
+    # the chain 0 < a < 1 < t with unit 1 and a fusion that is not
+    # commutative (a * t = a, t * a = t), so the opposite differs from it
+    chain = tuple(tuple(max(i, j) for j in range(4)) for i in range(4))
+    fus = ((0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 2, 3), (0, 3, 3, 3))
+    a = FiniteAlgebra("noncomm", ("0", "a", "1", "t"),
+                      {"join": chain, "fus": fus}, zero=0, one=2)
+    path = tmp_path / "noncomm.json"
+    dump_algebra(a, path)
+    expected = to_json_dict(library(a))
+    assert expected != to_json_dict(a)
+    for fmt in ("text", "json"):
+        code, out, _ = run(capsys, "--format", fmt, "algebra", str(path),
+                           "--derive", derive)
+        assert code == 0 and json.loads(out) == expected, fmt
 
 
 def test_complete_command(tmp_path, capsys):
