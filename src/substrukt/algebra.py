@@ -102,20 +102,11 @@ class FiniteAlgebra:
 
     # -- basic structure -------------------------------------------------
 
-    def has(self, op):
-        return op in self.ops
-
     def language(self) -> Language:
         return Language(frozenset(self.ops) | frozenset({"zero", "one"}))
 
     def leq(self, i, j):
         return self._leq[i][j]
-
-    def apply(self, op, *args):
-        table = self.ops[op]
-        if op in UNARY_OPS:
-            return table[args[0]]
-        return table[args[0]][args[1]]
 
     def bottom(self) -> Optional[int]:
         for b in range(self.n):
@@ -250,8 +241,7 @@ def compile_terms(terms, names) -> Program:
     that order; it must contain every variable of the terms).
 
     Each term is walked once with an explicit stack.  Equal subterms share
-    one slot, looked up by their (op, argument slots) tuple, so no Formula
-    is hashed: the dataclass hash recurses through the whole term.
+    one slot, looked up by their (op, argument slots) tuple.
     """
     names = tuple(names)
     slot_of = {("var", name): i for i, name in enumerate(names)}

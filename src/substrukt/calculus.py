@@ -27,7 +27,7 @@ from typing import Optional
 
 from .syntax import (Language, FULL, ZERO, ONE, check_language,
                      format_formula, fus, join, limp, lneg, meet,
-                     mirror_formula, rimp, rneg, same_formula)
+                     mirror_formula, rimp, rneg)
 from .sequents import (Sequent, decode_sequent, encode_sequents, fuse,
                        mirror_sequent, parse_sequent)
 
@@ -594,7 +594,7 @@ def check_leaf(rule: RuleId, conclusion: Sequent, hyps) -> Optional[str]:
     """Validate a 0-premise node; returns an error string or None."""
     a, d = conclusion.antecedent, conclusion.succedent
     if rule is AXIOM:
-        if len(a) == 1 and d is not None and same_formula(d, a[0]):
+        if len(a) == 1 and d == a[0]:
             return None
         return "axiom must be phi => phi"
     if rule is ONE_R:
@@ -637,19 +637,17 @@ def check_proof(tree: ProofTree, cal: CalculusId, hyps=frozenset()) -> CheckResu
     visit of its parent; the path of a rejected node is built from these
     links, on failure only.
 
-    Every node's conclusion is checked against the language, but a formula
-    object is walked once per call: a memo keyed by object identity (not
-    by value, whose hash recurses) keeps the objects that passed, and keeps
-    them alive, so that no identity is reused during the call."""
+    Every node's conclusion is checked against the language, each distinct
+    formula once per call."""
     hyps = frozenset(hyps)
     allowed = rules_of(cal)
     lang = cal.lang
-    passed = {}
+    passed = set()
 
     def check(f):
-        if id(f) not in passed:
+        if f not in passed:
             check_language(f, lang)
-            passed[id(f)] = f
+            passed.add(f)
 
     def fault(node):
         """The reason the node is not a correct instance, or None."""
@@ -851,16 +849,15 @@ def format_proof_sexp(tree: ProofTree) -> str:
     `format_sequent` gives it.  The walk is iterative, so a proof of any
     height prints.  The text is that of the proof as a tree, a shared
     subtree printed at each place it sits, but each distinct node object's
-    `(rule "sequent"` is rendered once per call, and so is each formula
-    object: memos keyed by object identity keep each text with its
-    object."""
+    `(rule "sequent"` is rendered once per call, and so is each distinct
+    formula."""
     texts, lines = {}, {}
 
     def text(f):
-        seen = texts.get(id(f))
+        seen = texts.get(f)
         if seen is None:
-            seen = texts[id(f)] = (f, format_formula(f))
-        return seen[1]
+            seen = texts[f] = format_formula(f)
+        return seen
 
     out = []
     stack = [tree]

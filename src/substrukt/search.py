@@ -7,7 +7,12 @@ are the two certificates; a plain refutation is a decision procedure's.
 Which sigma `prove` decides:
 
 - sigma without contraction: every backward step strictly shrinks the
-  goal, so the search terminates and exhaustion refutes.
+  goal, so the search terminates and exhaustion refutes, but for wr
+  without wl in a language with an implication or a negation.  There cut
+  is not admissible: 0 is the bottom of every FL_wr-algebra, so it
+  absorbs (x * 0 <= 0), and p, 0 => 0 has a proof with cut (zero-l,
+  weak-r to 0 => p\0, cut into p, p\0 => 0) but none without; so a
+  failed search is Unknown, and only a countermodel refutes.
 - sigma containing wl and c: every FL_{wl,c}-algebra is commutative
   (xy <= (xy)(xy) = x(yx)y <= yx), and syntactically exchange is a
   derived rule of FL_{wl,c} with cut, so FL_sigma proves what
@@ -62,7 +67,8 @@ rule instances come from `calculus.table_instances_backward`, in the
 order the search tries them.  In every sigma but {c} cut admissibility
 makes or-l, fus-l, and-r, rimp-r, limp-r, rneg-r, lneg-r, zero-r and one-l
 invertible, and the enumerator gives them first, so a goal commits to its
-first invertible instance and the rest are not built.  A failure the loop
+first invertible instance and the rest are not built (where cut is not
+admissible, under wr without wl, a failed search is Unknown).  A failure the loop
 check caused is kept while the ancestor that cut it is searched; one that
 hit the depth bound, only within its iteration.
 """
@@ -74,7 +80,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import bridge
-from .syntax import same_formula
 from .sequents import (Sequent, check_sequent_language, decode_sequent,
                        encode_sequents, tau_equation)
 from .calculus import (CalculusId, ProofTree, _apply, _axiom, _cut,
@@ -827,7 +832,8 @@ def _set_goal(encoded):
 
 
 def regime(sigma) -> str:
-    """How `prove` treats FL_sigma: "shrinking" (decided, no c),
+    """How `prove` treats FL_sigma: "shrinking" (no c; decided, but for
+    wr without wl in a language with an implication or a negation),
     "sets" (decided on antecedent sets, wl and c in sigma; without e,
     exchange is derived with cut) or "bounded" (c without wl: a plain
     refutation when FL_{sigma + e + wl} refutes or a checked countermodel
@@ -841,15 +847,17 @@ def regime(sigma) -> str:
 def prove(goal: Sequent, cal: CalculusId, bound=None):
     """Backward search.  Decides derivability when c is not in sigma, and
     when wl and c both are (on antecedent sets); `bound` has no effect
-    on these decided sigma, and a bound below 1 raises ValueError in every
-    sigma.  The proofs are cut-free, but for those under wl and c without
-    e, whose exchange steps are replaced by cuts.  With c but without wl,
-    a goal unprovable in FL_{sigma + e + wl} is refuted; so is one that
-    fails in a member of FL_sigma's variety of at most COUNTERMODEL_SIZE
-    elements (the Refuted carries it); the others go to a search bounded
-    by `bound` (12 by default), then, unproved, to the decided
-    FL_{sigma - c}.  Unknown names the limits that cut the bounded search,
-    or says that its space closed."""
+    on these sigma, and a bound below 1 raises ValueError in every sigma.
+    Under wr without wl or c, in a language with an implication or a
+    negation, cut is not admissible, so there a failed search is Unknown,
+    not Refuted.  The proofs are cut-free, but for those under wl and c
+    without e, whose exchange steps are replaced by cuts.  With c but
+    without wl, a goal unprovable in FL_{sigma + e + wl} is refuted; so is
+    one that fails in a member of FL_sigma's variety of at most
+    COUNTERMODEL_SIZE elements (the Refuted carries it); the others go to
+    a search bounded by `bound` (12 by default), then, unproved, to the
+    decided FL_{sigma - c}.  Unknown names the limits that cut the bounded
+    search, or says that its space closed."""
     check_sequent_language(goal, cal.lang)
     if bound is not None and bound < 1:
         raise ValueError("bound must be at least 1")
@@ -886,6 +894,11 @@ def prove(goal: Sequent, cal: CalculusId, bound=None):
     if flags & _BOUNDED:
         return Unknown(_limits(flags))
     if not contraction:
+        if "wr" in sigma and "wl" not in sigma and \
+                cal.lang.connectives & {"rimp", "limp", "rneg", "lneg"}:
+            return Unknown("search space closed without a cut-free proof; "
+                           "cut is not admissible under wr without wl with "
+                           "an implication or a negation")
         return Refuted()
     return Unknown("search space closed under loop check; refutation is "
                    "not claimed for contraction without left-weakening")
@@ -905,7 +918,7 @@ def _exchange_by_cut(tree: ProofTree) -> ProofTree:
         if node.rule is EXCH_L:
             (i,) = node.data
             psi, phi = premises[0].conclusion.antecedent[i:i + 2]
-            key = id(phi), id(psi)
+            key = phi, psi
             if key not in swaps:
                 swaps[key] = _swap_proofs(phi, psi)
             pair, swap = swaps[key]
@@ -976,10 +989,8 @@ def check_verdict(goal: Sequent, cal: CalculusId, result, hyps=()):
     `holds`, satisfy tau of each hypothesis and falsify tau(goal); a
     refutation without one is allowed only without hypotheses."""
     if isinstance(result, Proved):
-        got, want = (s.antecedent + (s.succedent,)
-                     for s in (result.tree.conclusion, goal))
-        if len(got) != len(want) or not all(map(same_formula, got, want)) \
-                or not check_proof(result.tree, cal, hyps):
+        if result.tree.conclusion != goal or \
+                not check_proof(result.tree, cal, hyps):
             raise RuntimeError(f"the proof does not check as one of {goal}")
     elif isinstance(result, Refuted) and result.countermodel is None:
         if hyps:

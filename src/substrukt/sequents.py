@@ -75,8 +75,7 @@ def tau(s: Sequent) -> frozenset:
 
 
 def tau_equation(s: Sequent) -> Equation:
-    """The one member of tau(s), built without hashing it (the hash of a
-    formula recurses through its whole depth)."""
+    """The one member of tau(s)."""
     target = s.succedent if s.succedent is not None else ZERO
     return Equation(join(fuse(s.antecedent), target), target)
 

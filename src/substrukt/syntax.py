@@ -24,6 +24,8 @@ Variables match ``[a-z][a-z0-9_]*``; ``rn`` and ``ln`` are reserved.
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -93,32 +95,64 @@ PRESET_NAMES = tuple(_PRESETS)
 
 
 class Formula:
-    """Base class; concrete nodes are Var, Const, Bin, Neg (all frozen)."""
+    """Base class of the formula nodes Var, Const, Bin and Neg.
 
-    __slots__ = ()
+    Nodes are hash-consed: a constructor looks its class and fields up in
+    one weak-valued table, children by identity, and returns the node
+    already built for them, so equal formulas are one object, and `==` and
+    `hash` are those of identity and never walk a formula.  Nodes are
+    immutable; the table drops a node when nothing else holds it.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        key = (cls,) + fields
+        node = _NODES.get(key)
+        if node is None:
+            with _BUILDING:   # one node per key, also across threads
+                node = _NODES.get(key)
+                if node is None:
+                    node = object.__new__(cls)
+                    for name, value in zip(cls.__slots__, fields,
+                                           strict=True):
+                        object.__setattr__(node, name, value)
+                    _NODES[key] = node
+        return node
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name)
+                                  for name in self.__slots__])
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}"
+                            for name in self.__slots__])
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
+_NODES = weakref.WeakValueDictionary()
+_BUILDING = threading.Lock()
+
+
 class Var(Formula):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Const(Formula):
-    which: str  # "zero" | "one"
+    __slots__ = ("which",)  # "zero" | "one"
 
 
-@dataclass(frozen=True)
 class Bin(Formula):
-    op: str  # join | meet | fus | rimp | limp
-    left: Formula
-    right: Formula
+    __slots__ = ("op", "left", "right")  # join | meet | fus | rimp | limp
 
 
-@dataclass(frozen=True)
 class Neg(Formula):
-    op: str  # rneg | lneg
-    child: Formula
+    __slots__ = ("op", "child")  # rneg | lneg
 
 
 ZERO = Const("zero")
@@ -250,30 +284,6 @@ def mirror_formula(f) -> Formula:
     return out[0]
 
 
-def same_formula(a, b) -> bool:
-    """Whether two formulas are equal, by a walk on an explicit stack, so
-    that formula depth is not bounded by the interpreter's recursion limit;
-    a pair of identical objects is equal without being walked."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Bin):
-            if x.op != y.op:
-                return False
-            stack += ((x.left, y.left), (x.right, y.right))
-        elif isinstance(x, Neg):
-            if x.op != y.op:
-                return False
-            stack.append((x.child, y.child))
-        elif x != y:
-            return False
-    return True
-
-
 def apply_subst(subst: Mapping[str, Formula], f) -> Formula:
     """Homomorphic replacement of variables; identity outside the domain."""
     if isinstance(f, Var):
@@ -336,10 +346,10 @@ class SubformulaTable:
     their formulas sort under `formula_key`, so a sorted tuple of numbers
     is a sorted antecedent.
 
-    The table is built in one iterative post-order pass.  Nodes are interned
-    by (connective, child numbers), and each node's sort key is built from
-    its children's keys, so that no formula is hashed, compared or keyed
-    recursively; equal subformulas that are distinct objects get one number.
+    The table is built in one iterative post-order pass that numbers the
+    distinct formula objects it meets (equal formulas are one object), each
+    shared subtree walked once.  Each node's sort key is built from its
+    children's keys, so that no formula is compared or keyed recursively.
     A sort key is `formula_key` flattened in preorder, (tag, op, left's key
     items..., right's key items...): the tag fixes the arity, so no key is
     a proper prefix of another, and flat keys compare as the nested ones do,
@@ -349,48 +359,34 @@ class SubformulaTable:
     __slots__ = ("op", "left", "right", "formulas", "roots")
 
     def __init__(self, roots):
-        intern = {}
-        keys, nodes, found = [], [], []
+        number = {}
+        keys, nodes = [], []
         for root in roots:
             todo = [(root, False)]
-            done = []
             while todo:
                 f, ready = todo.pop()
+                if f in number:
+                    continue
                 cls = type(f)
                 if cls is Bin:
                     if not ready:
                         todo += ((f, True), (f.right, False), (f.left, False))
                         continue
-                    r = done.pop()
-                    l = done.pop()
-                    op = f.op
-                    name = (op, l, r)
+                    op, l, r = f.op, number[f.left], number[f.right]
+                    keys.append((3, op) + keys[l] + keys[r])
                 elif cls is Neg:
                     if not ready:
                         todo += ((f, True), (f.child, False))
                         continue
-                    op, l, r = f.op, done.pop(), -1
-                    name = (op, l)
-                elif cls is Var:
-                    op, l, r = "var", -1, -1
-                    name = ("var", f.name)
-                elif cls is Const:
-                    op, l, r = f.which, -1, -1
-                    name = op
+                    op, l, r = f.op, number[f.child], -1
+                    keys.append((2, op) + keys[l])
+                elif cls is Var or cls is Const:
+                    op, l, r = "var" if cls is Var else f.which, -1, -1
+                    keys.append(formula_key(f))
                 else:
                     raise TypeError(f"not a formula: {f!r}")
-                k = intern.get(name)
-                if k is None:
-                    k = intern[name] = len(keys)
-                    if r >= 0:
-                        keys.append((3, op) + keys[l] + keys[r])
-                    elif l >= 0:
-                        keys.append((2, op) + keys[l])
-                    else:
-                        keys.append(formula_key(f))
-                    nodes.append((f, op, l, r))
-                done.append(k)
-            found.append(done.pop())
+                number[f] = len(nodes)
+                nodes.append((f, op, l, r))
         order = sorted(range(len(keys)), key=keys.__getitem__)
         rank = [0] * len(order) + [-1]   # rank[-1] is -1: no child
         for i, k in enumerate(order):
@@ -403,7 +399,7 @@ class SubformulaTable:
         self.op = tuple([nodes[k][1] for k in order])
         self.left = tuple([rank[nodes[k][2]] for k in order])
         self.right = tuple([rank[nodes[k][3]] for k in order])
-        self.roots = tuple([rank[k] for k in found])
+        self.roots = tuple([rank[number[f]] for f in roots])
 
     def __len__(self):
         return len(self.formulas)

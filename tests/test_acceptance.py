@@ -169,7 +169,7 @@ def test_criterion_4_completion_suite():
     reason="documented paper defect: the wr clause of the completion "
     "preservation claim fails when 0 is a non-absorbing bottom (no "
     "FL_wr-algebra contains such an input as a subreduct at all); "
-    "see the decisions ledger for the impossibility proof")
+    "see README, Proof search, 'The gap under wr without wl'")
 def test_criterion_4_sigma_flag_preservation():
     """Faithful sub-assertion of criterion 4: the completion lands in the
     sigma-subvariety for every structural flag the input satisfies."""

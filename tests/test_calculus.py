@@ -269,8 +269,8 @@ def test_check_proof_rejects_the_first_deep_node_outside_the_language(
         False, "hypothesis-not-declared", (0,) * 41, seq([p, q], chi))
 
 
-def test_check_proof_checks_each_equal_copy(monkeypatch):
-    # every node parses its own sequent: equal formulas, distinct objects
+def test_check_proof_checks_each_distinct_formula_once(monkeypatch):
+    # every node parses its own sequent, and equal formulas are one object
     def node(text, rule, premises=(), data=()):
         return ProofTree(parse_sequent(text), rule, premises, data)
 
@@ -283,9 +283,9 @@ def test_check_proof_checks_each_equal_copy(monkeypatch):
     assert _result(check_proof(tree, CORE_E)) == (
         False, "conclusion outside language: meet not in language",
         (0,) * 41, parse_sequent("p, q => p /\\ q"))
-    # no copy's pass vouches for another: all 3 formulas of the 42 nodes
-    # down to the offending one are checked
-    assert len(checked) == 3 * 42
+    # the 42 nodes down to the offending one hold 4 distinct formulas:
+    # p, q, p * q and p /\ q, each checked once
+    assert checked == [p, q, fus(p, q), meet(p, q)]
     assert _result(check_proof(tree, FLE)) == (
         False, "hypothesis-not-declared", (0,) * 41,
         parse_sequent("p, q => p /\\ q"))

@@ -217,11 +217,10 @@ def test_deep_nesting_is_parsed_and_proved(capsys):
         assert code == 0 and out.startswith("proved\n") and err == ""
 
 
-def test_deep_nesting_is_a_data_error(capsys):
-    # tau's equations are hashed, and hashing a formula recurses
+def test_deep_nesting_translates(capsys):
     code, out, err = run(capsys, "translate", f"{DEEP_NEGATION} => p")
-    assert code == 65
-    assert out == "" and err == "error: input nested too deeply\n"
+    assert code == 0 and err == ""
+    assert out == f"{DEEP_NEGATION} \\/ p = p\n"
 
 
 def test_unknown_names_the_limit_that_fired(capsys):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from substrukt.syntax import Language, format_formula, fus, var
+from substrukt.syntax import ZERO, Language, format_formula, fus, rimp, var
 from substrukt.sequents import (mirror_sequent, parse_sequent, rho,
                                 rho_prime, seq, tau, tau_equation)
 from substrukt.calculus import (ProofTree, RuleId, _apply, calculus,
@@ -142,6 +142,45 @@ def test_cut_admissibility_spot_check():
         with_cut = prove_with_hyps(s, set(), FL, bound=6, node_cap=10_000)
         if isinstance(with_cut, Proved):
             assert isinstance(prove(s, FL), Proved)
+
+
+ABSORBING_GOALS = ("p, 0 => 0", "p, 0 =>", "0, p =>")
+
+
+@pytest.mark.parametrize("sigma", ["wr", "e,wr"])
+def test_no_plain_refutation_under_wr_without_wl(sigma):
+    # with an implication or a negation, 0 absorbs in every FL_wr-algebra
+    # and cut is not admissible: the goals hold in K but have no cut-free
+    # proof, so neither prove nor verdict refutes them
+    for preset in ("full", "core-neg", "core-meet-neg"):
+        cal = calculus(sigma, Language.preset(preset))
+        for text in ABSORBING_GOALS:
+            goal = parse_sequent(text)
+            assert isinstance(prove(goal, cal), Unknown), (preset, text)
+            assert isinstance(verdict(goal, cal, max_size=3), Unknown)
+    # without them, the two-element member with 0 = 1 at the bottom
+    # refutes each goal
+    for preset in ("core", "core-meet"):
+        cal = calculus(sigma, Language.preset(preset))
+        for text in ABSORBING_GOALS:
+            goal = parse_sequent(text)
+            assert isinstance(prove(goal, cal), Refuted), (preset, text)
+            found = verdict(goal, cal, max_size=3)
+            assert isinstance(found, Refuted) and found.countermodel
+
+
+def test_zero_absorbs_with_cut_under_wr():
+    weakened = _apply(RuleId.WEAK_R, (rimp(p, ZERO),),
+                      ProofTree(seq([ZERO]), RuleId.ZERO_L))
+    used = _apply(RuleId.RIMP_L, (0,), ProofTree(seq([p], p), RuleId.AXIOM),
+                  ProofTree(seq([ZERO], ZERO), RuleId.AXIOM))
+    tree = _apply(RuleId.CUT, (1,), weakened, used)
+    assert [weakened.conclusion, used.conclusion, tree.conclusion] == \
+        [parse_sequent(t) for t in ("0 => p \\ 0", "p, p \\ 0 => 0",
+                                    "p, 0 => 0")]
+    assert check_proof(tree, calculus("wr"))
+    assert check_proof(tree, calculus("e,wr"))
+    assert not check_proof(tree, FL)
 
 
 def test_exchange_chain():

@@ -1,4 +1,10 @@
+import copy
+import operator
+import gc
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +15,8 @@ from substrukt.syntax import (Bin, Const, Language, LanguageError,
                               PRESET_NAMES, _RESERVED, _tokenize,
                               apply_subst, format_formula, fus, join, limp,
                               lneg, meet, mirror_formula, parse_formula, rimp,
-                              rneg, same_formula, subformulas, var)
+                              rneg, subformulas, var)
+from substrukt import syntax
 from substrukt.corpus import random_formula
 
 p, q, r = var("p"), var("q"), var("r")
@@ -37,6 +44,59 @@ def test_grammar_base_cases():
     assert parse_formula("ln(p)") == lneg(p)
     assert parse_formula("0") == ZERO
     assert parse_formula("1") == ONE
+    # equal parts give one object, for each class of node
+    assert Var("p") is p and Const("zero") is ZERO
+    assert Bin("fus", p, q) is fus(p, q) is parse_formula("p * q")
+    assert Neg("rneg", p) is rneg(p)
+
+
+@pytest.mark.parametrize("f", [p, ONE, fus(p, q), rneg(p)],
+                         ids=["var", "const", "bin", "neg"])
+def test_formulas_are_immutable(f):
+    name = f.__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(f, name, q)
+    with pytest.raises(AttributeError):
+        delattr(f, name)
+    with pytest.raises(AttributeError):
+        f.extra = q
+    assert not hasattr(f, "__dict__")
+    # a copy or a pickled round trip comes back as the one object
+    assert copy.deepcopy(f) is f and pickle.loads(pickle.dumps(f)) is f
+
+
+def test_the_node_table_holds_its_nodes_weakly():
+    gc.collect()
+    baseline = len(syntax._NODES)
+    rng = random.Random(5)
+    built = [random_formula(rng, 5) for _ in range(10_000)]
+    assert len(syntax._NODES) > baseline + 10_000
+    del built
+    gc.collect()
+    assert len(syntax._NODES) == baseline
+
+
+def test_threads_building_equal_formulas_get_one_object():
+    built = [[] for _ in range(4)]
+
+    def build(k):
+        rng = random.Random(7)
+        built[k].extend(random_formula(rng, 4) for _ in range(3000))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,))
+                   for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for other in built[1:]:
+        assert all(map(operator.is_, built[0], other))
 
 
 def test_implication_orientation():
@@ -115,7 +175,7 @@ def test_mirror_involution(f):
 
 @given(formulas())
 def test_parse_print_roundtrip(f):
-    assert parse_formula(format_formula(f)) == f
+    assert parse_formula(format_formula(f)) is f
 
 
 @given(formulas(), formulas(), formulas())
@@ -354,7 +414,7 @@ def test_parse_formula_reads_deep_nesting():
              _nest(p, DEEP, lambda f: rimp(f, q))),
             ("q * (" * (DEEP - 1) + "q * p" + ")" * (DEEP - 1),
              _nest(p, DEEP, lambda f: fus(q, f)))):
-        assert same_formula(parse_formula(text), want)
+        assert parse_formula(text) is want
     with pytest.raises(FormulaSyntaxError) as err:
         parse_formula("ln(" * DEEP + "p" + ")" * (DEEP - 1))
     assert err.value.position == 4 * DEEP
