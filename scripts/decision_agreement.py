@@ -7,19 +7,21 @@ plain refutation comes from the decided calculus with e and wl added, or
 from a checked countermodel of at most search.COUNTERMODEL_SIZE
 elements).
 
-Set SUBSTRUKT_SEED to pin the corpus.
+The corpus is drawn in the language preset --lang (core by default), and
+the countermodels are sought in FL_sigma's variety over it.  Set
+SUBSTRUKT_SEED to pin the corpus.
 """
 
 import argparse
 import time
 
-from substrukt.algebra import VarietyId
+from substrukt.algebra import VarietyId, family_of_language
 from substrukt.bridge import Found, countermodel
 from substrukt.calculus import calculus, parse_sigma
 from substrukt.corpus import random_sequent, rng_from_env
 from substrukt.search import (COUNTERMODEL_SIZE, Proved, Refuted, prove,
                               regime)
-from substrukt.syntax import Language
+from substrukt.syntax import PRESET_NAMES, Language
 
 
 def main():
@@ -28,13 +30,14 @@ def main():
     ap.add_argument("--max-size", type=int, default=4)
     ap.add_argument("--sigma", default="wl")
     ap.add_argument("--depth", type=int, default=3)
+    ap.add_argument("--lang", choices=PRESET_NAMES, default="core")
     args = ap.parse_args()
 
     rng = rng_from_env(default_seed=0)
-    lang = Language.preset("core")
+    lang = Language.preset(args.lang)
     sigma = parse_sigma(args.sigma)
     cal = calculus(sigma, lang)
-    variety = VarietyId("Msl", sigma)
+    variety = VarietyId(family_of_language(lang), sigma)
     label = {"shrinking": "decided (shrinking search)",
              "sets": "decided (on antecedent sets)" if "e" in sigma else
                      "decided (on antecedent sets; exchange derived by cut)",

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .sequents import Sequent, tau_equation
-from .algebra import (FAMILY_OPS, FiniteAlgebra, VarietyId, _run_blocks,
-                      assignment_at, compile_equations, enumerate_algebras,
-                      failures, holds, language_of_family, variety_program)
+from .algebra import (FAMILY_OPS, UNARY_OPS, AlgebraError, FiniteAlgebra,
+                      VarietyId, _run_blocks, assignment_at,
+                      compile_equations, enumerate_algebras, failures, holds,
+                      language_of_family, variety_program)
 
 
 @dataclass(frozen=True)
@@ -297,6 +298,70 @@ def countermodel(s: Sequent, v: VarietyId, max_size: int, hyps=()):
 @functools.lru_cache(maxsize=64)
 def _enumerated(v: VarietyId, size: int):
     return tuple(enumerate_algebras(v, size))
+
+
+# the ANF coefficients (c, cx, cy, cxy) of the two-valued join and meet
+_OR, _AND = (0, 1, 1, 1), (0, 0, 0, 1)
+
+
+@dataclass(frozen=True)
+class TwoElementTables:
+    """The two-element members of a variety as bit tables over w
+    variables.  Member m owns the 2 ** w bits from m * 2 ** w on,
+    one per assignment, and a bit is set where a value is that member's
+    top.  `repeat` has the lowest bit of each block, `zero` and `one` the
+    blocks where the constant is the top, and `joins` the blocks whose
+    fusion is join (the others' is meet).  `coefficients[op]` is (c, cx,
+    cy, cxy): in every block, op(x, y) = c ^ x & cx ^ y & cy ^ x & y & cxy
+    (cy = cxy = 0 for a negation)."""
+    members: tuple
+    full: int
+    repeat: int
+    zero: int
+    one: int
+    joins: int
+    coefficients: dict
+
+
+# a run uses a few varieties, each at up to nine widths (0 to 8 variables)
+@functools.lru_cache(maxsize=256)
+def two_element_tables(v: VarietyId, width: int) -> TwoElementTables:
+    """The members of `v` on two elements, `enumerate_algebras(v, 2)`, as
+    bit tables (see `TwoElementTables`).  Raises AlgebraError if a
+    member's join is not or, its meet not and, or its fusion neither:
+    in a two-element monoid whose 1 is the top x*y <= x*1 = x, so
+    fusion is meet, and whose 1 is the bottom, fusion is join."""
+    members = _enumerated(v, 2)
+    block = (1 << (1 << width)) - 1
+    consts = {"zero": 0, "one": 0}
+    coefficients = {}
+    for m, a in enumerate(members):
+        mask = block << (m << width)
+        top = a.top()
+        pair = (1 - top, top)   # the elements, bottom first
+        for name in consts:
+            if getattr(a, name) == top:
+                consts[name] |= mask
+        for op, table in a.ops.items():
+            # the value at (x, y), a negation's at x
+            f = [[(table[x] if op in UNARY_OPS else table[x][y]) == top
+                  for y in pair] for x in pair]
+            anf = (f[0][0], f[0][0] ^ f[1][0], f[0][0] ^ f[0][1],
+                   f[0][0] ^ f[0][1] ^ f[1][0] ^ f[1][1])
+            if anf not in {"join": (_OR,), "meet": (_AND,),
+                           "fus": (_AND, _OR)}.get(op, (anf,)):
+                raise AlgebraError(f"{a.name} in {v}: {op} is not the "
+                                   "two-valued join or meet")
+            masks = coefficients.setdefault(op, [0, 0, 0, 0])
+            for k, bit in enumerate(anf):
+                if bit:
+                    masks[k] |= mask
+    full = (1 << (len(members) << width)) - 1
+    coefficients = {op: tuple(masks) for op, masks in coefficients.items()}
+    # fusion is join exactly where its coefficient of x is set
+    return TwoElementTables(members, full, full // block,
+                            consts["zero"], consts["one"],
+                            coefficients["fus"][1], coefficients)
 
 
 # ---------------------------------------------------------------------------

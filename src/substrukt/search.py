@@ -42,22 +42,26 @@ which owns the memos, the node count and (with `_deepening`) deepening;
 proof is rebuilt by one post-order walk, `calculus.postorder`, on an
 explicit stack too, so no goal is too deep.
 
-A goal false in the two-element Boolean algebra B2 (fusion = meet, 0 the
-bottom, 1 the top) has no proof: B2 satisfies e, wl, wr and c, so it is a
-member of every K_sigma, in which FL_sigma is sound (the easy half of
-algebraizability).  So a `_Search` without c and without hypotheses
-evaluates every formula of its table in B2 once, as bit masks over the
-assignments of the goal's variables (`_boolean_model`), and `solve` fails
-a goal that one of them falsifies, before expanding it.  That serves every
-search of the shrinking regime and the bounded regime's FL_{sigma - c}.
-A pruned goal has no proof, so the proofs do not change, only the work;
-an Unknown(submultiset-cap) can become a refutation.  Not pruned:
-`_SetSearch`, where a trial kept every proof, but its gain on the
+A goal false in a member of FL_sigma's variety K_sigma has no proof, as
+FL_sigma is sound in K_sigma (the easy half of algebraizability).  So a
+`_Search` without c and without hypotheses evaluates every formula of its
+table once in every two-element member of K_sigma (of FL_sigma's variety
+in a language that names none: a reduct of an FL_sigma-algebra is a model
+of FL_sigma[Psi]), as bit masks over the members and the assignments of
+the goal's variables (`_model`), and `solve` fails a goal that one of them
+falsifies, before expanding it.  A two-element monoid whose 1 is the top
+has fusion meet, one whose 1 is the bottom join; the Boolean algebra B2 is
+the member in every K_sigma.  That serves every search of the shrinking
+regime and the bounded regime's FL_{sigma - c}.  A pruned goal has no
+proof, so the proofs do not change, only the work; an
+Unknown(submultiset-cap) can become a refutation.  Not pruned:
+`_SetSearch`, where a trial of B2 kept every proof, but its gain on the
 `contraction` benchmark is not yet measured well enough to claim; the
-bounded search with c, where a failure the depth bound cut would become absolute and Unknown
-would name another limit; and `prove_with_hyps`, where a goal false in
-B2 may follow from the hypotheses, and under its node cap a search that
-visits fewer goals could prove what the capped one did not.
+bounded search with c, where a failure the depth bound cut would become
+absolute and Unknown would name another limit; and `prove_with_hyps`,
+where a goal false in a member may follow from the hypotheses, and under
+its node cap a search that visits fewer goals could prove what the capped
+one did not.
 
 Goals are table sequents of one `SubformulaTable`: a tuple of formula
 numbers and a succedent number, -1 when empty.  Numbers sort as formulas
@@ -98,8 +102,8 @@ COUNTERMODEL_SIZE = 3
 # a bound at least this large is searched in one pass with no depth limit
 _UNBOUNDED = 10 ** 6
 _INFINITE = float("inf")
-# the variables whose assignments a Boolean model spans, so its masks have
-# 2 ** 8 bits at most; any set of assignments is sound
+# the variables whose assignments a model spans, so its masks have 2 ** 8
+# bits per member at most; any set of assignments is sound
 _MODEL_VARIABLES = 8
 
 # Flags of a failed search below a goal.  A failure is bounded when one of
@@ -195,8 +199,8 @@ class _AndOr:
     after `node_cap` (None: no cap) of them fail.  With `weakening`, goals
     are (antecedent bit set, succedent): `weaker` maps a succedent to the
     maximal antecedents that failed absolutely, and a goal that is a subset
-    of one stops.  A `model` (see `_boolean_model`) fails a goal it
-    falsifies absolutely, before expanding it."""
+    of one stops.  A `model` (see `_model`) fails a goal it falsifies
+    absolutely, before expanding it."""
 
     loop_check = weakening = False
     model = None
@@ -318,14 +322,18 @@ class _AndOr:
 
 
 def _falsified(model, goal):
-    """Whether some assignment of a `_boolean_model` makes every antecedent
-    formula of a table goal true and its succedent false."""
-    full, values = model
+    """Whether, in some member and assignment of a `_model`, the fusion of
+    a table goal's antecedent is above its succedent: the meet of the
+    antecedent's values in the blocks where fusion is meet (the top when
+    empty), their join in those where it is join (the bottom when empty)."""
+    meets, joins, values = model
     ant, d = goal
-    v = full ^ values[d]
+    conj, disj = meets, 0
     for f in ant:
-        v &= values[f]
-    return v != 0
+        x = values[f]
+        conj &= x
+        disj |= x
+    return (conj | disj & joins) & ~values[d] != 0
 
 
 def _weakens(weaker, goal):
@@ -354,25 +362,28 @@ def _deepening(search: _AndOr, start, bound):
     return entry, flags
 
 
-def _boolean_model(table):
-    """(full, values): the value in the two-element Boolean algebra B2 of
-    each formula of the table under 2 ** w assignments at once, one bit
-    each; w is the number of variables, at most _MODEL_VARIABLES, and
-    variable i takes the values of variable i % w.  In B2 fusion and meet
-    are and, join is or, an implication with denominator x and numerator y
-    is (not x) or y, a negation is not, 0 is false and 1 true.  full has
-    every assignment's bit; values[-1] is 0, the value of an empty
+def _model(table, variety: VarietyId):
+    """(meets, joins, values): the value of each formula of the table in
+    every two-element member of `variety` under 2 ** w assignments at once,
+    as masks of `bridge.two_element_tables(variety, w)`, one bit per member
+    and assignment; w is the number of variables, at most _MODEL_VARIABLES,
+    and variable i takes the values of variable i % w.  Join is or, meet
+    is and, fusion is and on the blocks in `meets` and or on those in
+    `joins`; the constants, implications and negations come from the
+    members' tables.  values[-1] is 0's, the value of an empty
     succedent."""
     op, left, right = table.op, table.left, table.right
     # formula_key sorts the variables first
     k = op.count("var")
     w = min(k, _MODEL_VARIABLES)
-    full = (1 << (1 << w)) - 1
-    values = [None] * len(op) + [0]
+    bits = bridge.two_element_tables(variety, w)
+    joins, coefficients = bits.joins, bits.coefficients
+    block = (1 << (1 << w)) - 1
+    values = [None] * len(op) + [bits.zero]
     for i in range(k):
-        # the assignments whose bit i % w is set
-        block = 1 << (1 << i % w)
-        values[i] = full // (block + 1) * block
+        # the assignments whose bit i % w is set, in every block
+        run = 1 << (1 << i % w)
+        values[i] = block // (run + 1) * run * bits.repeat
     for root in range(k, len(op)):
         stack = [root]
         while stack:
@@ -387,19 +398,23 @@ def _boolean_model(table):
             else:
                 stack.pop()
                 o = op[f]
-                if o == "zero":
-                    values[f] = 0
-                elif o == "one":
-                    values[f] = full
+                if o == "fus":
+                    x, y = values[a], values[b]
+                    values[f] = x & y | (x ^ y) & joins
                 elif o == "join":
                     values[f] = values[a] | values[b]
-                elif o == "fus" or o == "meet":
+                elif o == "meet":
                     values[f] = values[a] & values[b]
-                elif o == "rimp" or o == "limp":
-                    values[f] = full ^ values[a] | values[b]
-                else:   # rneg, lneg
-                    values[f] = full ^ values[a]
-    return full, values
+                elif o == "zero":
+                    values[f] = bits.zero
+                elif o == "one":
+                    values[f] = bits.one
+                else:   # rimp, limp, rneg, lneg
+                    c, cx, cy, cxy = coefficients[o]
+                    x = values[a]
+                    y = values[b] if b >= 0 else 0
+                    values[f] = c ^ x & cx ^ y & cy ^ x & y & cxy
+    return bits.full ^ joins, joins, values
 
 
 class _Search(_AndOr):
@@ -430,10 +445,11 @@ class _Search(_AndOr):
         self.hyp_by_key = {}
         for h in sorted(hyps):
             self.hyp_by_key.setdefault(self.canon(h), h)
-        # B2 prunes neither with c, nor with hypotheses, nor by height
-        # under prove_with_hyps' node cap (see the module docstring)
+        # the model prunes neither with c, nor with hypotheses, nor by
+        # height under prove_with_hyps' node cap (see the module docstring)
         if "c" not in cal.sigma and not hyps and not by_height:
-            self.model = _boolean_model(table)
+            self.model = _model(table, _variety(cal)
+                                or VarietyId("FL", cal.sigma))
 
     def canon(self, s):
         if self.multiset:

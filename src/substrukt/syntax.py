@@ -194,36 +194,32 @@ def lneg(child):
 
 
 def connectives_of(f) -> frozenset:
-    """All connective names (including constants) occurring in f."""
-    out = set()
+    """All connective names (including constants) occurring in f; each
+    distinct subformula is visited once.  Its own walk, not `subformulas`,
+    as `check_sequent_language` runs it on every goal `prove` gets."""
+    out, seen = set(), set()
     stack = [f]
     while stack:
         node = stack.pop()
-        if isinstance(node, Const):
-            out.add(node.which)
-        elif isinstance(node, Bin):
+        cls = type(node)
+        if cls is Var or node in seen:
+            continue
+        seen.add(node)
+        if cls is Bin:
             out.add(node.op)
             stack.append(node.left)
             stack.append(node.right)
-        elif isinstance(node, Neg):
+        elif cls is Neg:
             out.add(node.op)
             stack.append(node.child)
+        else:
+            out.add(node.which)
     return frozenset(out)
 
 
 def variables_of(f) -> frozenset:
-    out = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif isinstance(node, Bin):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Neg):
-            stack.append(node.child)
-    return frozenset(out)
+    return frozenset([node.name for node in subformulas(f)
+                      if type(node) is Var])
 
 
 def subformulas(f) -> frozenset:
@@ -259,29 +255,35 @@ _MIRROR_BIN = {"join": ("join", False), "meet": ("meet", False),
 
 def mirror_formula(f) -> Formula:
     """The mirror image: fusion reversed, the two implications and the two
-    negations swapped, variables and constants fixed.  The walk keeps an
-    explicit stack, so formula depth is not bounded by the interpreter's
-    recursion limit."""
-    out = []
-    stack = [(f, False)]
+    negations swapped, variables and constants fixed.  Each distinct
+    subformula is mirrored once, and the walk keeps an explicit stack, so
+    formula depth is not bounded by the interpreter's recursion limit."""
+    out = {}
+    stack = [f]
     while stack:
-        node, ready = stack.pop()
-        if isinstance(node, (Var, Const)):
-            out.append(node)
-        elif not ready:
-            stack.append((node, True))
-            if isinstance(node, Neg):
-                stack.append((node.child, False))
+        node = stack[-1]
+        cls = type(node)
+        if node in out:
+            stack.pop()
+        elif cls is Var or cls is Const:
+            out[node] = node
+        elif cls is Neg:
+            child = out.get(node.child)
+            if child is None:
+                stack.append(node.child)
             else:
-                stack += ((node.right, False), (node.left, False))
-        elif isinstance(node, Neg):
-            out.append(Neg(_MIRROR_NEG[node.op], out.pop()))
+                out[node] = Neg(_MIRROR_NEG[node.op], child)
         else:
-            op, swap = _MIRROR_BIN[node.op]
-            right = out.pop()
-            left = out.pop()
-            out.append(Bin(op, right, left) if swap else Bin(op, left, right))
-    return out[0]
+            left, right = out.get(node.left), out.get(node.right)
+            if left is None:
+                stack.append(node.left)
+            elif right is None:
+                stack.append(node.right)
+            else:
+                op, swap = _MIRROR_BIN[node.op]
+                out[node] = (Bin(op, right, left) if swap
+                             else Bin(op, left, right))
+    return out[f]
 
 
 def apply_subst(subst: Mapping[str, Formula], f) -> Formula:

@@ -13,9 +13,10 @@ import hypothesis.strategies as st
 from substrukt.syntax import (Bin, Const, Language, LanguageError,
                               FormulaSyntaxError, Neg, Var, ZERO, ONE,
                               PRESET_NAMES, _RESERVED, _tokenize,
-                              apply_subst, format_formula, fus, join, limp,
-                              lneg, meet, mirror_formula, parse_formula, rimp,
-                              rneg, subformulas, var)
+                              apply_subst, connectives_of, format_formula,
+                              fus, join, limp, lneg, meet, mirror_formula,
+                              parse_formula, rimp, rneg, subformulas,
+                              variables_of, var)
 from substrukt import syntax
 from substrukt.corpus import random_formula
 
@@ -160,6 +161,13 @@ def test_subformulas():
     assert subformulas(p) == {p}
     assert subformulas(fus(p, q)) == {p, q, fus(p, q)}
     assert subformulas(rneg(p)) == {p, rneg(p)}
+    # 83 distinct nodes but 2 ** 40 paths: each walk visits a node once
+    shared = _nest(join(p, ZERO), 40, lambda f: fus(f, rneg(f)))
+    assert len(subformulas(shared)) == 83
+    assert connectives_of(shared) == {"join", "zero", "fus", "rneg"}
+    assert variables_of(shared) == {"p"}
+    assert mirror_formula(shared) is _nest(join(p, ZERO), 40,
+                                           lambda f: fus(lneg(f), f))
 
 
 def test_apply_subst():
