@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (Const, Formula, Language, Neg, Var, ONE, ZERO, fus,
-                     join, limp, lneg, meet, rimp, rneg, var)
+                     join, limp, lneg, meet, numbered, rimp, rneg, var)
 from .sequents import Equation, equation_variables, ineq
 
 BINARY_OPS = ("join", "meet", "fus", "rimp", "limp")
@@ -240,42 +240,27 @@ def compile_terms(terms, names) -> Program:
     """Compile the terms into one program over the variables `names` (in
     that order; it must contain every variable of the terms).
 
-    Each term is walked once with an explicit stack.  Equal subterms share
-    one slot, looked up by their (op, argument slots) tuple.
+    One step per node of `numbered(terms)` that is not a variable, in its
+    order, children first; equal subterms are one node, so they share one
+    slot.
     """
     names = tuple(names)
-    slot_of = {("var", name): i for i, name in enumerate(names)}
-    steps = []
-    outputs = []
-    for term in terms:
-        values = []
-        stack = [(term, False)]
-        while stack:
-            node, ready = stack.pop()
-            if isinstance(node, Var):
-                values.append(slot_of["var", node.name])
-                continue
-            if isinstance(node, Const):
-                key = (node.which,)
-            elif not ready:
-                stack.append((node, True))
-                if isinstance(node, Neg):
-                    stack.append((node.child, False))
-                else:
-                    stack += ((node.right, False), (node.left, False))
-                continue
-            elif isinstance(node, Neg):
-                key = (node.op, values.pop())
-            else:
-                right = values.pop()
-                key = (node.op, values.pop(), right)
-            slot = slot_of.get(key)
-            if slot is None:
-                slot = slot_of[key] = len(names) + len(steps)
-                steps.append(key)
-            values.append(slot)
-        outputs.append(values[0])
-    return Program(names, tuple(steps), tuple(outputs))
+    index = {name: i for i, name in enumerate(names)}
+    nodes, positions = numbered(terms)
+    slots, steps = [], []
+    for f, op, left, right in nodes:
+        if op == "var":
+            slots.append(index[f.name])
+            continue
+        slots.append(len(names) + len(steps))
+        if right >= 0:
+            steps.append((op, slots[left], slots[right]))
+        elif left >= 0:
+            steps.append((op, slots[left]))
+        else:
+            steps.append((op,))
+    return Program(names, tuple(steps),
+                   tuple([slots[i] for i in positions]))
 
 
 # Assignments per block of columns: bounds the memory of a run at about

@@ -371,7 +371,7 @@ def _model(table, variety: VarietyId):
     is and, fusion is and on the blocks in `meets` and or on those in
     `joins`; the constants, implications and negations come from the
     members' tables.  values[-1] is 0's, the value of an empty
-    succedent."""
+    succedent.  One loop over `table.post`, children before parents."""
     op, left, right = table.op, table.left, table.right
     # formula_key sorts the variables first
     k = op.count("var")
@@ -384,36 +384,24 @@ def _model(table, variety: VarietyId):
         # the assignments whose bit i % w is set, in every block
         run = 1 << (1 << i % w)
         values[i] = block // (run + 1) * run * bits.repeat
-    for root in range(k, len(op)):
-        stack = [root]
-        while stack:
-            f = stack[-1]
-            a, b = left[f], right[f]
-            if values[f] is not None:
-                stack.pop()
-            elif a >= 0 and values[a] is None:
-                stack.append(a)
-            elif b >= 0 and values[b] is None:
-                stack.append(b)
-            else:
-                stack.pop()
-                o = op[f]
-                if o == "fus":
-                    x, y = values[a], values[b]
-                    values[f] = x & y | (x ^ y) & joins
-                elif o == "join":
-                    values[f] = values[a] | values[b]
-                elif o == "meet":
-                    values[f] = values[a] & values[b]
-                elif o == "zero":
-                    values[f] = bits.zero
-                elif o == "one":
-                    values[f] = bits.one
-                else:   # rimp, limp, rneg, lneg
-                    c, cx, cy, cxy = coefficients[o]
-                    x = values[a]
-                    y = values[b] if b >= 0 else 0
-                    values[f] = c ^ x & cx ^ y & cy ^ x & y & cxy
+    for f in table.post:
+        o = op[f]
+        if o == "fus":
+            x, y = values[left[f]], values[right[f]]
+            values[f] = x & y | (x ^ y) & joins
+        elif o == "join":
+            values[f] = values[left[f]] | values[right[f]]
+        elif o == "meet":
+            values[f] = values[left[f]] & values[right[f]]
+        elif o == "zero":
+            values[f] = bits.zero
+        elif o == "one":
+            values[f] = bits.one
+        elif o != "var":   # rimp, limp, rneg, lneg
+            c, cx, cy, cxy = coefficients[o]
+            x = values[left[f]]
+            y = values[right[f]] if right[f] >= 0 else 0
+            values[f] = c ^ x & cx ^ y & cy ^ x & y & cxy
     return bits.full ^ joins, joins, values
 
 
@@ -962,24 +950,24 @@ def _swap_proofs(phi, psi):
 
 
 def prove_with_hyps(goal: Sequent, hyps, cal: CalculusId, bound=DEFAULT_BOUND,
-                    max_antecedent=None, node_cap=50_000):
+                    node_cap=50_000):
     """Backward search with hypothesis leaves and Cut enabled, cut formulas
     restricted to subformulas of the goal and hypotheses.  Semidecision:
-    never claims Refuted.  Antecedent growth is capped (a little above the
-    goal and hypothesis lengths by default) to keep the cut space finite,
-    and a deterministic node cap bounds the total effort.  Unknown names
-    the limits that cut the last round of the search; `verdict` adds the
-    countermodel scan that refutes."""
+    never claims Refuted.  Antecedent growth is capped (4 above the longest
+    antecedent of the goal and hypotheses, and at least 6) to keep the cut
+    space finite, and a deterministic node cap bounds the total effort.
+    Unknown names the limits that cut the last round of the search;
+    `verdict` adds the countermodel scan that refutes."""
     check_sequent_language(goal, cal.lang)
     sequents = (goal,) + tuple(frozenset(hyps))
     # the table holds exactly the subformulas of the goal and hypotheses,
     # numbered in formula_key order: all of them are the cut formulas
     table, encoded = encode_sequents(sequents)
-    if max_antecedent is None:
-        max_antecedent = max(max(len(s.antecedent) for s in sequents) + 4, 6)
     search = _Search(cal, table, hyps=encoded[1:],
                      cut_formulas=tuple(range(len(table))),
-                     max_antecedent=max_antecedent, by_height=True)
+                     max_antecedent=max(max(len(s.antecedent)
+                                            for s in sequents) + 4, 6),
+                     by_height=True)
     search.node_cap = node_cap
     record, flags = _deepening(search, search.canon(encoded[0]), bound)
     if record is not None:

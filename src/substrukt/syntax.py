@@ -1,5 +1,12 @@
 """Formula ASTs, propositional languages, substitution and the mirror transform.
 
+`numbered` lists the distinct subformulas of some formulas once, children
+before parents, on an explicit stack.  The folds over subformulas are
+loops over that list: `subformulas`, `variables_of`, `mirror_formula`,
+`apply_subst`, `SubformulaTable`, and `algebra.compile_terms`.
+`connectives_of`, `format_formula`, `formula_key` and `match_formula`
+keep their own walks.
+
 Connective names: join (``\\/``), meet (``/\\``), fus (``*``), rimp (``\\``),
 limp (``/``), rneg (``rn``), lneg (``ln``), zero (``0``), one (``1``).
 
@@ -217,26 +224,55 @@ def connectives_of(f) -> frozenset:
     return frozenset(out)
 
 
+def numbered(roots):
+    """(nodes, positions): the distinct formula objects of the roots (equal
+    formulas are one object, so these are their distinct subformulas), each
+    listed once, children before parents, left child first.  ``nodes[i]``
+    is (formula, connective, left, right): the connective is ``"var"`` for
+    a variable and ``"zero"``/``"one"`` for a constant; left and right are
+    the positions of the children in the list (a negation's child is
+    left), -1 where there is none.  ``positions`` gives each root's
+    position.  One pass on an explicit stack, so formula depth is not
+    bounded by the interpreter's recursion limit; the folds over a
+    formula's subformulas are loops over this list."""
+    number = {}
+    nodes = []
+    for root in roots:
+        todo = [(root, False)]
+        while todo:
+            f, ready = todo.pop()
+            if f in number:
+                continue
+            cls = type(f)
+            if cls is Bin:
+                if not ready:
+                    todo += ((f, True), (f.right, False), (f.left, False))
+                    continue
+                node = (f, f.op, number[f.left], number[f.right])
+            elif cls is Neg:
+                if not ready:
+                    todo += ((f, True), (f.child, False))
+                    continue
+                node = (f, f.op, number[f.child], -1)
+            elif cls is Var:
+                node = (f, "var", -1, -1)
+            elif cls is Const:
+                node = (f, f.which, -1, -1)
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+            number[f] = len(nodes)
+            nodes.append(node)
+    return nodes, [number[f] for f in roots]
+
+
 def variables_of(f) -> frozenset:
-    return frozenset([node.name for node in subformulas(f)
-                      if type(node) is Var])
+    return frozenset([node.name for node, op, _, _ in numbered((f,))[0]
+                      if op == "var"])
 
 
 def subformulas(f) -> frozenset:
     """All subtrees of f, including f itself."""
-    out = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if node in out:
-            continue
-        out.add(node)
-        if isinstance(node, Bin):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Neg):
-            stack.append(node.child)
-    return frozenset(out)
+    return frozenset([node[0] for node in numbered((f,))[0]])
 
 
 def check_language(f, lang: Language):
@@ -256,45 +292,33 @@ _MIRROR_BIN = {"join": ("join", False), "meet": ("meet", False),
 def mirror_formula(f) -> Formula:
     """The mirror image: fusion reversed, the two implications and the two
     negations swapped, variables and constants fixed.  Each distinct
-    subformula is mirrored once, and the walk keeps an explicit stack, so
-    formula depth is not bounded by the interpreter's recursion limit."""
-    out = {}
-    stack = [f]
-    while stack:
-        node = stack[-1]
-        cls = type(node)
-        if node in out:
-            stack.pop()
-        elif cls is Var or cls is Const:
-            out[node] = node
-        elif cls is Neg:
-            child = out.get(node.child)
-            if child is None:
-                stack.append(node.child)
-            else:
-                out[node] = Neg(_MIRROR_NEG[node.op], child)
-        else:
-            left, right = out.get(node.left), out.get(node.right)
-            if left is None:
-                stack.append(node.left)
-            elif right is None:
-                stack.append(node.right)
-            else:
-                op, swap = _MIRROR_BIN[node.op]
-                out[node] = (Bin(op, right, left) if swap
-                             else Bin(op, left, right))
-    return out[f]
+    subformula is mirrored once, in the order of `numbered`."""
+    out = []
+    for node, op, left, right in numbered((f,))[0]:
+        if right >= 0:
+            op, swap = _MIRROR_BIN[op]
+            node = (Bin(op, out[right], out[left]) if swap
+                    else Bin(op, out[left], out[right]))
+        elif left >= 0:
+            node = Neg(_MIRROR_NEG[op], out[left])
+        out.append(node)
+    return out[-1]
 
 
 def apply_subst(subst: Mapping[str, Formula], f) -> Formula:
-    """Homomorphic replacement of variables; identity outside the domain."""
-    if isinstance(f, Var):
-        return subst.get(f.name, f)
-    if isinstance(f, Const):
-        return f
-    if isinstance(f, Neg):
-        return Neg(f.op, apply_subst(subst, f.child))
-    return Bin(f.op, apply_subst(subst, f.left), apply_subst(subst, f.right))
+    """Homomorphic replacement of variables; identity outside the domain.
+    Each distinct subformula is replaced once, in the order of
+    `numbered`."""
+    out = []
+    for node, op, left, right in numbered((f,))[0]:
+        if op == "var":
+            node = subst.get(node.name, node)
+        elif right >= 0:
+            node = Bin(op, out[left], out[right])
+        elif left >= 0:
+            node = Neg(op, out[left])
+        out.append(node)
+    return out[-1]
 
 
 def match_formula(pattern, target, binding=None):
@@ -346,49 +370,30 @@ class SubformulaTable:
     there is none), and ``formulas[i]`` the formula itself, for decoding.
     ``roots`` numbers the given roots in order.  Numbers sort exactly as
     their formulas sort under `formula_key`, so a sorted tuple of numbers
-    is a sorted antecedent.
+    is a sorted antecedent.  ``post`` lists the numbers in the order of
+    `numbered`, children before parents, so a fold over the table is one
+    loop over it.
 
-    The table is built in one iterative post-order pass that numbers the
-    distinct formula objects it meets (equal formulas are one object), each
-    shared subtree walked once.  Each node's sort key is built from its
-    children's keys, so that no formula is compared or keyed recursively.
-    A sort key is `formula_key` flattened in preorder, (tag, op, left's key
-    items..., right's key items...): the tag fixes the arity, so no key is
-    a proper prefix of another, and flat keys compare as the nested ones do,
-    without recursing in the comparison.
+    The table is built from `numbered`'s list.  Each node's sort key is
+    built from its children's keys, so that no formula is compared or
+    keyed recursively.  A sort key is `formula_key` flattened in preorder,
+    (tag, op, left's key items..., right's key items...): the tag fixes
+    the arity, so no key is a proper prefix of another, and flat keys
+    compare as the nested ones do, without recursing in the comparison.
     """
 
-    __slots__ = ("op", "left", "right", "formulas", "roots")
+    __slots__ = ("op", "left", "right", "formulas", "roots", "post")
 
     def __init__(self, roots):
-        number = {}
-        keys, nodes = [], []
-        for root in roots:
-            todo = [(root, False)]
-            while todo:
-                f, ready = todo.pop()
-                if f in number:
-                    continue
-                cls = type(f)
-                if cls is Bin:
-                    if not ready:
-                        todo += ((f, True), (f.right, False), (f.left, False))
-                        continue
-                    op, l, r = f.op, number[f.left], number[f.right]
-                    keys.append((3, op) + keys[l] + keys[r])
-                elif cls is Neg:
-                    if not ready:
-                        todo += ((f, True), (f.child, False))
-                        continue
-                    op, l, r = f.op, number[f.child], -1
-                    keys.append((2, op) + keys[l])
-                elif cls is Var or cls is Const:
-                    op, l, r = "var" if cls is Var else f.which, -1, -1
-                    keys.append(formula_key(f))
-                else:
-                    raise TypeError(f"not a formula: {f!r}")
-                number[f] = len(nodes)
-                nodes.append((f, op, l, r))
+        nodes, positions = numbered(roots)
+        keys = []
+        for f, op, l, r in nodes:
+            if r >= 0:
+                keys.append((3, op) + keys[l] + keys[r])
+            elif l >= 0:
+                keys.append((2, op) + keys[l])
+            else:
+                keys.append(formula_key(f))
         order = sorted(range(len(keys)), key=keys.__getitem__)
         rank = [0] * len(order) + [-1]   # rank[-1] is -1: no child
         for i, k in enumerate(order):
@@ -401,7 +406,8 @@ class SubformulaTable:
         self.op = tuple([nodes[k][1] for k in order])
         self.left = tuple([rank[nodes[k][2]] for k in order])
         self.right = tuple([rank[nodes[k][3]] for k in order])
-        self.roots = tuple([rank[number[f]] for f in roots])
+        self.roots = tuple([rank[k] for k in positions])
+        self.post = tuple(rank[:-1])
 
     def __len__(self):
         return len(self.formulas)

@@ -86,6 +86,12 @@ def test_boolean_model_agrees_with_eval_term(preset):
         goal = random_sequent(rng, depth=rng.randint(0, 4), lang=lang,
                               variables=variables, max_antecedent=3)
         table, (encoded,) = encode_sequents((goal,))
+        # the model's loop order: every number once, children first
+        at = {f: i for i, f in enumerate(table.post)}
+        assert sorted(at) == list(range(len(table)))
+        for f, i in at.items():
+            assert all(at[c] < i for c in (table.left[f], table.right[f])
+                       if c >= 0)
         v = _variety_of(preset, sigma)
         model = _model(table, v)
         values = model[2]

@@ -8,6 +8,7 @@ same first countermodel.
 """
 
 import functools
+import hashlib
 import itertools
 import random
 
@@ -386,6 +387,19 @@ def test_repeated_subterms_share_a_slot():
     shared = fus(join(x, y), join(x, y))
     program = compile_terms([shared, join(shared, x)], ("x", "y"))
     assert len(program.steps) == 3  # x v y, its square, and the outer join
+
+
+def test_variety_programs_are_pinned():
+    """The steps of the 96 variety programs, in FAMILY_OPS order and then
+    sigma by size: numbering the subterms once keeps the step order of
+    the per-term walk that compiled them before."""
+    digest = hashlib.sha256()
+    for family in FAMILY_OPS:
+        for sigma in ALL_SIGMAS:
+            p = variety_program(VarietyId(family, sigma))
+            digest.update(repr((p.names, p.steps, p.outputs)).encode())
+    assert digest.hexdigest() == ("1a8d84740e5acaa82c303e77ca4e2e51"
+                                  "8611f1ec2cf1b3c68eb8785a925bc7d3")
 
 
 def test_failures_across_blocks_match_oracle():

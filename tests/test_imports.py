@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private function, class and method is referenced in the package.
+"""Every name a module of the package imports is used in that module,
+every private function, class and method is referenced in the package,
+and every function that calls itself has a stated bound on its depth.
 
 No lint tool is part of the project, so these stdlib `ast` scans are the
 guard.  `__init__.py` is exempt from the import scan: its imports are the
@@ -92,3 +93,65 @@ def test_no_unreferenced_private_definitions_in_the_package():
     sources = {path.name: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_definitions(sources) == []
+
+
+# Each function of the package that calls itself by name, and the bound on
+# its depth; any other recursion could hit the interpreter's limit on a
+# deep formula or proof.
+RECURSIVE = {
+    # one level per non-unit cell of the table: (n - 1) ** 2
+    "algebra.monoid_tables.fill",
+    # one level per element of the carrier
+    "bridge.all_partitions.rec",
+    # its `depth` argument
+    "corpus.random_formula",
+    # the formulas `random_formula` generates
+    "corpus.formula_size",
+    # the pattern's depth: a bound target is compared by identity
+    "syntax.match_formula",
+    # leaves in the package; the tests' order oracle on their own formulas
+    "syntax.formula_key",
+}
+
+
+def self_calls(sources):
+    """(qualified name, line) of each function of `sources` (a map from
+    module name to source) whose body calls it by name; the qualified name
+    is the module and the enclosing definitions, joined by dots."""
+    found = []
+
+    def scan(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef) and any(
+                        isinstance(n, ast.Call)
+                        and isinstance(n.func, ast.Name)
+                        and n.func.id == child.name
+                        for n in ast.walk(child)):
+                    found.append((name, child.lineno))
+                scan(child, name)
+            else:
+                scan(child, prefix)
+
+    for module, source in sources.items():
+        scan(ast.parse(source), module)
+    return sorted(found)
+
+
+def test_the_scan_finds_a_self_call():
+    sources = {"a": ("def depth(f):\n    return 1 + depth(f.child)\n"
+                     "def outer(n):\n"
+                     "    def rec(k):\n        return rec(k - 1)\n"
+                     "    return rec(n)\n"
+                     "class C:\n"
+                     "    def walk(self):\n        return self.walk()\n"
+                     "def loop(xs):\n    return [x for x in xs]\n")}
+    assert self_calls(sources) == [("a.depth", 1), ("a.outer.rec", 4)]
+
+
+def test_recursion_is_bounded():
+    sources = {path.stem: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name for name, _ in self_calls(sources)} == RECURSIVE

@@ -15,8 +15,8 @@ from substrukt.syntax import (Bin, Const, Language, LanguageError,
                               PRESET_NAMES, _RESERVED, _tokenize,
                               apply_subst, connectives_of, format_formula,
                               fus, join, limp, lneg, meet, mirror_formula,
-                              parse_formula, rimp, rneg, subformulas,
-                              variables_of, var)
+                              numbered, parse_formula, rimp, rneg,
+                              subformulas, variables_of, var)
 from substrukt import syntax
 from substrukt.corpus import random_formula
 
@@ -168,12 +168,33 @@ def test_subformulas():
     assert variables_of(shared) == {"p"}
     assert mirror_formula(shared) is _nest(join(p, ZERO), 40,
                                            lambda f: fus(lneg(f), f))
+    # numbered lists each distinct node once, children first, the left
+    # child before the right, and the root last
+    nodes, positions = numbered((shared,))
+    assert len(nodes) == 83 and positions == [82]
+    assert nodes[-1][0] is shared
+    for i, (f, op, left, right) in enumerate(nodes):
+        if isinstance(f, Bin):
+            assert (op, nodes[left][0], nodes[right][0]) == \
+                (f.op, f.left, f.right)
+            assert left < right < i
+        elif isinstance(f, Neg):
+            assert (op, nodes[left][0], right) == (f.op, f.child, -1)
+            assert left < i
+        else:
+            assert (op, left, right) == ("var" if f is p else "zero", -1, -1)
 
 
 def test_apply_subst():
     assert apply_subst({"p": q}, p) == q
     assert apply_subst({}, fus(p, q)) == fus(p, q)
     assert apply_subst({"p": ZERO}, join(p, ONE)) == join(ZERO, ONE)
+    # no recursion: a chain deeper than the interpreter's limit
+    assert apply_subst({"p": q}, _nest(p, DEEP, rneg)) is _nest(q, DEEP, rneg)
+    # each distinct node once: 83 nodes, not the 2 ** 40 paths
+    step = lambda f: fus(f, rneg(f))
+    assert apply_subst({"p": q}, _nest(join(p, ZERO), 40, step)) is \
+        _nest(join(q, ZERO), 40, step)
 
 
 @given(formulas())
