@@ -5,14 +5,15 @@ and enumeration up to isomorphism.
 Elements are indices 0..n-1 with cosmetic names; the order is always derived
 from the join table (a <= b iff a v b = b), never stored independently.
 
-Equations are checked by compiled programs evaluated column-wise over all
-assignments (`compile_terms`).  One scan runs a program over a pool of
-algebras of one size (`_run_blocks`), and two generators read it:
-`members` yields the algebras in which every equation holds (membership,
-enumeration) and `failures` the assignments under which every equation but
-the last holds and the last fails (countermodels, quasi-equations,
-witnesses).  `eval_term` and `holds` are the per-assignment definition that
-the tests and every returned countermodel are checked against.
+Equations are checked by compiled programs (`compile_terms`).  One
+bit-sliced scan runs a program over a pool of algebras of one size
+(`_runs`): each step once, on one-hot masks with a bit per algebra and
+assignment.  Two generators read it: `members` yields the algebras in
+which every equation holds (membership, enumeration) and `failures` the
+assignments under which every equation but the last holds and the last
+fails (countermodels, quasi-equations, witnesses).  `eval_term` and
+`holds` are the per-assignment definition that the tests and every
+returned countermodel are checked against.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional
 
 from .syntax import (Const, Formula, Language, Neg, Var, ONE, ZERO, fus,
                      join, limp, lneg, meet, numbered, rimp, rneg, var)
-from .sequents import Equation, equation_variables, ineq
+from .sequents import Equation, ineq
 
 BINARY_OPS = ("join", "meet", "fus", "rimp", "limp")
 UNARY_OPS = ("rneg", "lneg")
@@ -206,25 +207,16 @@ class Program:
 
     @functools.cached_property
     def code(self):
-        """The steps with the operands they read: (operands, code), where
-        operands lists the operation names and constants ("zero", "one")
-        the steps apply, and code holds (slot, arity, operand index, x, y,
-        reads) per step.  `reads` is the bitmask of the operands that the
-        step's subterm reads, its own and its arguments' (bit k is operand
-        k), so a step's column is a function of those operands' tables.
-        Built once per program."""
-        operands = {}
-        reads = [0] * len(self.names)
-        code = []
-        for slot, (op, *args) in enumerate(self.steps, len(self.names)):
-            k = operands.setdefault(op, len(operands))
-            mask = 1 << k
-            for arg in args:
-                mask |= reads[arg]
-            reads.append(mask)
-            x, y = (args[0], args[-1]) if args else (0, 0)
-            code.append((slot, len(args), k, x, y, mask))
-        return tuple(operands), tuple(code)
+        """The steps as (op, left slot, right slot), -1 where a step has
+        no such argument: unpacked faster than the steps.  Built once per
+        program."""
+        return tuple((op, *args, -1, -1)[:3] for op, *args in self.steps)
+
+    @functools.cached_property
+    def operations(self):
+        """The operation names and constants ("zero", "one") that the
+        steps apply, sorted.  Built once per program."""
+        return tuple(sorted({op for op, *_ in self.steps}))
 
     @functools.cached_property
     def sides(self):
@@ -236,17 +228,20 @@ class Program:
         return tuple(zip(self.outputs[::2], self.outputs[1::2]))
 
 
-def compile_terms(terms, names) -> Program:
+def compile_terms(terms, names=None) -> Program:
     """Compile the terms into one program over the variables `names` (in
-    that order; it must contain every variable of the terms).
+    that order; it must contain every variable of the terms), by default
+    the sorted variables of the terms.
 
     One step per node of `numbered(terms)` that is not a variable, in its
     order, children first; equal subterms are one node, so they share one
     slot.
     """
+    nodes, positions = numbered(terms)
+    if names is None:
+        names = sorted({f.name for f, op, _, _ in nodes if op == "var"})
     names = tuple(names)
     index = {name: i for i, name in enumerate(names)}
-    nodes, positions = numbered(terms)
     slots, steps = [], []
     for f, op, left, right in nodes:
         if op == "var":
@@ -263,129 +258,197 @@ def compile_terms(terms, names) -> Program:
                    tuple([slots[i] for i in positions]))
 
 
-# Assignments per block of columns: bounds the memory of a run at about
-# this many entries per slot, however many variables the program has.
-_BLOCK = 1024
-
-
-def _run_blocks(algebras, program: Program):
-    """Evaluate the program on each of the algebras, all of one carrier
-    size, in turn, under every assignment in itertools.product order (the
-    first variable varies slowest), column-wise: one list per slot, filled
-    by one comprehension over the operation table per step.
-
-    Yields (algebra, start, columns) for each block of consecutive
-    assignments of each algebra: columns[s] lists the values of slot s at
-    assignments start, start + 1, ...  A block fixes the leading variables
-    and runs the trailing ones, as many as fit in _BLOCK assignments,
-    through all their values, so a caller that stops at the first block it
-    needs evaluates no later one; a caller that sends a true value skips
-    the rest of that algebra's blocks.  The columns of the trailing
-    variables are built once per call.
-
-    The step code is `program.code`, built once per program.  When the
-    program runs in one block, a step's column is computed again only when
-    a table or constant that its subterm reads differs from the previous
-    algebra's; otherwise the previous column is kept, since it is a
-    function of those tables.  The columns yielded stay valid only until
-    the next one is requested.
-    """
-    operands, code = program.code
-    needed = set(operands) - {"zero", "one"}
-    cols = previous = None
-    for a in algebras:
-        if not needed.issubset(a.ops):
-            op = min(needed - a.ops.keys())
-            raise AlgebraError(f"operation {op} not in algebra")
-        if cols is None:
-            n = a.n
-            inner = len(program.names)
-            while inner and n ** inner > _BLOCK:
-                inner -= 1
-            size = n ** inner
-            leads = list(itertools.product(
-                range(n), repeat=len(program.names) - inner))
-            reuse = len(leads) == 1
-            cols = [None] * len(leads[0])
-            cols += map(list, zip(*itertools.product(range(n), repeat=inner)))
-            cols += [None] * len(code)
-        tables = [a.zero if op == "zero" else a.one if op == "one"
-                  else a.ops[op] for op in operands]
-        changed = -1  # every step
-        if reuse and previous is not None:
-            changed = 0
-            for k, (t, u) in enumerate(zip(tables, previous)):
-                if t != u:
-                    changed |= 1 << k
-        previous = tables
-        for block, lead in enumerate(leads):
-            cols[:len(lead)] = [[v] * size for v in lead]
-            for slot, arity, k, x, y, mask in code:
-                if not mask & changed:
-                    continue
-                t = tables[k]
-                if arity == 2:
-                    cols[slot] = [t[i][j] for i, j in zip(cols[x], cols[y])]
-                elif arity == 1:
-                    cols[slot] = [t[i] for i in cols[x]]
-                else:
-                    cols[slot] = [t] * size
-            if (yield a, block * size, cols):
-                break  # the caller skips the algebra's other blocks
-
-
 def compile_equations(equations) -> Program:
     """One program for the sides of the equations (lhs, rhs, lhs, ...) over
     the sorted union of their variables."""
-    names = set()
-    for e in equations:
-        names |= equation_variables(e)
-    return compile_terms([side for e in equations for side in (e.lhs, e.rhs)],
-                         sorted(names))
+    return compile_terms([side for e in equations for side in (e.lhs, e.rhs)])
 
 
-def failures(algebras, program: Program):
+# The bits of one run: a pool is cut into runs of as many algebras as fit
+# with all their assignments, and an algebra whose assignments alone do
+# not fit runs alone, in blocks that fix its leading variables.
+_BITS = 1 << 16
+
+
+def _operation_masks(run, op, count):
+    """The masks of op on a run of m algebras of count assignments each:
+    (i, j, v, mask) per cell (i, j) and value v of a binary operation,
+    (i, v, mask) of a unary one, (v, mask) of a constant.  mask has the
+    bits b of the algebras whose cell holds v, repeated at every
+    assignment a (bits a * m + b)."""
+    repeat = ((1 << count * len(run)) - 1) // ((1 << len(run)) - 1)
+    cells = {}  # (cell, value) -> the algebras
+    for b, a in enumerate(run):
+        bit = 1 << b
+        if op in ("zero", "one"):
+            keys = [(getattr(a, op),)]
+        elif op not in a.ops:
+            raise AlgebraError(f"operation {op} not in algebra")
+        elif op in UNARY_OPS:
+            keys = enumerate(a.ops[op])
+        else:
+            for i, row in enumerate(a.ops[op]):
+                for j, v in enumerate(row):
+                    key = (i, j, v)
+                    cells[key] = cells.get(key, 0) | bit
+            continue
+        for key in keys:
+            cells[key] = cells.get(key, 0) | bit
+    return [(*key, mask * repeat) for key, mask in cells.items()]
+
+
+def _runs(algebras, program: Program, masks):
+    """Evaluate the program on the algebras, all of one carrier size n,
+    bit-sliced: each step once per run, on all the run's algebras under
+    all their assignments.
+
+    Bit a * m + b of a run of m algebras stands for assignment a (in
+    itertools.product order, the first variable slowest) in algebra b of
+    the run.  A slot holds n one-hot masks: the v-th has the bits where
+    the slot's value is v.  A binary step is out[v] |= x[i] & y[j] & mask
+    over the operation's masks.  Yields (run, start, count, slots) per run
+    or block: the algebras, the first assignment and the number of them.
+    A caller that sends a true value skips the algebra's other blocks.
+    The slots stay valid until the next run is requested.
+
+    `masks` keeps the operation masks per (run's first and end position,
+    operation), at the widest count met so far: the `&` with the
+    variables' masks cuts them to a narrower run, and a constant's are
+    cut to its width.
+    """
+    algebras = tuple(algebras)
+    if not algebras:
+        return
+    n = algebras[0].n
+    inner = k = len(program.names)
+    while inner and n ** inner > _BITS:
+        inner -= 1
+    count = n ** inner
+    per_run = _BITS // count if inner == k else 1
+    leads = list(itertools.product(range(n), repeat=k - inner))
+    for first in range(0, len(algebras), per_run):
+        run = algebras[first:first + per_run]
+        full = (1 << count * len(run)) - 1
+        tables = {}
+        for op in program.operations:
+            key = (first, first + len(run), op)
+            stored = masks.get(key)
+            if stored is None or stored[0] < count:
+                stored = masks[key] = (count, _operation_masks(run, op, count))
+            tables[op] = stored[1]
+        variables = []  # variable i holds a value n ** (inner-1-i) times
+        for i in range(inner):
+            stretch = n ** (inner - 1 - i) * len(run)
+            repeat = full // ((1 << n * stretch) - 1)
+            variables.append([((1 << stretch) - 1) * repeat << v * stretch
+                              for v in range(n)])
+        for block, lead in enumerate(leads):
+            slots = [[full if v == x else 0 for v in range(n)] for x in lead]
+            slots += variables
+            for op, left, right in program.code:
+                out = [0] * n
+                if right >= 0:
+                    x, y = slots[left], slots[right]
+                    for i, j, v, mask in tables[op]:
+                        out[v] |= x[i] & y[j] & mask
+                elif left >= 0:
+                    x = slots[left]
+                    for i, v, mask in tables[op]:
+                        out[v] |= x[i] & mask
+                else:
+                    for v, mask in tables[op]:
+                        out[v] = mask & full
+                slots.append(out)
+            if (yield run, block * count, count, slots):
+                break  # the caller skips the algebra's other blocks
+
+
+def _apart(slots, lhs, rhs):
+    """The bits at which the slots lhs and rhs hold different values."""
+    left, right = slots[lhs], slots[rhs]
+    bits = 0
+    if left != right:
+        for v, mask in enumerate(left):
+            bits |= mask & ~right[v]
+    return bits
+
+
+def _fold(bits, m, count):
+    """The OR of the count m-bit chunks of bits: bit b is set iff algebra
+    b of the run has a set bit."""
+    while count > 1:
+        half = (count + 1) // 2
+        bits = bits & ((1 << half * m) - 1) | bits >> half * m
+        count = half
+    return bits
+
+
+def failures(algebras, program: Program, masks=None):
     """(algebra, index) of each assignment, in the order of the algebras
     (all of one carrier size) and then product order, under which every
     equation of a compile_equations program but the last holds and the
-    last fails.  One scan over all the algebras (see _run_blocks)."""
-    *premises, (lhs, rhs) = program.sides
-    for a, start, cols in _run_blocks(algebras, program):
-        left, right = cols[lhs], cols[rhs]
-        if left == right:
+    last fails.  One scan (`_runs`, operation masks kept in `masks`):
+    per run, the bits where the last equation's sides are apart and no
+    other's are, read out per algebra, lowest first."""
+    *premises, goal = program.sides
+    for run, start, count, slots in _runs(algebras, program,
+                                          {} if masks is None else masks):
+        bits = _apart(slots, *goal)
+        for sides in premises:
+            bits &= ~_apart(slots, *sides) if bits else 0
+        if not bits:
             continue
-        for i, (u, w) in enumerate(zip(left, right)):
-            if u != w and all(cols[p][i] == cols[q][i] for p, q in premises):
-                yield a, start + i
+        m = len(run)
+        repeat = ((1 << count * m) - 1) // ((1 << m) - 1)
+        failing = _fold(bits, m, count)
+        while failing:
+            b = (failing & -failing).bit_length() - 1
+            failing &= failing - 1
+            own = bits & repeat << b
+            while own:
+                yield run[b], start + ((own & -own).bit_length() - 1) // m
+                own &= own - 1
 
 
-def members(algebras, program: Program):
+def members(algebras, program: Program, masks=None):
     """The algebras (all of one carrier size), in order, in which every
-    equation of a compile_equations program holds.  One scan over all of
-    them (see _run_blocks); an algebra's scan stops at its first block in
-    which an equation fails."""
-    sides = program.sides
-    blocks = _run_blocks(algebras, program)
-    member = fails = None  # the algebra whose blocks so far all hold
+    equation of a compile_equations program holds.  One scan (`_runs`,
+    operation masks kept in `masks`): per run, the bits where the sides
+    of some equation are apart, folded per algebra.  An algebra run in
+    blocks is dropped at its first failing block, and its later blocks
+    are not run."""
+    runs = _runs(algebras, program, {} if masks is None else masks)
+    holding, skip = (), None  # the algebras of the run that hold so far
     while True:
         try:
-            a, start, cols = blocks.send(fails)
+            run, start, count, slots = runs.send(skip)
         except StopIteration:
             break
         if start == 0:
-            if member is not None:
-                yield member
-            member = a
-        fails = any(cols[x] != cols[y] for x, y in sides)
-        if fails:
-            member = None
-    if member is not None:
-        yield member
+            yield from holding
+            holding = run
+        bits = 0
+        for sides in program.sides:
+            bits |= _apart(slots, *sides)
+        if bits:
+            failed = _fold(bits, len(run), count)
+            holding = [a for b, a in enumerate(run) if not failed >> b & 1]
+        skip = not holding
+    yield from holding
+
+
+@functools.lru_cache(maxsize=64)
+def pool_masks(pool):
+    """The operation masks of a cached pool (`bridge._enumerated`,
+    `_family_bases`), kept across its scans; a scan of one algebra builds
+    its own and keeps none.  `pool_masks.cache_clear()` empties it."""
+    return {}
 
 
 def assignment_at(a: FiniteAlgebra, program: Program, index) -> dict:
     """The assignment (variable name -> element index) at position `index`
-    of the product order of _run_blocks."""
+    of the product order of the scan (the first variable varies slowest),
+    as `failures` reports it."""
     values = []
     for _ in program.names:
         index, value = divmod(index, a.n)
@@ -558,9 +621,9 @@ def check_variety(a: FiniteAlgebra, v: VarietyId) -> VarietyReport:
     equation in basis order, up to 50 failing assignments in product order.
 
     A member is recognised by one scan of the cached `variety_program(v)`
-    on (a,), which stops at the first block where an equation fails; only
-    an algebra that fails it has each equation compiled and run on its own
-    to collect the witnesses.
+    on (a,) alone, with masks built for the call; only an algebra that
+    fails it has each equation compiled and run on its own to collect the
+    witnesses.
     """
     missing = tuple(sorted(FAMILY_OPS[v.family] - frozenset(a.ops)))
     if missing:
@@ -997,7 +1060,8 @@ def enumerate_algebras(v: VarietyId, size: int):
                            f"{MAX_ENUMERATION_SIZE}")
     if size < 1:
         return
-    found = members(_family_bases(v.family, size), variety_program(v))
+    pool = _family_bases(v.family, size)
+    found = members(pool, variety_program(v), pool_masks(pool))
     for count, full in enumerate(found):
         yield _renamed(full, f"enum{count}")
 

@@ -26,9 +26,9 @@ from typing import Optional
 
 from .sequents import Sequent, tau_equation
 from .algebra import (FAMILY_OPS, UNARY_OPS, AlgebraError, FiniteAlgebra,
-                      VarietyId, _run_blocks, assignment_at,
+                      VarietyId, _runs, assignment_at,
                       compile_equations, enumerate_algebras, failures, holds,
-                      language_of_family, variety_program)
+                      language_of_family, pool_masks, variety_program)
 
 
 @dataclass(frozen=True)
@@ -266,14 +266,15 @@ def _first_countermodel(equations, v: VarietyId, max_size: int):
     None.
 
     The equations are compiled once, and each size's members are run
-    through the program in one scan (`failures`): members come in
-    pool order (join table, then unit, fusion, 0), so neighbours share
-    most tables, and a step is evaluated again only when a table it reads
-    changed.  The one assignment returned is re-checked with `holds`."""
+    through the program in one bit-sliced scan (`failures`), each step
+    once on all of them, with the operation masks of the cached pool
+    (`pool_masks`).  The one assignment returned is re-checked with
+    `holds`."""
     program = compile_equations(equations)
     *premises, goal = equations
     for size in range(1, max_size + 1):
-        found = next(failures(_enumerated(v, size), program), None)
+        pool = _enumerated(v, size)
+        found = next(failures(pool, program, pool_masks(pool)), None)
         if found is not None:
             a, index = found
             assignment = assignment_at(a, program, index)
@@ -470,7 +471,8 @@ def k_congruences(a: FiniteAlgebra, v: VarietyId):
 
     The quotient map is a surjective homomorphism, so a/theta satisfies
     s = t iff s(x) theta t(x) at every assignment x in a.  The run collects
-    the value pairs at which the two sides of an equation differ, and a
+    the value pairs (x, y), x != y, that the two sides of an equation take
+    at some assignment (lhs mask x and rhs mask y share a bit), and a
     congruence qualifies iff each pair lies in one of its blocks; no
     quotient is built.  A member of v has no such pairs, so all its
     congruences qualify: a variety is closed under homomorphic images.
@@ -478,12 +480,13 @@ def k_congruences(a: FiniteAlgebra, v: VarietyId):
     if not FAMILY_OPS[v.family].issubset(a.ops):
         return []
     program = variety_program(v)
+    pairs = [(x, y) for x in range(a.n) for y in range(a.n) if x != y]
     apart = set()
-    for _, _, cols in _run_blocks((a,), program):
+    for _, _, _, slots in _runs((a,), program, {}):
         for lhs, rhs in program.sides:
-            if cols[lhs] != cols[rhs]:
-                apart.update((x, y) for x, y in zip(cols[lhs], cols[rhs])
-                             if x != y)
+            left, right = slots[lhs], slots[rhs]
+            if left != right:
+                apart.update((x, y) for x, y in pairs if left[x] & right[y])
     return [c for c in all_congruences(a) if apart <= c.pairs()]
 
 

@@ -17,11 +17,10 @@ import pytest
 from substrukt import algebra, bridge
 from substrukt.algebra import (UNARY_OPS, FiniteAlgebra, VarietyId,
                                _extend_for_family, _family_bases,
-                               _join_table_from_leq, _run_blocks,
-                               canonical_key, check_variety,
-                               enumerate_algebras, members, monoid_tables,
-                               semilattice_orders, to_json_dict,
-                               variety_program)
+                               _join_table_from_leq, canonical_key,
+                               check_variety, enumerate_algebras, members,
+                               monoid_tables, semilattice_orders,
+                               to_json_dict, variety_program)
 
 FAMILIES = ("Msl", "Ml", "PMsl", "PMl", "FL")
 SIGMAS = [frozenset(c) for k in range(5)
@@ -324,8 +323,8 @@ def test_enumeration_does_not_depend_on_the_cache_order():
 # -- the pool scan -------------------------------------------------------------
 
 def test_pool_scan_matches_check_variety():
-    # each size's family bases in pool order, scanned in one pass with
-    # column reuse, against check_variety on each base alone
+    # each size's family bases in pool order, scanned in one bit-sliced
+    # pass, against check_variety on each base alone
     mixed = 0
     for v in DECIDE_VARIETIES:
         program = variety_program(v)
@@ -350,42 +349,48 @@ def _lukasiewicz(n):
     return lambda x, y: max(0, x + y - (n - 1))
 
 
-def test_pool_scan_matches_check_variety_in_several_blocks():
-    # 11 ** 3 assignments run in 11 blocks of 121, led by x, so no column
-    # is reused; fusion min is idempotent, Lukasiewicz's is not (c first
-    # fails at x = 1, in the second block), and 0 = 5 fails wr at x = 0
+def test_pool_scan_matches_check_variety_in_several_blocks(monkeypatch):
+    # under a budget of 121 bits, 11 ** 3 assignments run in 11 blocks of
+    # 121, led by x, one algebra at a time; fusion min is idempotent,
+    # Lukasiewicz's is not (c first fails at x = 1, in the second block),
+    # and 0 = 5 fails wr at x = 0
+    monkeypatch.setattr(algebra, "_BITS", 121)
     n = 11
     pool = [_chain(n, fus, zero) for fus in (min, _lukasiewicz(n))
             for zero in (0, 5)]
     for sigma in SIGMAS:
         v = VarietyId("Msl", sigma)
         program = variety_program(v)
-        assert len(list(_run_blocks(pool[:1], program))) == n
+        assert len(list(algebra._runs(pool[:1], program, {}))) == n
         expected = [a for a in pool if check_variety(a, v).ok]
         assert list(members(pool, program)) == expected, sorted(sigma)
     wr = variety_program(VarietyId("Msl", frozenset({"wr"})))
     assert list(members(pool, wr)) == pool[::2]
 
 
-class _CountedRows(tuple):
-    """An operation table that counts the rows read from it."""
-    reads = 0
+def test_lone_non_member_scan_stops_at_its_first_failing_block(monkeypatch):
+    # under a budget of 121 bits each chain runs in 11 blocks of 121, led
+    # by x; under c the Goedel chain holds in all 11, and the Lukasiewicz
+    # chain fails first in the second, after which no block of it runs
+    monkeypatch.setattr(algebra, "_BITS", 121)
+    runs = algebra._runs
+    starts = []
 
-    def __getitem__(self, i):
-        self.reads += 1
-        return tuple.__getitem__(self, i)
+    def counted(*args):
+        blocks = runs(*args)
+        skip = None
+        while True:
+            try:
+                block = blocks.send(skip)
+            except StopIteration:
+                return
+            starts.append(block[1])
+            skip = yield block
 
-
-def test_lone_non_member_scan_stops_at_its_first_failing_block():
-    # under c the Goedel chain holds in all 11 blocks and the Lukasiewicz
-    # chain fails first in the second; a block reads the fusion table
-    # equally often in both
+    monkeypatch.setattr(algebra, "_runs", counted)
     n = 11
     program = variety_program(VarietyId("Msl", frozenset({"c"})))
-    reads = []
-    for fus, expected in ((min, 1), (_lukasiewicz(n), 0)):
-        a = _chain(n, fus, 0)
-        a.ops["fus"] = table = _CountedRows(a.ops["fus"])
-        assert len(list(members((a,), program))) == expected
-        reads.append(table.reads)
-    assert reads[1] * n == reads[0] * 2
+    for fus, expected, blocks in ((min, 1, n), (_lukasiewicz(n), 0, 2)):
+        starts.clear()
+        assert len(list(members((_chain(n, fus, 0),), program))) == expected
+        assert starts == [k * n * n for k in range(blocks)]

@@ -2,9 +2,9 @@
 
 The oracles below are the straightforward loops: one dict assignment per
 point of the product, each side evaluated with `eval_term`.  The compiled
-column programs of `algebra` and the countermodel scans of `bridge` must
-agree with them exactly: same verdicts, same witnesses in the same order,
-same first countermodel.
+programs of `algebra`, run bit-sliced over pools of algebras, and the
+countermodel scans of `bridge` must agree with them exactly: same
+verdicts, same witnesses in the same order, same first countermodel.
 """
 
 import functools
@@ -16,15 +16,16 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from substrukt import fixtures
+from substrukt import algebra, fixtures
 from substrukt.algebra import (BINARY_OPS, FAMILY_OPS, UNARY_OPS,
                                FiniteAlgebra, VarietyId, VarietyReport,
-                               _run_blocks, assignment_at, check_variety,
+                               _family_bases, assignment_at, check_variety,
                                compile_equations, compile_terms,
                                enumerate_algebras, equation_witnesses,
-                               eval_term, failures, holds, members, reduct,
-                               satisfies_equation, satisfies_quasi,
-                               variety_equations, variety_program)
+                               eval_term, failures, holds, members,
+                               pool_masks, reduct, satisfies_equation,
+                               satisfies_quasi, variety_equations,
+                               variety_program)
 from substrukt.bridge import Found, NotFound, _enumerated, countermodel
 from substrukt.corpus import (random_msl, random_pomonoid, random_semilattice,
                              random_sequent)
@@ -255,11 +256,10 @@ def test_countermodel_with_hypotheses_matches_oracle_on_a_seeded_corpus():
     assert all(kinds.values())
 
 
-# The scan over a size's members keeps the column of a step whose tables
-# equal the previous member's.  The cases below put that reuse to work:
-# Msl and Ml pools at size 4, where members that differ only in 0 are
-# neighbours; premises; and a program too large for one block, where the
-# scan runs without reuse.
+# The scan runs each step once on all of a size's members.  The cases below
+# put it to work: Msl and Ml pools at size 4, where members that differ
+# only in 0 are neighbours; premises; and a program too large for one
+# block, where each member runs alone, in blocks.
 
 def _lattice_corpus(seed, count, max_hyps):
     """Msl and Ml goals under the decide benchmark's sigmas, each with up
@@ -326,10 +326,11 @@ def _padded(s: Sequent) -> Sequent:
     return Sequent(s.antecedent, meet(d, join(d, extra)))
 
 
-def test_countermodel_matches_oracle_on_multi_block_programs():
-    # a six-variable goal runs on a member of size 4 in 4 blocks of
-    # 4 ** 5 = 1024 assignments, led by p; Ml[wl,wr] has 9 such members
-    # and Ml[wl,wr,c] 2
+def test_countermodel_matches_oracle_on_multi_block_programs(monkeypatch):
+    # under a budget of 1024 bits, a six-variable goal runs on a member of
+    # size 4 in 4 blocks of 4 ** 5 = 1024 assignments, led by p; Ml[wl,wr]
+    # has 9 such members and Ml[wl,wr,c] 2
+    monkeypatch.setattr(algebra, "_BITS", 1024)
     lang = Language.preset("core-meet")
     refuted = _padded(parse_sequent(
         "q * q * (r \\/ 1) /\\ r, 0 /\\ 0 \\/ (p \\/ q) * (p /\\ r) "
@@ -341,8 +342,8 @@ def test_countermodel_matches_oracle_on_multi_block_programs():
         program = compile_equations([tau_equation(goal)])
         assert len(program.names) == 6
         a = _enumerated(v, 4)[0]
-        assert [start for _, start, _ in _run_blocks((a,), program)] == \
-            [0, 1024, 2048, 3072]
+        assert [start for _, start, _, _ in
+                algebra._runs((a,), program, {})] == [0, 1024, 2048, 3072]
     (refuted, v), (valid, w) = cases
     found = countermodel(refuted, v, 4)
     assert isinstance(found, Found) and found.algebra.n == 4
@@ -370,16 +371,16 @@ def _terms():
        st.sampled_from(_members("FL")))
 @settings(max_examples=150, deadline=None)
 def test_compiled_values_equal_eval_term(terms, a):
+    # one run: bit `index` of each output's masks is set in exactly the
+    # mask of its value at that assignment
     program = compile_terms(terms, ("x", "y", "z"))
-    index = 0
-    for _, start, cols in _run_blocks((a,), program):
-        assert start == index
-        for column in zip(*[cols[s] for s in program.outputs]):
-            assignment = assignment_at(a, program, index)
-            assert list(column) == [eval_term(a, t, assignment)
-                                    for t in terms]
-            index += 1
-    assert index == a.n ** 3
+    (run, start, count, slots), = algebra._runs((a,), program, {})
+    assert run == (a,) and start == 0 and count == a.n ** 3
+    for index in range(count):
+        assignment = assignment_at(a, program, index)
+        values = [[v for v, mask in enumerate(slots[s]) if mask >> index & 1]
+                  for s in program.outputs]
+        assert values == [[eval_term(a, t, assignment)] for t in terms]
 
 
 def test_repeated_subterms_share_a_slot():
@@ -402,8 +403,10 @@ def test_variety_programs_are_pinned():
                                   "8611f1ec2cf1b3c68eb8785a925bc7d3")
 
 
-def test_failures_across_blocks_match_oracle():
-    # 3 ** 7 assignments run in three blocks of 3 ** 6
+def test_failures_across_blocks_match_oracle(monkeypatch):
+    # under a budget of 729 bits, 3 ** 7 assignments run in three blocks
+    # of 3 ** 6
+    monkeypatch.setattr(algebra, "_BITS", 729)
     names = [f"v{i}" for i in range(7)]
     product = fus(var(names[0]), var(names[1]))
     for name in names[2:]:
@@ -411,12 +414,90 @@ def test_failures_across_blocks_match_oracle():
     eq = ineq(product, var("v6"))
     a = fixtures.chain3_nilpotent()
     program = compile_equations([eq])
-    assert [start for _, start, _ in _run_blocks((a,), program)] == \
-        [0, 729, 1458]
+    assert [start for _, start, _, _ in algebra._runs((a,), program, {})] \
+        == [0, 729, 1458]
     expected = [i for i, v in enumerate(_assignments(a, names))
                 if not holds(a, eq, v)]
     assert [i for _, i in failures((a,), program)] == expected
     assert satisfies_equation(a, eq) == (not expected)
+
+
+# -- the bit budget: runs of a pool and blocks of one algebra ---------------
+
+def test_scans_match_the_oracles_in_several_runs_and_blocks(monkeypatch):
+    # under a budget of 128 bits a size-3 pool of three variables runs 4
+    # algebras at a time and a size-4 pool 2; a padded goal of five or six
+    # variables runs each algebra of size 3 alone, in blocks of 3 ** 4
+    monkeypatch.setattr(algebra, "_BITS", 128)
+    for v in (VarietyId("Msl"), VarietyId("Ml", frozenset({"e"})),
+              VarietyId("FL", frozenset({"wl"}))):
+        program = variety_program(v)
+        for n in (3, 4):
+            pool = _family_bases(v.family, n)
+            runs = [len(run) for run, _, _, _ in
+                    algebra._runs(pool, program, {})]
+            assert len(runs) > 1 and max(runs) == 128 // n ** 3
+            expected = [a for a in pool if check_variety(a, v).ok]
+            assert list(members(pool, program)) == expected, (v, n)
+            assert list(members(pool, program, pool_masks(pool))) == \
+                expected
+    lang = Language.preset("core-meet")
+    cases = [(goal, hyps if k % 2 else [], v)
+             for k, (goal, hyps, v) in enumerate(_lattice_corpus(15, 40, 2))]
+    for text, sigma in (("p, q, r => p /\\ q /\\ r", {"wl", "wr"}),
+                        (REFUTED_AT_4[1], {"e"}), ("p * q => q * p", ())):
+        cases.append((_padded(parse_sequent(text, lang)), [],
+                      VarietyId("Ml", frozenset(sigma))))
+    kinds = {"found": 0, "not found": 0, "hypotheses": 0,
+             "found in blocks": 0, "none in blocks": 0}
+    for goal, hyps, v in cases:
+        result = countermodel(goal, v, 3, hyps=hyps)
+        hyp_eqs = [tau_equation(h) for h in sorted(hyps, key=str)]
+        expected = oracle_first_countermodel(hyp_eqs, tau_equation(goal), v, 3)
+        if isinstance(result, Found):
+            assert _same(result, expected), (hyps, goal)
+            kinds["found"] += 1
+        else:
+            assert result == NotFound(3) and expected is None, (hyps, goal)
+            kinds["not found"] += 1
+        kinds["hypotheses"] += bool(hyps)
+        names = compile_equations(hyp_eqs + [tau_equation(goal)]).names
+        if 3 ** len(names) > 128 and (not result or result.algebra.n == 3):
+            kinds["found in blocks" if result else "none in blocks"] += 1
+    assert all(kinds.values()), kinds
+
+
+def test_a_changed_fusion_cell_is_scanned_with_its_own_masks():
+    # a member of Msl with one fusion cell changed, put next to it in the
+    # place of its neighbour: a pool of the same size and variety, whose
+    # masks a cache keyed by less than the pool would take from the first
+    v = VarietyId("Msl")
+    program = variety_program(v)
+    pool = _enumerated(v, 3)
+    assert list(members(pool, program, pool_masks(pool))) == list(pool)
+    a = pool[0]
+    for i, j, w in itertools.product(range(3), repeat=3):
+        table = [list(row) for row in a.ops["fus"]]
+        table[i][j] = w
+        mutant = FiniteAlgebra("mutant", a.elements,
+                               {**a.ops, "fus": table}, a.zero, a.one)
+        if not oracle_check_variety(mutant, v)[0]:
+            break
+    mutated = (a, mutant) + pool[2:]
+    assert list(members(mutated, program, pool_masks(mutated))) == \
+        [b for b in mutated if oracle_check_variety(b, v)[0]]
+    assert mutant not in list(members(mutated, program,
+                                      pool_masks(mutated)))
+    name, eq = next((name, eq) for name, eq in variety_equations(v)
+                    if oracle_witnesses(mutant, eq))
+    single = compile_equations([eq])
+    assert next(failures(pool, single, pool_masks(pool)), None) is None
+    names = sorted(single.names)
+    expected = [(mutant, w) for w in _assignments(mutant, names)
+                if not holds(mutant, eq, w)]
+    assert expected, name
+    assert [(b, assignment_at(b, single, i)) for b, i in
+            failures(mutated, single, pool_masks(mutated))] == expected
 
 
 def test_satisfies_quasi_matches_oracle():
