@@ -272,7 +272,9 @@ def _first_countermodel(equations, v: VarietyId, max_size: int):
     `holds`."""
     program = compile_equations(equations)
     *premises, goal = equations
-    for size in range(1, max_size + 1):
+    # a one-element algebra satisfies every equation, so the scan
+    # starts at size 2
+    for size in range(2, max_size + 1):
         pool = _enumerated(v, size)
         found = next(failures(pool, program, pool_masks(pool)), None)
         if found is not None:

@@ -25,11 +25,10 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional
 
-from .syntax import (Language, FULL, ZERO, ONE, check_language,
-                     format_formula, fus, join, limp, lneg, meet,
-                     mirror_formula, rimp, rneg)
-from .sequents import (Sequent, decode_sequent, encode_sequents, fuse,
-                       mirror_sequent, parse_sequent)
+from .syntax import (Language, FULL, ZERO, ONE, format_formula, fus, join,
+                     limp, lneg, meet, mirror_formula, rimp, rneg)
+from .sequents import (Sequent, check_sequent_language, decode_sequent,
+                       encode_sequents, fuse, mirror_sequent, parse_sequent)
 
 SIGMA_LETTERS = ("e", "wl", "wr", "c")
 
@@ -637,17 +636,11 @@ def check_proof(tree: ProofTree, cal: CalculusId, hyps=frozenset()) -> CheckResu
     visit of its parent; the path of a rejected node is built from these
     links, on failure only.
 
-    Every node's conclusion is checked against the language, each distinct
-    formula once per call."""
+    Every node's conclusion is checked against the language, one AND of
+    masks per formula (`check_sequent_language`)."""
     hyps = frozenset(hyps)
     allowed = rules_of(cal)
     lang = cal.lang
-    passed = set()
-
-    def check(f):
-        if f not in passed:
-            check_language(f, lang)
-            passed.add(f)
 
     def fault(node):
         """The reason the node is not a correct instance, or None."""
@@ -655,11 +648,7 @@ def check_proof(tree: ProofTree, cal: CalculusId, hyps=frozenset()) -> CheckResu
         if rule is not HYPOTHESIS and rule not in allowed:
             return f"rule-not-in-calculus: {rule.label}"
         try:
-            concl = node.conclusion
-            for f in concl.antecedent:
-                check(f)
-            if concl.succedent is not None:
-                check(concl.succedent)
+            check_sequent_language(node.conclusion, lang)
         except Exception as exc:
             return f"conclusion outside language: {exc}"
         if rule.arity != len(node.premises):

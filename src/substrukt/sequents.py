@@ -11,8 +11,7 @@ from typing import Optional, Sequence
 
 from .syntax import (Formula, FormulaSyntaxError, Language, FULL, ZERO, ONE,
                      SubformulaTable, fus, join, rimp, check_language,
-                     format_formula, mirror_formula, parse_formula,
-                     variables_of)
+                     format_formula, mirror_formula, parse_formula)
 
 
 @dataclass(frozen=True)
@@ -43,11 +42,9 @@ def ineq(lhs, rhs) -> Equation:
     return Equation(join(lhs, rhs), rhs)
 
 
-def equation_variables(e: Equation) -> frozenset:
-    return variables_of(e.lhs) | variables_of(e.rhs)
-
-
 def check_sequent_language(s: Sequent, lang: Language):
+    """Raise LanguageError at the first formula of s, antecedent first,
+    outside lang: one `check_language`, one AND of masks, per formula."""
     for f in s.antecedent:
         check_language(f, lang)
     if s.succedent is not None:

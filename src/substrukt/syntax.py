@@ -3,9 +3,10 @@
 `numbered` lists the distinct subformulas of some formulas once, children
 before parents, on an explicit stack.  The folds over subformulas are
 loops over that list: `subformulas`, `variables_of`, `mirror_formula`,
-`apply_subst`, `SubformulaTable`, and `algebra.compile_terms`.
-`connectives_of`, `format_formula`, `formula_key` and `match_formula`
-keep their own walks.
+`apply_subst`, `SubformulaTable`, and `algebra.compile_terms`.  A node
+carries its connectives as a bit mask, made from its children's when it
+is built, so `connectives_of` and `check_language` walk nothing.
+`format_formula`, `formula_key` and `match_formula` keep their own walks.
 
 Connective names: join (``\\/``), meet (``/\\``), fus (``*``), rimp (``\\``),
 limp (``/``), rneg (``rn``), lneg (``ln``), zero (``0``), one (``1``).
@@ -33,7 +34,7 @@ from __future__ import annotations
 import re
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 BINARY_CONNECTIVES = ("join", "meet", "fus", "rimp", "limp")
@@ -41,6 +42,10 @@ UNARY_CONNECTIVES = ("rneg", "lneg")
 CONSTANTS = ("zero", "one")
 ALL_CONNECTIVES = frozenset(BINARY_CONNECTIVES + UNARY_CONNECTIVES + CONSTANTS)
 CORE_CONNECTIVES = frozenset({"join", "fus", "zero", "one"})
+# bit i of a connective mask is the i-th name in alphabetical order, so
+# the lowest bit set names the first connective of a set in sorted order
+_NAMES = tuple(sorted(ALL_CONNECTIVES))
+_BIT = {name: 1 << i for i, name in enumerate(_NAMES)}
 
 
 class FormulaSyntaxError(ValueError):
@@ -57,9 +62,11 @@ class LanguageError(ValueError):
 
 @dataclass(frozen=True)
 class Language:
-    """A sublanguage of the full connective set, always containing the core."""
+    """A sublanguage of the full connective set, always containing the core.
+    ``mask`` is its connectives as a bit mask, as a formula's `mask` is."""
 
     connectives: frozenset
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bad = self.connectives - ALL_CONNECTIVES
@@ -70,6 +77,8 @@ class Language:
             raise ValueError(f"language must contain the core; missing {sorted(missing)}")
         if ("rimp" in self.connectives) != ("limp" in self.connectives):
             raise ValueError("rimp and limp must be both present or both absent")
+        object.__setattr__(self, "mask",
+                           sum([_BIT[c] for c in self.connectives]))
 
     def __contains__(self, connective):
         return connective in self.connectives
@@ -109,9 +118,14 @@ class Formula:
     already built for them, so equal formulas are one object, and `==` and
     `hash` are those of identity and never walk a formula.  Nodes are
     immutable; the table drops a node when nothing else holds it.
+
+    A node also carries ``mask``, the connectives occurring in it (its
+    constants included) as a bit mask, made once from its children's when
+    the node is built.  It is derived, so it is neither part of the key
+    nor a field: `repr`, pickling and copying list only the fields.
     """
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "mask")
 
     def __new__(cls, *fields):
         key = (cls,) + fields
@@ -124,6 +138,10 @@ class Formula:
                     for name, value in zip(cls.__slots__, fields,
                                            strict=True):
                         object.__setattr__(node, name, value)
+                    mask = 0 if cls is Var else _BIT[fields[0]]
+                    for child in fields[1:]:
+                        mask |= child.mask
+                    object.__setattr__(node, "mask", mask)
                     _NODES[key] = node
         return node
 
@@ -201,27 +219,9 @@ def lneg(child):
 
 
 def connectives_of(f) -> frozenset:
-    """All connective names (including constants) occurring in f; each
-    distinct subformula is visited once.  Its own walk, not `subformulas`,
-    as `check_sequent_language` runs it on every goal `prove` gets."""
-    out, seen = set(), set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        cls = type(node)
-        if cls is Var or node in seen:
-            continue
-        seen.add(node)
-        if cls is Bin:
-            out.add(node.op)
-            stack.append(node.left)
-            stack.append(node.right)
-        elif cls is Neg:
-            out.add(node.op)
-            stack.append(node.child)
-        else:
-            out.add(node.which)
-    return frozenset(out)
+    """All connective names (including constants) occurring in f, read
+    from its mask."""
+    return frozenset([name for name in _NAMES if f.mask & _BIT[name]])
 
 
 def numbered(roots):
@@ -276,9 +276,12 @@ def subformulas(f) -> frozenset:
 
 
 def check_language(f, lang: Language):
-    bad = connectives_of(f) - lang.connectives
+    """Raise LanguageError naming the first connective of f, in sorted
+    order, outside lang: one AND of the two masks."""
+    bad = f.mask & ~lang.mask
     if bad:
-        raise LanguageError(f"{sorted(bad)[0]} not in language")
+        raise LanguageError(f"{_NAMES[(bad & -bad).bit_length() - 1]} "
+                            "not in language")
 
 
 _MIRROR_NEG = {"rneg": "lneg", "lneg": "rneg"}
@@ -417,44 +420,33 @@ class SubformulaTable:
 # Tokenizer and parser
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<or>\\/)
-  | (?P<and>/\\)
-  | (?P<rimp>\\)
-  | (?P<limp>/)
-  | (?P<star>\*)
-  | (?P<lpar>\()
-  | (?P<rpar>\))
-  | (?P<zero>0)
-  | (?P<one>1)
-  | (?P<ident>[a-z][a-z0-9_]*)
-""", re.VERBOSE)
+# One C-level scan finds the tokens: the longest identifier, the two-character
+# operators before the one-character ones, whitespace skipped, and any other
+# character as a token of its own, an unexpected one
+_TOKEN_RE = re.compile(r"\\/|/\\|[\\/*()01]|[a-z][a-z0-9_]*|\S")
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz")
+_TOKEN_START = _LETTERS | frozenset("\\/*()01")
 
 _RESERVED = {"rn": "rneg", "ln": "lneg"}
 
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
-
-
 # binary operator tokens: (connective, precedence)
-_BINARY = {"rimp": ("rimp", 0), "limp": ("limp", 0), "or": ("join", 1),
-           "and": ("meet", 2), "star": ("fus", 3)}
+_BINARY = {"\\": ("rimp", 0), "/": ("limp", 0), "\\/": ("join", 1),
+           "/\\": ("meet", 2), "*": ("fus", 3)}
 
 
-def _language_error(connective, pos):
-    return LanguageError(f"{connective} not in language (at position {pos})")
+def _error(text, tokens, i, message, error=FormulaSyntaxError):
+    """The error to raise at token i of text: `message` at the token's
+    position, unless the text has an unexpected character, which is
+    reported first, as if the whole text were scanned before the parse.
+    Positions are found here only, by a second scan."""
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+    starts.append(len(text))
+    for word, start in zip(tokens, starts):
+        if word and word[0] not in _TOKEN_START:
+            return FormulaSyntaxError(f"unexpected character {word!r}", start)
+    if error is LanguageError:
+        return LanguageError(f"{message} (at position {starts[i]})")
+    return FormulaSyntaxError(message, starts[i])
 
 
 def parse_formula(text, lang=FULL) -> Formula:
@@ -463,55 +455,59 @@ def parse_formula(text, lang=FULL) -> Formula:
     "rn(" or "ln(" is a frame: the negation it closes with (or None), and
     the operands and operators read in it, in increasing precedence; an
     operator is applied when one of no higher precedence follows, so the
-    binary connectives associate to the left."""
-    tokens = _tokenize(text)
+    binary connectives associate to the left.  The tokens are the texts
+    `_TOKEN_RE` finds, then "" for the end of input."""
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
     connectives = lang.connectives
     frames = []
     neg, operands, operators = None, [], []
     i = 0
     while True:
         # an operand, after the frames it opens
-        kind, word, pos = tokens[i]
+        word = tokens[i]
         i += 1
-        while kind == "lpar" or kind == "ident" and word in _RESERVED:
+        while word == "(" or word in _RESERVED:
             op = None
-            if kind == "ident":
+            if word != "(":
                 op = _RESERVED[word]
-                kind, found, at = tokens[i]
-                i += 1
-                if kind != "lpar":
-                    raise FormulaSyntaxError(
-                        f"expected '(' after {word}, found "
-                        f"{found or 'end of input'}", at)
+                if tokens[i] != "(":
+                    raise _error(text, tokens, i,
+                                 f"expected '(' after {word}, found "
+                                 f"{tokens[i] or 'end of input'}")
                 if op not in connectives:
-                    raise _language_error(op, pos)
+                    raise _error(text, tokens, i - 1,
+                                 f"{op} not in language", LanguageError)
+                i += 1
             frames.append((neg, operands, operators))
             neg, operands, operators = op, [], []
-            kind, word, pos = tokens[i]
+            word = tokens[i]
             i += 1
-        if kind == "ident":
+        if word[:1] in _LETTERS:
             node = Var(word)
-        elif kind == "zero":
+        elif word == "0":
             node = ZERO
-        elif kind == "one":
+        elif word == "1":
             node = ONE
         else:
-            raise FormulaSyntaxError(
-                f"expected a formula, found {word or 'end of input'}", pos)
+            raise _error(text, tokens, i - 1, "expected a formula, found "
+                         f"{word or 'end of input'}")
         # the operators and closing parentheses after it
         while True:
-            kind, word, pos = tokens[i]
+            word = tokens[i]
             i += 1
-            binary = _BINARY.get(kind)
+            binary = _BINARY.get(word)
             if binary is None:
                 prec = -1
             else:
                 connective, prec = binary
                 if prec == 0 and operators and operators[0][1] == 0:
-                    raise FormulaSyntaxError(
-                        "implications are non-associative; parenthesize", pos)
+                    raise _error(text, tokens, i - 1, "implications are "
+                                 "non-associative; parenthesize")
                 if connective not in connectives:
-                    raise _language_error(connective, pos)
+                    raise _error(text, tokens, i - 1,
+                                 f"{connective} not in language",
+                                 LanguageError)
             while operators and operators[-1][1] >= prec:
                 connective = operators.pop()[0]
                 left = operands.pop()
@@ -523,12 +519,13 @@ def parse_formula(text, lang=FULL) -> Formula:
                 operators.append(binary)
                 break
             if not frames:
-                if kind != "eof":
-                    raise FormulaSyntaxError(f"trailing input {word!r}", pos)
+                if word:
+                    raise _error(text, tokens, i - 1,
+                                 f"trailing input {word!r}")
                 return node
-            if kind != "rpar":
-                raise FormulaSyntaxError(
-                    f"expected ')', found {word or 'end of input'}", pos)
+            if word != ")":
+                raise _error(text, tokens, i - 1, "expected ')', found "
+                             f"{word or 'end of input'}")
             if neg is not None:
                 node = Neg(neg, node)
             neg, operands, operators = frames.pop()

@@ -3,10 +3,10 @@ import sys
 
 import pytest
 
-from substrukt.syntax import (Language, Neg, ZERO, ONE, check_language, fus,
-                              join, meet, rimp, var)
-from substrukt.sequents import (Sequent, mirror_sequent, parse_sequent, rho,
-                                seq, tau)
+from substrukt.syntax import (Language, Neg, ZERO, ONE, fus, join, meet, rimp,
+                              var)
+from substrukt.sequents import (Sequent, check_sequent_language,
+                                mirror_sequent, parse_sequent, rho, seq, tau)
 from substrukt.calculus import (CalculusId, ProofTree, RuleId, _apply, calculus,
                                 check_proof, derive_conclusion,
                                 format_proof_sexp, lemma10_forward, lemma11,
@@ -242,15 +242,16 @@ def _result(res):
 
 
 def _count_language_checks(monkeypatch):
-    """The formula objects check_proof hands to check_language, in order."""
+    """The conclusions check_proof hands to check_sequent_language, in
+    order."""
     checked = []
 
-    def counting(f, lang):
-        checked.append(f)
-        return check_language(f, lang)
+    def counting(s, lang):
+        checked.append(s)
+        return check_sequent_language(s, lang)
 
-    monkeypatch.setattr(sys.modules["substrukt.calculus"], "check_language",
-                        counting)
+    monkeypatch.setattr(sys.modules["substrukt.calculus"],
+                        "check_sequent_language", counting)
     return checked
 
 
@@ -262,15 +263,19 @@ def test_check_proof_rejects_the_first_deep_node_outside_the_language(
     assert _result(check_proof(tree, CORE_E)) == (
         False, "conclusion outside language: rneg not in language",
         (0,) * 41, seq([p, q], chi))
-    # the 41 nodes above share p, q and p * q: each is checked once
-    assert len(checked) == len({id(f) for f in checked}) == 4
+    # one check per node, in preorder, down to the offending leaf: the 40
+    # exchanges, the cut and its first premise
+    assert len(checked) == 42 and checked[-1] == seq([p, q], chi)
+    assert [s.antecedent for s in checked[:41]] == [(p, q), (q, p)] * 20 + \
+        [(p, q)]
     # in the full language the same tree fails only at its leaves
     assert _result(check_proof(tree, FLE)) == (
         False, "hypothesis-not-declared", (0,) * 41, seq([p, q], chi))
 
 
-def test_check_proof_checks_each_distinct_formula_once(monkeypatch):
-    # every node parses its own sequent, and equal formulas are one object
+def test_check_proof_checks_each_node_conclusion_once(monkeypatch):
+    # every node parses its own sequent; a formula's check is one AND of
+    # its mask with the language's, so each occurrence is checked
     def node(text, rule, premises=(), data=()):
         return ProofTree(parse_sequent(text), rule, premises, data)
 
@@ -283,12 +288,26 @@ def test_check_proof_checks_each_distinct_formula_once(monkeypatch):
     assert _result(check_proof(tree, CORE_E)) == (
         False, "conclusion outside language: meet not in language",
         (0,) * 41, parse_sequent("p, q => p /\\ q"))
-    # the 42 nodes down to the offending one hold 4 distinct formulas:
-    # p, q, p * q and p /\ q, each checked once
-    assert checked == [p, q, fus(p, q), meet(p, q)]
+    # the 42 nodes down to the offending one, each checked once, in preorder
+    assert len({id(s) for s in checked}) == len(checked) == 42
+    assert checked[-1] == parse_sequent("p, q => p /\\ q")
     assert _result(check_proof(tree, FLE)) == (
         False, "hypothesis-not-declared", (0,) * 41,
         parse_sequent("p, q => p /\\ q"))
+
+
+@pytest.mark.parametrize("conclusion, first", [
+    (seq([p, fus(Neg("rneg", p), meet(q, p))], rimp(p, q)), "meet"),
+    (seq([fus(p, q)], join(Neg("lneg", p), rimp(p, q))), "lneg"),
+    (seq([], meet(rimp(p, q), Neg("rneg", ONE))), "meet"),
+])
+def test_check_proof_names_the_first_connective_outside_the_language(
+        conclusion, first):
+    leaf = ProofTree(conclusion, RuleId.HYPOTHESIS)
+    assert _result(check_proof(leaf, CORE_E, hyps={conclusion})) == (
+        False, f"conclusion outside language: {first} not in language", (),
+        conclusion)
+    assert check_proof(leaf, FLE, hyps={conclusion})
 
 
 def test_format_proof_sexp_prints_a_deep_proof():

@@ -23,21 +23,26 @@ from substrukt.algebra import (BINARY_OPS, FAMILY_OPS, UNARY_OPS,
                                compile_equations, compile_terms,
                                enumerate_algebras, equation_witnesses,
                                eval_term, failures, holds, members,
-                               pool_masks, reduct, satisfies_equation,
-                               satisfies_quasi, variety_equations,
-                               variety_program)
+                               language_of_family, pool_masks, reduct,
+                               satisfies_equation, satisfies_quasi,
+                               variety_equations, variety_program)
 from substrukt.bridge import Found, NotFound, _enumerated, countermodel
 from substrukt.corpus import (random_msl, random_pomonoid, random_semilattice,
                              random_sequent)
-from substrukt.sequents import (Equation, Sequent, equation_variables, ineq,
-                                parse_sequent, tau_equation)
-from substrukt.syntax import Bin, Const, Language, Neg, fus, join, meet, var
+from substrukt.sequents import (Equation, Sequent, ineq, parse_sequent,
+                                tau_equation)
+from substrukt.syntax import (Bin, Const, Language, Neg, fus, join, meet, var,
+                              variables_of)
 
 ALL_SIGMAS = [frozenset(c) for k in range(5)
               for c in itertools.combinations(("e", "wl", "wr", "c"), k)]
 
 
 # -- the oracles: one dict assignment per point -----------------------------
+
+def equation_variables(e):
+    return variables_of(e.lhs) | variables_of(e.rhs)
+
 
 def _assignments(a, names):
     names = sorted(names)
@@ -224,6 +229,23 @@ def _same(found, expected):
         return False
     a, assignment = expected
     return found.algebra is a and found.assignment == assignment
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_OPS))
+def test_a_one_element_member_satisfies_every_goal(family):
+    """The countermodel scan starts at size 2: each variety's size-1 pool
+    is the one trivial algebra, and it satisfies tau of every goal."""
+    rng = random.Random(20261022)
+    lang = language_of_family(family)
+    for sigma in ALL_SIGMAS:
+        v = VarietyId(family, sigma)
+        (a,) = _enumerated(v, 1)
+        for _ in range(20):
+            goal = random_sequent(rng, depth=rng.choice((2, 3)), lang=lang)
+            e = tau_equation(goal)
+            assert all(holds(a, e, assignment) for assignment
+                       in _assignments(a, equation_variables(e))), goal
+            assert countermodel(goal, v, 1) == NotFound(1)
 
 
 def test_countermodel_matches_oracle_on_a_seeded_corpus():

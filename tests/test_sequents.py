@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from substrukt.syntax import ZERO, ONE, fus, join, limp, rimp, rneg, var
-from substrukt.sequents import (Equation, Sequent, format_sequent, fuse, ineq,
-                                mirror_sequent, parse_sequent, rho, rho_prime,
-                                seq, tau, tau_prime)
+from substrukt.syntax import (Language, LanguageError, ZERO, ONE, fus, join,
+                              limp, lneg, meet, rimp, rneg, var)
+from substrukt.sequents import (Equation, Sequent, check_sequent_language,
+                                format_sequent, fuse, ineq, mirror_sequent,
+                                parse_sequent, rho, rho_prime, seq, tau,
+                                tau_prime)
 from tests.test_syntax import formulas
 
 p, q, r = var("p"), var("q"), var("r")
@@ -15,6 +17,24 @@ def test_fuse():
     assert fuse([]) == ONE
     assert fuse([p]) == p
     assert fuse([p, q, r]) == fus(fus(p, q), r)  # left association
+
+
+@pytest.mark.parametrize("preset, s, message", [
+    ("core", seq([p, fus(rneg(p), meet(q, r))], limp(p, q)), "meet"),
+    ("core", seq([p], meet(lneg(p), rimp(q, r))), "lneg"),
+    ("core", seq([meet(p, q), rneg(p)], lneg(q)), "meet"),
+    ("core-meet", seq([meet(p, q)], join(rneg(p), lneg(q))), "lneg"),
+    ("core-neg", seq([rneg(p), q], rimp(p, meet(p, q))), "meet"),
+    ("core-meet-neg", seq([], limp(p, rneg(q))), "limp"),
+])
+def test_check_sequent_language_names_the_first_formula_outside(
+        preset, s, message):
+    # the first formula outside, antecedent first, and its first connective
+    # outside in sorted order
+    with pytest.raises(LanguageError) as err:
+        check_sequent_language(s, Language.preset(preset))
+    assert str(err.value) == f"{message} not in language"
+    check_sequent_language(s, Language.preset("full"))
 
 
 def test_tau_cases():

@@ -3,6 +3,7 @@ import operator
 import gc
 import pickle
 import random
+import re
 import sys
 import threading
 
@@ -12,8 +13,8 @@ import hypothesis.strategies as st
 
 from substrukt.syntax import (Bin, Const, Language, LanguageError,
                               FormulaSyntaxError, Neg, Var, ZERO, ONE,
-                              PRESET_NAMES, _RESERVED, _tokenize,
-                              apply_subst, connectives_of, format_formula,
+                              PRESET_NAMES, _RESERVED, apply_subst,
+                              check_language, connectives_of, format_formula,
                               fus, join, limp, lneg, meet, mirror_formula,
                               numbered, parse_formula, rimp, rneg,
                               subformulas, variables_of, var)
@@ -62,8 +63,20 @@ def test_formulas_are_immutable(f):
     with pytest.raises(AttributeError):
         f.extra = q
     assert not hasattr(f, "__dict__")
+    # the derived mask is not a field, and is as immutable as the fields
+    assert "mask" not in f.__slots__
+    with pytest.raises(AttributeError):
+        f.mask = 0
     # a copy or a pickled round trip comes back as the one object
     assert copy.deepcopy(f) is f and pickle.loads(pickle.dumps(f)) is f
+
+
+def test_repr_and_reduce_list_only_the_fields():
+    f = Bin("fus", p, Neg("rneg", ONE))
+    assert repr(f) == ("Bin(op='fus', left=Var(name='p'), "
+                       "right=Neg(op='rneg', child=Const(which='one')))")
+    assert f.__reduce__() == (Bin, ("fus", p, Neg("rneg", ONE)))
+    assert p.__reduce__() == (Var, ("p",))
 
 
 def test_the_node_table_holds_its_nodes_weakly():
@@ -185,6 +198,72 @@ def test_subformulas():
             assert (op, left, right) == ("var" if f is p else "zero", -1, -1)
 
 
+def _walked_connectives(f):
+    """The oracle of the node masks: the connectives met by a walk over the
+    distinct subformulas of f."""
+    out, seen, stack = set(), set(), [f]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if isinstance(node, Bin):
+            out.add(node.op)
+            stack += (node.left, node.right)
+        elif isinstance(node, Neg):
+            out.add(node.op)
+            stack.append(node.child)
+        elif isinstance(node, Const):
+            out.add(node.which)
+    return out
+
+
+def _assert_node_facts(f):
+    # the sets are compared as locals, so a failure report prints them and
+    # not f, whose text may be exponential in its size
+    walked, read = _walked_connectives(f), connectives_of(f)
+    assert read == walked
+    for name in PRESET_NAMES:
+        lang = Language.preset(name)
+        outside = sorted(walked - lang.connectives)
+        if outside:
+            with pytest.raises(LanguageError) as err:
+                check_language(f, lang)
+            assert str(err.value) == f"{outside[0]} not in language"
+        else:
+            check_language(f, lang)
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_node_connectives_agree_with_a_walk(preset):
+    rng = random.Random(20261022)
+    lang = Language.preset(preset)
+    for _ in range(400):
+        f = random_formula(rng, rng.randint(0, 6), lang=lang)
+        assert _walked_connectives(f) <= lang.connectives
+        _assert_node_facts(f)
+
+
+def test_node_connectives_of_shared_and_deep_formulas():
+    # 41 distinct nodes but 2 ** 40 paths, and a chain deeper than the
+    # interpreter's recursion limit
+    _assert_node_facts(_nest(p, 40, lambda f: fus(f, f)))
+    _assert_node_facts(_nest(p, DEEP, rneg))
+    _assert_node_facts(_nest(ONE, DEEP, lambda f: meet(lneg(f), f)))
+
+
+def test_check_language_names_the_first_connective_outside():
+    core = Language.preset("core")
+    for f, first in ((join(meet(rneg(p), q), limp(p, q)), "limp"),
+                     (fus(rneg(p), lneg(ZERO)), "lneg"),
+                     (join(rimp(p, q), meet(p, ONE)), "meet"),
+                     (rneg(rimp(p, q)), "rimp")):
+        with pytest.raises(LanguageError) as err:
+            check_language(f, core)
+        assert str(err.value) == f"{first} not in language"
+        check_language(f, Language.preset("full"))
+
+
 def test_apply_subst():
     assert apply_subst({"p": q}, p) == q
     assert apply_subst({}, fus(p, q)) == fus(p, q)
@@ -299,6 +378,36 @@ def test_format_formula_prints_deep_negations_with_primes():
 # parse_formula against the recursive-descent parser it replaced
 # ---------------------------------------------------------------------------
 
+_TOKEN_RE = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<or>\\/)
+  | (?P<and>/\\)
+  | (?P<rimp>\\)
+  | (?P<limp>/)
+  | (?P<star>\*)
+  | (?P<lpar>\()
+  | (?P<rpar>\))
+  | (?P<zero>0)
+  | (?P<one>1)
+  | (?P<ident>[a-z][a-z0-9_]*)
+""", re.VERBOSE)
+
+
+def _tokenize(text):
+    """The oracle's own tokenizer: one regex match per token."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
 class _Parser:
     """The recursive-descent parser, the oracle of parse_formula."""
 
@@ -404,7 +513,8 @@ def _outcome(parse, text, lang):
 
 
 _EDITS = ["(", ")", "rn(", "ln(", " \\ ", " / ", " \\/ ", " /\\ ", " * ", "p",
-          "q", "0", "1", "rn", " ", "$"]
+          "q", "0", "1", "rn", " ", "$", "\t", "\n", "P", "_", "p0", "é",
+          ","]
 
 
 def _mutated(rng, text):
