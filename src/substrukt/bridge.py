@@ -8,14 +8,16 @@ tuple (x0..xk, delta) belongs to the represented filter iff the collapsed
 pair (x0*...*xk, delta) is in a slice; closure under the sequent rules then
 reduces to element-quantified conditions.  `_filter_rules` compiles them
 once per algebra into Horn clauses with at most two premises over the n*n+n
-slice members, held as int bitmasks, and `_close` closes a set under them
-with a semi-naive worklist.  A rule applied inside a context u, v for every
-succedent delta is compiled from the distinct tuples of element values it
-relates over all contexts, so contexts with equal values add no clause
-twice.  `is_filter`, `filter_closure` and `all_filters` all use these
-clauses.  The independent oracle that re-checks closure by honest tuple
-expansion, `filter_closed_expanded`, is test code, in
-`tests/filter_oracle.py`.
+slice members, laid out by rows (row p: the s1 pairs (p, y), then the s0
+element p) in int bitmasks, and `_close` closes a set under them with a
+semi-naive worklist.  A rule applied inside a context u, v for every
+succedent delta is stored once per distinct tuple of element values it
+relates, by rows, and lifted over delta at closure time by shifts.
+`is_filter`, `filter_closure` and `all_filters` all use these clauses.  The
+independent oracle that re-checks closure by honest tuple expansion,
+`filter_closed_expanded`, is test code, in `tests/filter_oracle.py`.
+Relations on the carrier, the Leibniz relation and the partitions of
+`all_partitions`, are row masks too: bit y of rows[x] is the pair (x, y).
 """
 
 from __future__ import annotations
@@ -53,32 +55,34 @@ def _filter_rules(a: FiniteAlgebra, sigma, lang):
 
     The conditions quantify sequence metavariables by their products, which
     range over the whole carrier (plus 1 for the empty sequence), so the
-    clauses are exact for the represented filters.  Atom p*n+y is the s1
-    pair (p, y) and atom n*n+p the s0 element p.  Returns the int bitmasks
-    (facts, unary, binary): unary[i] holds the conclusions of the clauses
-    with the single premise i, and binary[i] pairs (1 << j, conclusions) for
-    the clauses with premises i and j, stored under both premises.
+    clauses are exact for the represented filters.  Atom p*(n+1)+y is the
+    s1 pair (p, y), and p*(n+1)+n, the last of row p, the s0 element p.
+    Returns (facts, row, atoms): the axioms, the mask of row 0, and for
+    each atom i = (p, d), atoms[i] = (unary, binary, d, rows, lifts).
+    unary holds the conclusions of the clauses with the single premise i,
+    binary pairs (1 << k, conclusions) for those with premises i and k.
+    The rules that act inside a context u, v for every delta (or-l, cut,
+    and-l, rimp-l, limp-l, the structural rules) are collected as the
+    distinct tuples of element values they relate over all contexts, and
+    stored once, by rows, with row r held as 1 << r*(n+1):
 
-    The rules that act inside a context u, v for every succedent delta
-    are first collected as the distinct tuples of element values they
-    relate over all contexts; only those are lifted over delta to atoms.
+    - rows, shared by row p, has one (guards, partners, spread) per
+      conclusion row q: the clauses c, (p, delta) -> (q, delta) for each
+      atom c in guards, and (p, delta), (r, delta) -> (q, delta) for each
+      row r in partners (r = p for one premise); `_close` shifts by d.
+    - lifts pairs (r*(n+1), spread) for the clauses i, (r, delta) ->
+      (q, delta), every q in spread: `_close` copies row r into row q.
     """
     n = a.n
+    width = n + 1
     ft, jt = a.ops["fus"], a.ops["join"]
     # at[p][d]: the atom of (p, delta), delta = d for d < n, None for d = n
-    at = [[p * n + d for d in range(n)] + [n * n + p] for p in range(n)]
-    unary = [0] * (n * n + n)
-    pairs = {}  # (i, k) with i < k -> conclusions
+    at = [[p * width + d for d in range(width)] for p in range(n)]
+    spread = [1 << p * width for p in range(n)]
+    unary = [0] * (n * width)
 
     def one(i, j):
         unary[i] |= 1 << j
-
-    def two(i, k, j):
-        if i == k:
-            unary[i] |= 1 << j
-        else:
-            key = (i, k) if i < k else (k, i)
-            pairs[key] = pairs.get(key, 0) | 1 << j
 
     def in_context(lefts):  # w * v for each w in lefts and every v
         return [wv for w in lefts for wv in ft[w]]
@@ -88,8 +92,7 @@ def _filter_rules(a: FiniteAlgebra, sigma, lang):
     ctx2 = [[in_context([ft[ft[u][x]][y] for u in range(n)])
              for y in range(n)] for x in range(n)]
     # Value tuples of the rules applied in context, for every delta:
-    lifted = set()  # (p, q): the clause (p, delta) -> (q, delta)
-    joins = set()  # (p, q, r): (p, delta), (q, delta) -> (r, delta)
+    joins = set()  # (p, r, q): (p, delta), (r, delta) -> (q, delta)
     guarded = {}  # atom c -> {(p, q)}: c, (p, delta) -> (q, delta)
 
     # axioms
@@ -97,26 +100,30 @@ def _filter_rules(a: FiniteAlgebra, sigma, lang):
     for x in range(n):
         facts |= 1 << at[x][x]
 
-    for x in range(n):
-        for y in range(n):
+    # fus-r: (x, y), (z, w) -> (x*z, y*w) on every two s1 atoms i <= k
+    cells = [(x, y, at[x][y]) for x in range(n) for y in range(n)]
+    pairs = {(i, k): 1 << at[ft[x][z]][ft[y][w]] | 1 << at[ft[z][x]][ft[w][y]]
+             for x, y, i in cells for z, w, k in cells if i <= k}
+    for y in range(n):
+        # or-r: (x, y) -> (x, y v z), (x, z v y), the OR of the powers
+        up = sum({1 << v for z in range(n) for v in (jt[y][z], jt[z][y])})
+        for x in range(n):
+            unary[at[x][y]] |= up << x * width
             joins.update(zip(ctx[x], ctx[y], ctx[jt[x][y]]))  # or-l
             guarded.setdefault(at[y][x], set()).update(
                 zip(ctx[x], ctx[y]))  # cut
-            for z in range(n):
-                one(at[x][y], at[x][jt[y][z]])  # or-r
-                one(at[x][y], at[x][jt[z][y]])
-                for w in range(n):  # fus-r
-                    two(at[x][y], at[z][w], at[ft[x][z]][ft[y][w]])
 
     if "meet" in lang:
         mt = a.ops["meet"]
         for x in range(n):
             for m in {mt[x][y] for y in range(n)} | \
                     {mt[y][x] for y in range(n)}:
-                lifted.update(zip(ctx[x], ctx[m]))  # and-l
-            for y in range(n):
-                for z in range(n):
-                    two(at[x][y], at[x][z], at[x][mt[y][z]])  # and-r
+                joins.update(zip(ctx[x], ctx[x], ctx[m]))  # and-l
+        for y in range(n):  # and-r: (x, y), (x, z) -> (x, y ^ z)
+            for z in range(y, n):
+                down = 1 << mt[y][z] | 1 << mt[z][y]
+                for x in range(n):
+                    pairs[at[x][y], at[x][z]] |= down << x * width
 
     if "rimp" in lang:
         rt, lt = a.ops["rimp"], a.ops["limp"]
@@ -147,45 +154,60 @@ def _filter_rules(a: FiniteAlgebra, sigma, lang):
     empty = in_context(range(n))  # u*v
     for x in range(n):
         if "wl" in sigma:
-            lifted.update(zip(empty, ctx[x]))
+            joins.update(zip(empty, empty, ctx[x]))
         if "c" in sigma:
-            lifted.update(zip(ctx2[x][x], ctx[x]))
+            joins.update(zip(ctx2[x][x], ctx2[x][x], ctx[x]))
         if "e" in sigma:
             for y in range(n):
-                lifted.update(zip(ctx2[x][y], ctx2[y][x]))
+                joins.update(zip(ctx2[x][y], ctx2[x][y], ctx2[y][x]))
 
-    for p, q in lifted:
-        for i, j in zip(at[p], at[q]):
-            one(i, j)
-    for p, q, r in joins:
-        for i, k, j in zip(at[p], at[q], at[r]):
-            two(i, k, j)
+    guards = [[0] * n for _ in range(n)]
+    partners = [[0] * n for _ in range(n)]
+    for p, r, q in joins:  # with (r, p, q) too: join is commutative
+        partners[p][q] |= spread[r]
+    lifts = [[] for _ in unary]
     for c, group in guarded.items():
+        by_row = [0] * n
         for p, q in group:
-            for i, j in zip(at[p], at[q]):
-                two(c, i, j)
+            by_row[p] |= spread[q]
+            guards[p][q] |= 1 << c
+        lifts[c] = [(p * width, r) for p, r in enumerate(by_row) if r]
+    rows = [[(g, j, spread[q]) for q, (g, j) in enumerate(zip(gs, js))
+             if g or j] for gs, js in zip(guards, partners)]
     binary = [[] for _ in unary]
     for (i, k), conclusions in pairs.items():
-        binary[i].append((1 << k, conclusions))
-        binary[k].append((1 << i, conclusions))
-    return facts, unary, binary
+        if i == k:
+            unary[i] |= conclusions
+        else:
+            binary[i].append((1 << k, conclusions))
+            binary[k].append((1 << i, conclusions))
+    return facts, (1 << width) - 1, [
+        (unary[i], binary[i], i - p * width, rows[p], lifts[i])
+        for p in range(n) for i in at[p]]
 
 
 def _close(rules, have, new):
     """The least closed superset of have | new, given that have is closed:
     each atom added fires its unary clauses and joins once with the atoms
-    present (semi-naive forward chaining)."""
-    _, unary, binary = rules
+    present (semi-naive forward chaining).  The clauses of row p reach its
+    atom (p, d) shifted by d, and an atom that guards clauses of other rows
+    copies those rows whole (see `_filter_rules`)."""
+    _, row, atoms = rules
     new &= ~have
     have |= new
     while new:
         low = new & -new
         new ^= low
-        i = low.bit_length() - 1
-        derived = unary[i]
-        for other, conclusions in binary[i]:
+        derived, binary, d, rows, lifts = atoms[low.bit_length() - 1]
+        for other, conclusions in binary:
             if have & other:
                 derived |= conclusions
+        shifted = have >> d
+        for guards, partners, spread in rows:
+            if have & guards or shifted & partners:
+                derived |= spread << d
+        for start, spread in lifts:
+            derived |= (have >> start & row) * spread
         derived &= ~have
         have |= derived
         new |= derived
@@ -193,18 +215,14 @@ def _close(rules, have, new):
 
 
 def _to_mask(n, slices: FilterSlices) -> int:
-    mask = 0
-    for p, y in slices.s1:
-        mask |= 1 << (p * n + y)
-    for p in slices.s0:
-        mask |= 1 << (n * n + p)
-    return mask
+    pairs = [(p, y) for p, y in slices.s1] + [(p, n) for p in slices.s0]
+    return sum(1 << (p * (n + 1) + y) for p, y in pairs)
 
 
 def _to_slices(n, mask: int) -> FilterSlices:
-    return FilterSlices(
-        frozenset(divmod(i, n) for i in range(n * n) if mask >> i & 1),
-        frozenset(p for p in range(n) if mask >> (n * n + p) & 1))
+    members = [divmod(i, n + 1) for i in range(n * n + n) if mask >> i & 1]
+    return FilterSlices(frozenset(m for m in members if m[1] < n),
+                        frozenset(p for p, y in members if y == n))
 
 
 def is_filter(a: FiniteAlgebra, slices: FilterSlices, sigma, lang) -> bool:
@@ -386,85 +404,84 @@ class NotACongruence:
     witness: tuple
 
 
-def partition_from_pairs(n, pairs) -> Congruence:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, y in pairs:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-    blocks = {}
-    for x in range(n):
-        blocks.setdefault(find(x), []).append(x)
-    return Congruence(tuple(tuple(sorted(b))
-                            for _, b in sorted(blocks.items())))
+def _congruence(rows) -> Congruence:
+    """The partition whose block of x is the row mask rows[x]."""
+    n = len(rows)
+    return Congruence(tuple(tuple(y for y in range(n) if row >> y & 1)
+                            for x, row in enumerate(rows)
+                            if row & -row == 1 << x))
 
 
-def _compatible(a: FiniteAlgebra, pairs) -> Optional[tuple]:
-    """None when pairs (an equivalence) respects every operation, else a
-    witness (op, (x, y, c)).  A pair (x, x) maps into the diagonal, which
-    an equivalence contains, so only the pairs with x != y are checked."""
-    moved = [(x, y) for (x, y) in pairs if x != y]
+def _incompatible(a: FiniteAlgebra, rows) -> Optional[tuple]:
+    """None when the equivalence with row masks rows respects every
+    operation, else the first witness (op, (x, y)) or (op, (x, y, c)) of
+    the first failing op.  (x, x) maps into the diagonal, and (y, x) fails
+    where (x, y) does, so only the pairs x < y are checked."""
+    n = a.n
+    moved = [(x, y) for x in range(n) for y in range(x + 1, n)
+             if rows[x] >> y & 1]
     for op, table in a.ops.items():
-        if op in ("rneg", "lneg"):
-            for (x, y) in moved:
-                if (table[x], table[y]) not in pairs:
-                    return (op, (x, y))
+        if op in UNARY_OPS:
+            for x, y in moved:
+                if not rows[table[x]] >> table[y] & 1:
+                    return op, (x, y)
         else:
-            for (x, y) in moved:
-                for c in range(a.n):
-                    if (table[x][c], table[y][c]) not in pairs:
-                        return (op, (x, y, c))
-                    if (table[c][x], table[c][y]) not in pairs:
-                        return (op, (x, y, c))
+            for x, y in moved:
+                tx, ty = table[x], table[y]
+                for c, tc in enumerate(table):
+                    if not (rows[tx[c]] >> ty[c] & rows[tc[x]] >> tc[y] & 1):
+                        return op, (x, y, c)
     return None
 
 
 def leibniz_congruence(a: FiniteAlgebra, r: FilterSlices):
     """Theta_R = {(x,y) : (x,y) and (y,x) both in the (1,1)-slice}; for
-    cut-closed filters this is the Leibniz congruence."""
-    theta = frozenset((x, y) for (x, y) in r.s1 if (y, x) in r.s1)
-    for x in range(a.n):
-        if (x, x) not in theta:
+    cut-closed filters this is the Leibniz congruence.  Theta is held as
+    row masks, and each check names its first failure in element order."""
+    n = a.n
+    rows, columns = [0] * n, [0] * n
+    for x, y in r.s1:
+        rows[x] |= 1 << y
+        columns[y] |= 1 << x
+    theta = [row & column for row, column in zip(rows, columns)]
+    for x in range(n):
+        if not theta[x] >> x & 1:
             return NotACongruence("reflexivity", (x,))
-    for (x, y) in theta:
-        for z in range(a.n):
-            if (y, z) in theta and (x, z) not in theta:
-                return NotACongruence("transitivity", (x, y, z))
-    witness = _compatible(a, theta)
+    for x, row in enumerate(theta):
+        for y in range(n):
+            beyond = theta[y] & ~row if row >> y & 1 else 0
+            if beyond:
+                return NotACongruence("transitivity",
+                                      (x, y, (beyond & -beyond).bit_length() - 1))
+    witness = _incompatible(a, theta)
     if witness is not None:
         return NotACongruence(*witness)
-    return partition_from_pairs(a.n, theta)
+    return _congruence(theta)
 
 
 @functools.lru_cache(maxsize=8)
 def all_partitions(n):
-    """All set partitions of range(n), via restricted growth strings, as a
-    tuple kept per n."""
-    def rec(i, assignment, used):
-        if i == n:
-            blocks = {}
-            for x, b in enumerate(assignment):
-                blocks.setdefault(b, []).append(x)
-            yield Congruence(tuple(tuple(b) for _, b in sorted(blocks.items())))
-            return
-        for b in range(used + 1):
-            yield from rec(i + 1, assignment + [b], max(used, b + 1))
-    return tuple(rec(0, [], 0))
+    """All set partitions of range(n), in the order of their restricted
+    growth strings, each as (Congruence, rows) with rows[x] the mask of
+    the block of x; a tuple kept per n."""
+    found, growth = [], [0] * n  # growth[x]: the block of x
+    while True:
+        blocks = [0] * (max(growth, default=0) + 1)
+        for x, b in enumerate(growth):
+            blocks[b] |= 1 << x
+        rows = tuple(blocks[b] for b in growth)
+        found.append((_congruence(rows), rows))
+        # raise the last entry that may grow, and zero those after it
+        i = max((i for i in range(1, n) if growth[i] <= max(growth[:i])),
+                default=0)
+        if not i:
+            return tuple(found)
+        growth[i:] = [growth[i] + 1] + [0] * (n - 1 - i)
 
 
 def all_congruences(a: FiniteAlgebra):
-    out = []
-    for part in all_partitions(a.n):
-        if _compatible(a, part.pairs()) is None:
-            out.append(part)
-    return out
+    return [c for c, rows in all_partitions(a.n)
+            if _incompatible(a, rows) is None]
 
 
 def k_congruences(a: FiniteAlgebra, v: VarietyId):
@@ -474,22 +491,27 @@ def k_congruences(a: FiniteAlgebra, v: VarietyId):
     The quotient map is a surjective homomorphism, so a/theta satisfies
     s = t iff s(x) theta t(x) at every assignment x in a.  The run collects
     the value pairs (x, y), x != y, that the two sides of an equation take
-    at some assignment (lhs mask x and rhs mask y share a bit), and a
-    congruence qualifies iff each pair lies in one of its blocks; no
-    quotient is built.  A member of v has no such pairs, so all its
-    congruences qualify: a variety is closed under homomorphic images.
+    at some assignment (lhs mask x and rhs mask y share a bit), as a row
+    mask apart[x] per x, and a partition qualifies iff each pair lies in
+    one of its blocks and it is a congruence; no quotient is built.  A
+    member of v has no such pairs, so all its congruences qualify: a
+    variety is closed under homomorphic images.
     """
     if not FAMILY_OPS[v.family].issubset(a.ops):
         return []
     program = variety_program(v)
     pairs = [(x, y) for x in range(a.n) for y in range(a.n) if x != y]
-    apart = set()
+    apart = [0] * a.n
     for _, _, _, slots in _runs((a,), program, {}):
         for lhs, rhs in program.sides:
             left, right = slots[lhs], slots[rhs]
             if left != right:
-                apart.update((x, y) for x, y in pairs if left[x] & right[y])
-    return [c for c in all_congruences(a) if apart <= c.pairs()]
+                for x, y in pairs:
+                    if left[x] & right[y]:
+                        apart[x] |= 1 << y
+    return [c for c, rows in all_partitions(a.n)
+            if not any(d & ~row for d, row in zip(apart, rows))
+            and _incompatible(a, rows) is None]
 
 
 @dataclass(frozen=True)
@@ -505,7 +527,12 @@ class CorrespondenceReport:
 
 def filter_congruence_correspondence(a: FiniteAlgebra, v: VarietyId) -> CorrespondenceReport:
     """Enumerate the filters and the variety congruences and verify that the
-    Leibniz operator is an inclusion-preserving bijection between them."""
+    Leibniz operator is an inclusion-preserving bijection between them.
+    Raises AlgebraError, naming them, if a lacks operations of v's family."""
+    missing = sorted(FAMILY_OPS[v.family] - a.ops.keys())
+    if missing:
+        raise AlgebraError(f"{a.name} lacks the operations of {v.family}: "
+                           + ", ".join(missing))
     if a.n > 4:
         raise ValueError("correspondence check is capped at 4 elements")
     lang = language_of_family(v.family)

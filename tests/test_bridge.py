@@ -13,13 +13,16 @@ from substrukt.algebra import (BINARY_OPS, FAMILY_OPS, UNARY_OPS,
                                members, variety_program)
 from substrukt.bridge import (Congruence, CorrespondenceReport, FilterSlices,
                               Found, NotACongruence, NotFound,
-                              all_congruences, all_filters, canonical_filter,
-                              countermodel, filter_closure,
+                              all_congruences, all_filters, all_partitions,
+                              canonical_filter, countermodel, filter_closure,
                               filter_congruence_correspondence, is_filter,
                               k_congruences, leibniz_congruence)
 from substrukt.corpus import random_semilattice
 from substrukt import bridge, fixtures
-from filter_oracle import filter_closed_expanded, filter_member
+from filter_oracle import (congruences_oracle, correspondence_oracle,
+                           filter_closed_expanded, filter_member,
+                           k_congruences_oracle, leibniz_oracle,
+                           partitions_oracle)
 
 CORE = Language.preset("core")
 NOSIGMA = frozenset()
@@ -330,7 +333,7 @@ def filter_rules_oracle(a, sigma, lang):
     every duplicate generated again."""
     n = a.n
     ft, jt = a.ops["fus"], a.ops["join"]
-    at = [[p * n + d for d in range(n)] + [n * n + p] for p in range(n)]
+    at = [[p * (n + 1) + d for d in range(n + 1)] for p in range(n)]
     ds = range(n + 1)
     unary = [0] * (n * n + n)
     pairs = {}
@@ -436,10 +439,45 @@ def _members_upto_3(family):
 
 
 def _clause_set(rules):
+    """The compiled clauses expanded to atoms: (facts, unary, stored),
+    with stored[i, k] the conclusions of the clauses with premises i and
+    k that fire when i is added and k is present (a clause with one
+    premise twice is unary).  Each binary clause must be stored under both
+    its premises, as the semi-naive closure needs."""
+    facts, row, atoms = rules
+    width = row.bit_length()
+    unary = [entry[0] for entry in atoms]
+    stored = {}
+
+    def two(i, k, conclusions):
+        if i == k:
+            unary[i] |= conclusions
+        elif conclusions:
+            stored[i, k] = stored.get((i, k), 0) | conclusions
+
+    def bits(mask):
+        return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+    for i, (_, binary, d, rows, lifts) in enumerate(atoms):
+        assert d == i % width
+        for other, conclusions in binary:
+            two(i, other.bit_length() - 1, conclusions)
+        for guards, partners, spread in rows:
+            for c in bits(guards):
+                two(i, c, spread << d)
+            for q in bits(partners):
+                two(i, q + d, spread << d)
+        for start, spread in lifts:
+            for column in range(width):
+                two(i, start + column, spread << column)
+    return facts, unary, stored
+
+
+def _oracle_clause_set(rules):
     facts, unary, binary = rules
-    return facts, list(unary), sorted((i, other, conclusions)
-                                      for i, row in enumerate(binary)
-                                      for other, conclusions in row)
+    return facts, list(unary), {(i, other.bit_length() - 1): conclusions
+                                for i, row in enumerate(binary)
+                                for other, conclusions in row}
 
 
 def test_filter_rules_match_the_per_context_oracle():
@@ -449,7 +487,7 @@ def test_filter_rules_match_the_per_context_oracle():
         for a in _members_upto_3(family):
             for sigma in ALL_SIGMAS:
                 assert _clause_set(bridge._filter_rules(a, sigma, lang)) == \
-                    _clause_set(filter_rules_oracle(a, sigma, lang)), \
+                    _oracle_clause_set(filter_rules_oracle(a, sigma, lang)), \
                     (family, a.name, sorted(sigma))
                 checked += 1
     assert checked > 1000
@@ -503,7 +541,7 @@ def test_filter_rules_match_the_per_context_oracle_on_random_tables():
         a = _random_algebra(rng, n)
         for sigma in ALL_SIGMAS:
             assert _clause_set(bridge._filter_rules(a, sigma, lang)) == \
-                _clause_set(filter_rules_oracle(a, sigma, lang)), \
+                _oracle_clause_set(filter_rules_oracle(a, sigma, lang)), \
                 (a.name, sorted(sigma))
 
 
@@ -568,3 +606,123 @@ def test_correspondence_on_non_members():
                 assert rep.ok, (a.name, str(v), rep.failures)
                 checked += 1
     assert checked == 984
+
+
+# -- the congruence side against the pair-set oracles ------------------------
+
+def test_all_partitions_keep_the_restricted_growth_order():
+    for n in range(6):
+        partitions = all_partitions(n)
+        assert [c for c, _ in partitions] == partitions_oracle(n), n
+        for c, rows in partitions:
+            assert rows == tuple(next(sum(1 << y for y in block)
+                                      for block in c.blocks if x in block)
+                                 for x in range(n))
+    assert [len(all_partitions(n)) for n in range(6)] == [1, 1, 2, 5, 15, 52]
+
+
+def _first_witness(a, slices):
+    """The first failure of Theta_R in element order: x for reflexivity,
+    the least (x, y, z) for transitivity, and for the first operation of
+    a.ops that fails, the least (x, y) or (x, y, c)."""
+    n = a.n
+    theta = {(x, y) for (x, y) in slices.s1 if (y, x) in slices.s1}
+    for x in range(n):
+        if (x, x) not in theta:
+            return NotACongruence("reflexivity", (x,))
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if (x, y) in theta and (y, z) in theta and (x, z) not in theta:
+            return NotACongruence("transitivity", (x, y, z))
+    moved = sorted((x, y) for (x, y) in theta if x != y)
+    for op, table in a.ops.items():
+        for x, y in moved:
+            if op in UNARY_OPS:
+                if (table[x], table[y]) not in theta:
+                    return NotACongruence(op, (x, y))
+                continue
+            for c in range(n):
+                if (table[x][c], table[y][c]) not in theta or \
+                        (table[c][x], table[c][y]) not in theta:
+                    return NotACongruence(op, (x, y, c))
+    return None
+
+
+def _check_leibniz(a, slices):
+    """Compare with the pair-set oracle: the same congruence, or the same
+    failed law with the first witness in element order.  Returns whether
+    it failed."""
+    found, oracle = leibniz_congruence(a, slices), leibniz_oracle(a, slices)
+    if isinstance(oracle, Congruence):
+        assert found == oracle, (a.name, slices)
+        assert _first_witness(a, slices) is None
+        return False
+    assert found.operation == oracle.operation, (a.name, slices)
+    assert found == _first_witness(a, slices), (a.name, slices)
+    return True
+
+
+def test_congruence_side_matches_the_pair_set_oracles_on_members():
+    checked = 0
+    for family in FAMILIES:
+        lang = language_of_family(family)
+        for a in _members_upto_3(family):
+            assert all_congruences(a) == congruences_oracle(a)
+            for sigma in ALL_SIGMAS:
+                v = VarietyId(family, sigma)
+                assert k_congruences(a, v) == k_congruences_oracle(a, v), \
+                    (a.name, str(v))
+                for f in all_filters(a, sigma, lang):
+                    assert not _check_leibniz(a, f)
+                report = filter_congruence_correspondence(a, v)
+                assert report == correspondence_oracle(a, v), (a.name, str(v))
+                checked += 1
+    assert checked == 1904
+
+
+def test_congruence_side_matches_the_pair_set_oracles_on_random_tables():
+    # no Leibniz image of a filter fails here, so the reports, witnesses
+    # included, are compared as they are
+    rng, draws = random.Random(5), random.Random(6)
+    reports, failed = [], 0
+    for n in (2, 3, 4, 4):
+        a = _random_algebra(rng, n)
+        assert all_congruences(a) == congruences_oracle(a)
+        for family in FAMILIES:
+            lang = language_of_family(family)
+            for sigma in ALL_SIGMAS:
+                v = VarietyId(family, sigma)
+                assert k_congruences(a, v) == k_congruences_oracle(a, v), \
+                    (a.name, str(v))
+                for f in all_filters(a, sigma, lang):
+                    assert not _check_leibniz(a, f)
+                report = filter_congruence_correspondence(a, v)
+                assert report == correspondence_oracle(a, v), (a.name, str(v))
+                reports.append(report.ok)
+        for density in (0.5, 0.8, 0.95, 1.0):
+            failed += _check_leibniz(a, _random_slices(draws, n, density))
+    assert 0 < reports.count(False) < len(reports)
+    assert failed > 0
+
+
+def test_leibniz_names_the_first_transitivity_witness():
+    # 1 ~ 0, 2, 3 but 0 is related to neither 2 nor 3: (0, 1, 2) is the
+    # first failure in element order, (0, 1, 3) and (2, 1, 0) come later
+    a = fixtures.chain4_min()
+    s1 = frozenset({(x, x) for x in range(4)} |
+                   {(1, y) for y in (0, 2, 3)} | {(y, 1) for y in (0, 2, 3)})
+    slices = FilterSlices(s1, frozenset())
+    assert leibniz_congruence(a, slices) == \
+        NotACongruence("transitivity", (0, 1, 2))
+    assert _check_leibniz(a, slices)
+
+
+def test_leibniz_names_the_first_witness_on_random_slices():
+    rng = random.Random(27)
+    laws = set()
+    for family in FAMILIES:
+        for a in _members_upto_3(family):
+            for density in (0.5, 0.8, 0.95):
+                slices = _random_slices(rng, a.n, density)
+                if _check_leibniz(a, slices):
+                    laws.add(leibniz_congruence(a, slices).operation)
+    assert {"reflexivity", "transitivity", "fus"} <= laws

@@ -169,6 +169,21 @@ def test_filters_command(tmp_path, capsys):
     assert code == 0 and "filters=2" in out
 
 
+@pytest.mark.parametrize("ops, variety, missing", [
+    ({"join": ((0, 1), (1, 1))}, "Msl", "fus"),
+    ({"join": ((0, 1), (1, 1)), "fus": ((0, 0), (0, 1))}, "Ml", "meet"),
+])
+def test_filters_names_the_missing_operations(tmp_path, capsys, ops,
+                                              variety, missing):
+    a = FiniteAlgebra("two", ("a", "b"), ops, 0, 1)
+    path = tmp_path / "two.json"
+    dump_algebra(a, path)
+    code, out, err = run(capsys, "filters", str(path), "--variety", variety)
+    assert code == 65 and out == ""
+    assert err == (f"error: {path} lacks the operations of {variety}: "
+                   f"{missing}\n")
+
+
 def test_enumerate_command(capsys):
     code, out, err = run(capsys, "enumerate", "Msl", "2")
     assert code == 0

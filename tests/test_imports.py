@@ -101,8 +101,6 @@ def test_no_unreferenced_private_definitions_in_the_package():
 RECURSIVE = {
     # one level per non-unit cell of the table: (n - 1) ** 2
     "algebra.monoid_tables.fill",
-    # one level per element of the carrier
-    "bridge.all_partitions.rec",
     # its `depth` argument
     "corpus.random_formula",
     # the formulas `random_formula` generates

@@ -174,28 +174,39 @@ def test_subformulas():
     assert subformulas(p) == {p}
     assert subformulas(fus(p, q)) == {p, q, fus(p, q)}
     assert subformulas(rneg(p)) == {p, rneg(p)}
-    # 83 distinct nodes but 2 ** 40 paths: each walk visits a node once
+    # 83 distinct nodes but 2 ** 40 paths: each walk visits a node once.
+    # Every fact about `shared` is compared through a local or a boolean,
+    # so a failure report prints neither it nor a set of its nodes: its
+    # text has 2 ** 40 leaves
     shared = _nest(join(p, ZERO), 40, lambda f: fus(f, rneg(f)))
-    assert len(subformulas(shared)) == 83
-    assert connectives_of(shared) == {"join", "zero", "fus", "rneg"}
-    assert variables_of(shared) == {"p"}
-    assert mirror_formula(shared) is _nest(join(p, ZERO), 40,
-                                           lambda f: fus(lneg(f), f))
+    count = len(subformulas(shared))
+    assert count == 83
+    connectives, variables = connectives_of(shared), variables_of(shared)
+    assert connectives == {"join", "zero", "fus", "rneg"}
+    assert variables == {"p"}
+    mirrored = mirror_formula(shared) is _nest(join(p, ZERO), 40,
+                                               lambda f: fus(lneg(f), f))
+    assert mirrored
     # numbered lists each distinct node once, children first, the left
     # child before the right, and the root last
     nodes, positions = numbered((shared,))
-    assert len(nodes) == 83 and positions == [82]
-    assert nodes[-1][0] is shared
+    count = len(nodes)
+    assert count == 83 and positions == [82]
+    root_last = nodes[-1][0] is shared
+    assert root_last
     for i, (f, op, left, right) in enumerate(nodes):
         if isinstance(f, Bin):
-            assert (op, nodes[left][0], nodes[right][0]) == \
+            same = (op, nodes[left][0], nodes[right][0]) == \
                 (f.op, f.left, f.right)
+            assert same
             assert left < right < i
         elif isinstance(f, Neg):
-            assert (op, nodes[left][0], right) == (f.op, f.child, -1)
+            same = (op, nodes[left][0], right) == (f.op, f.child, -1)
+            assert same
             assert left < i
         else:
-            assert (op, left, right) == ("var" if f is p else "zero", -1, -1)
+            leaf = "var" if f is p else "zero"
+            assert (op, left, right) == (leaf, -1, -1)
 
 
 def _walked_connectives(f):
